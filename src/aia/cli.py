@@ -43,6 +43,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command in ("lz", "tfi", "open"):
+        if args.threads < 1:
+            print(f"config error: --threads must be >= 1, got {args.threads}",
+                  file=sys.stderr)
+            return 1
         try:
             cfg = load_config(args.config)
         except (ConfigError, OSError) as exc:

@@ -21,11 +21,11 @@ spectrum and biorthonormal left/right eigenvectors are known in closed
 form and drive the adiabatic and adiabatic-impulse constructions.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numkit import eig_hermitian, integrate_ode, minimize_scalar
+from .numkit import eig_hermitian, hypot_antiderivative, integrate_ode, minimize_scalar
 from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
                         switching_times as lz_switching_times)
 
@@ -45,6 +45,8 @@ class OpenParams:
     g: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"require finite parameters, got {self}")
         if self.x <= 0:
             raise ValueError(f"require x > 0, got {self.x}")
         if not (self.z_i < 0 < self.z_f):
@@ -228,32 +230,36 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
 def _rate_integrals(p, t_a, t_b, tol=1e-12):
-    """(int |l_2| dt, int Delta dt) over [t_a, t_b], panel-doubling quadrature."""
+    """(int |l_2| dt, int Delta dt) over [t_a, t_b].
+
+    The gap Delta = 2 sqrt(x^2 + z^2) integrates in closed form
+    (:func:`aia.numkit.hypot_antiderivative`). The rate |l_2| = gamma(Delta)
+    + gamma(-Delta) has no elementary antiderivative and is integrated by
+    panel-doubling Gauss-Legendre quadrature (at most 64 panels).
+    """
     if t_b == t_a:
         return 0.0, 0.0
+    delta_int = (2.0 * p.t_f / p.dz) * (hypot_antiderivative(p.z(t_b), p.x)
+                                       - hypot_antiderivative(p.z(t_a), p.x))
 
     def gl(n_panels):
         edges = np.linspace(t_a, t_b, n_panels + 1)
-        tot_r, tot_d = 0.0, 0.0
+        total = 0.0
         for i in range(n_panels):
             mid = 0.5 * (edges[i] + edges[i + 1])
             half = 0.5 * (edges[i + 1] - edges[i])
-            t = mid + half * _GL_NODES
-            b = np.hypot(p.x, p.z(t))
-            delta = 2.0 * b
+            delta = 2.0 * np.hypot(p.x, p.z(mid + half * _GL_NODES))
             rate = (spectral_gamma(delta, p.beta, p.g)
                     + spectral_gamma(-delta, p.beta, p.g))
-            tot_r += half * np.dot(_GL_WEIGHTS, rate)
-            tot_d += half * np.dot(_GL_WEIGHTS, delta)
-        return tot_r, tot_d
+            total += half * np.dot(_GL_WEIGHTS, rate)
+        return total
 
     val = gl(1)
     n = 2
     while True:
         new = gl(n)
-        if max(abs(new[0] - val[0]), abs(new[1] - val[1])) <= tol * max(
-                1.0, abs(new[0]), abs(new[1])) or n >= 64:
-            return new
+        if abs(new - val) <= tol * max(1.0, abs(new)) or n >= 64:
+            return new, delta_int
         val, n = new, n * 2
 
 

@@ -22,12 +22,12 @@ is meaningful: it encodes evolving adiabatically past the crossing, jumping
 backwards in time, and crossing again.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .numkit import integrate_ode, minimize_scalar
+from .numkit import hypot_antiderivative, integrate_ode, minimize_scalar
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -49,6 +49,8 @@ class LzParams:
     t_f: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"require finite parameters, got {self}")
         if self.x <= 0:
             raise ValueError(f"require x > 0, got {self.x}")
         if not (self.z_i < 0 < self.z_f):
@@ -144,18 +146,13 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12, frame="auto", method="DO
     # adiabatic frame: c = a1 e^{-i d1} psi1 + a2 e^{+i d1} psi2, with the
     # real-gauge coupling <psi2|d psi1/dt> = zdot x / (2 b^2)
     x2 = p.x * p.x
-
-    def prim(z):
-        b = np.hypot(p.x, z)
-        return 0.5 * (z * b + x2 * np.log(z + b))
-
-    prim_i = prim(p.z_i)
+    prim_i = hypot_antiderivative(p.z_i, p.x)
 
     def rhs(t, a):
         z = p.z_i + p.zdot * t
         b2 = x2 + z * z
         kappa = p.zdot * p.x / (2.0 * b2)
-        d1 = -(p.t_f / p.dz) * (prim(z) - prim_i)
+        d1 = -(p.t_f / p.dz) * (hypot_antiderivative(z, p.x) - prim_i)
         ph = np.exp(2.0j * d1)
         return np.array([kappa * ph * a[1], -kappa * a[0] / ph])
 
@@ -171,17 +168,11 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12, frame="auto", method="DO
 def dynamical_phase_gs(p, t_a, t_b):
     """Ground-state dynamical phase int_{t_a}^{t_b} E_1(t) dt, in closed form.
 
-    E_1 = -b < 0 throughout, so the result is negative for t_b > t_a. The
-    antiderivative of b(z) is (z b + x^2 log(z + b)) / 2.
+    E_1 = -b < 0 throughout, so the result is negative for t_b > t_a.
     """
-    x2 = p.x * p.x
-
-    def prim(z):
-        b = np.hypot(p.x, z)
-        return 0.5 * (z * b + x2 * np.log(z + b))
-
-    za, zb = p.z(t_a), p.z(t_b)
-    return -(p.t_f / p.dz) * (prim(zb) - prim(za))
+    prim_a = hypot_antiderivative(p.z(t_a), p.x)
+    prim_b = hypot_antiderivative(p.z(t_b), p.x)
+    return -(p.t_f / p.dz) * (prim_b - prim_a)
 
 
 def adiabatic_state(p):
@@ -331,17 +322,9 @@ def aia_distance_grid(p, dtaus, psi_exact):
     tm = p.t_f / 2.0 - dtaus / 2.0
     tp = p.t_f / 2.0 + dtaus / 2.0
 
-    x2 = p.x * p.x
-
-    def prim(z):
-        b = np.hypot(p.x, z)
-        return 0.5 * (z * b + x2 * np.log(z + b))
-
-    prim_i, prim_f = prim(p.z_i), prim(p.z_f)
     zm, zp = p.z(tm), p.z(tp)
-    # delta_1(0, tau_-) and delta_1(tau_+, t_f), closed form as in dynamical_phase_gs
-    d1_head = -(p.t_f / p.dz) * (prim(zm) - prim_i)
-    d1_tail = -(p.t_f / p.dz) * (prim_f - prim(zp))
+    d1_head = dynamical_phase_gs(p, 0.0, tm)
+    d1_tail = dynamical_phase_gs(p, tp, p.t_f)
 
     psi1_m, _ = _eigvecs_grid(p.x, zm)
     psi1_p, psi2_p = _eigvecs_grid(p.x, zp)

@@ -1,5 +1,5 @@
 """Small numerical kernel: ODE integration, root finding, scalar minimization,
-power-law fitting, the complete elliptic integral and Hermitian eigensolves.
+power-law fitting, the antiderivative of a gap and Hermitian eigensolves.
 
 Everything here is dimension-agnostic but tuned for the tiny systems used in
 the rest of the package (state vectors of length 2, superoperators of size 4).
@@ -38,7 +38,8 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="RK45"):
     (t1 up to 1e4 oscillation periods). Real and complex state vectors are
     both supported; the result has the dtype of ``y0``. Raises
     :class:`IntegrationError` with the failing time if the step size
-    underflows.
+    underflows or the rhs is not finite at the start (on a non-finite
+    first slope the solver would never pick a usable step).
     """
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got [{t0}, {t1}]")
@@ -47,6 +48,8 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="RK45"):
     y0 = np.atleast_1d(np.asarray(y0))
     if t1 == t0:
         return y0.copy()
+    if not np.all(np.isfinite(rhs(t0, y0))):
+        raise IntegrationError(f"integration failed at t={t0:.6g}: non-finite rhs")
     sol = solve_ivp(rhs, (t0, t1), y0, method=method,
                     rtol=rel_tol, atol=abs_tol, dense_output=False)
     if not sol.success:
@@ -120,24 +123,15 @@ def fit_power_law(t, d):
                      residual=float(np.sqrt(np.mean(resid**2))))
 
 
-def complete_elliptic_e(m):
-    """Complete elliptic integral int_0^{pi/2} sqrt(1 - m sin^2 x) dx, m in [0, 1].
+def hypot_antiderivative(u, a):
+    """Antiderivative in u of sqrt(u^2 + a^2), a != 0; broadcasts.
 
-    Evaluated by the arithmetic-geometric mean iteration.
+    Every gap in the package has this form, so every dynamical phase is a
+    difference of two of these values. The asinh form stays finite at any
+    coupling; the equivalent log(u + sqrt(u^2 + a^2)) rounds to log 0 for
+    u < 0 once |a| is below ~1e-8 |u|.
     """
-    if m < 0 or m > 1:
-        raise ValueError(f"require 0 <= m <= 1, got {m}")
-    if m == 1.0:
-        return 1.0
-    a, b = 1.0, np.sqrt(1.0 - m)
-    c2_sum = 0.5 * m  # 2**(n-1) * c_n**2 accumulated from n = 0
-    pow2 = 0.5
-    while a - b > 4.0 * np.finfo(float).eps * a:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        pow2 *= 2.0
-        c2_sum += pow2 * c * c
-    return float(np.pi / (2.0 * a) * (1.0 - c2_sum))
+    return 0.5 * (u * np.hypot(u, a) + a * a * np.arcsinh(u / a))
 
 
 def eig_hermitian(mat, herm_tol=1e-12):

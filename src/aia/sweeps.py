@@ -81,10 +81,14 @@ def _parse_value(key, raw, lineno):
         if key == "scenarios":
             return tuple(s.strip() for s in raw.split(",") if s.strip())
         if key == "temperatures":
-            return tuple(float(s) for s in raw.split(",") if s.strip())
-        return float(raw)
+            value = tuple(float(s) for s in raw.split(",") if s.strip())
+        else:
+            value = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse value {raw!r} for key {key!r}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"line {lineno}: value {raw!r} for key {key!r} is not finite")
+    return value
 
 
 def parse_config(text):
@@ -141,8 +145,8 @@ def parse_config(text):
         dtau_points=entries.get("dtau_points", 2001),
         out=entries.get("out", ""),
     )
-    if not cfg.tf_min < cfg.tf_max:
-        raise ConfigError(f"line {lines['tf_min']}: need tf_min < tf_max")
+    if not 0 < cfg.tf_min < cfg.tf_max:
+        raise ConfigError(f"line {lines['tf_min']}: need 0 < tf_min < tf_max")
     if cfg.tf_points < 2:
         raise ConfigError(f"line {lines['tf_points']}: need tf_points >= 2")
     return cfg

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from aia import lindblad_open as lo
@@ -18,6 +19,12 @@ def test_params_validation():
         lo.OpenParams(0.1, -1, 1, 10, 0.1, -0.01)
     with pytest.raises(ValueError):
         lo.OpenParams(0.1, 1, 2, 10, 0.1, 0.01)
+    for i in range(6):
+        for bad in (np.nan, np.inf):
+            args = [0.1, -1.0, 1.0, 10.0, 0.1, 0.01]
+            args[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                lo.OpenParams(*args)
 
 
 # ------------------------------------------------------------- bath spectral fn
@@ -270,6 +277,23 @@ def test_aia_open_trace_row():
 
 
 # ----------------------------------------------------------- gap, trace distance
+
+def test_rate_integrals_against_quad_oracle():
+    # [10, 40] of t_f = 50 spans the crossing at t = 25 (z from -0.6 to 0.6)
+    p = P_STD
+    rate_int, delta_int = lo._rate_integrals(p, 10.0, 40.0)
+
+    def rate(t):
+        delta = 2.0 * p.lz().b(t)
+        return lo.spectral_gamma(delta, p.beta, p.g) + lo.spectral_gamma(-delta, p.beta, p.g)
+
+    opts = dict(points=[25.0], epsabs=1e-14, epsrel=1e-13, limit=200)
+    rate_oracle, _ = quad(rate, 10.0, 40.0, **opts)
+    delta_oracle, _ = quad(lambda t: 2.0 * p.lz().b(t), 10.0, 40.0, **opts)
+    assert abs(rate_int - rate_oracle) < 1e-12 * rate_oracle
+    assert abs(delta_int - delta_oracle) < 1e-12 * delta_oracle
+    assert lo._rate_integrals(p, 17.0, 17.0) == (0.0, 0.0)
+
 
 def test_liouvillian_gap_expansions_near_crossing():
     # the |l_2| expansion 4 pi g^2 T + (pi g^2 / 3T) Delta^2 and, once the

@@ -16,6 +16,11 @@ def test_params_validation():
         lz.LzParams(0.1, 1.0, 2.0, 10.0)
     with pytest.raises(ValueError):
         lz.LzParams(0.1, -1.0, 1.0, 0.0)
+    for bad in ((np.nan, -1.0, 1.0, 10.0), (0.1, np.nan, 1.0, 10.0),
+                (0.1, -1.0, np.inf, 10.0), (0.1, -1.0, 1.0, np.nan),
+                (0.1, -1.0, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            lz.LzParams(*bad)
 
 
 # ------------------------------------------------------------------ eigensystem
@@ -113,6 +118,19 @@ def test_phase_is_negative():
 def test_phase_is_additive():
     d = lz.dynamical_phase_gs
     assert abs(d(P_STD, 0.0, 4.0) + d(P_STD, 4.0, 10.0) - d(P_STD, 0.0, 10.0)) < 1e-12
+
+
+def test_small_coupling_phase_finite_and_sweep_diabatic():
+    # at x = 1e-8, hypot(x, z_i) rounds to |z_i|: the phase must not go
+    # through log(z + b) = log 0
+    p = lz.LzParams(1e-8, -1.0, 1.0, 100.0)
+    # int b dt = (t_f / dz) int_{-1}^{1} |z| dz + O(x^2 log x) = 50
+    assert abs(lz.dynamical_phase_gs(p, 0.0, p.t_f) + 50.0) < 1e-12
+    assert np.all(np.isfinite(lz.adiabatic_state(p)))
+    # the sweep stays diabatic: d_adi is the Landau-Zener amplitude
+    # exp(-pi x^2 t_f / (2 dz)) = 1 - 8e-15
+    psi = lz.evolve_schrodinger(p)
+    assert abs(lz.state_distance(psi, lz.adiabatic_state(p)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- adiabatic state

@@ -1,10 +1,12 @@
 """Numerical kernel: oracle-backed checks for every operation."""
 
+import signal
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aia import numkit
+from aia import numkit, tfi
 
 
 # ---------------------------------------------------------------- integrate_ode
@@ -88,6 +90,33 @@ def test_ode_failure_reports_time():
         numkit.integrate_ode(lambda t, y: y * y, [1.0], 0.0, 2.0)
 
 
+def test_ode_non_finite_rhs_at_start_raises_at_once():
+    # on a NaN first slope the adaptive solver would loop forever; the alarm
+    # turns such a hang into a failure
+    def hung(signum, frame):
+        raise TimeoutError("integrate_ode did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(numkit.IntegrationError, match="t=0.*non-finite"):
+            numkit.integrate_ode(lambda t, y: np.full_like(y, np.nan), [1.0], 0.0, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -------------------------------------------------------- hypot_antiderivative
+
+@pytest.mark.parametrize("a", [1e-12, 1e-8, 0.1, 1.0, 3.0])
+def test_hypot_antiderivative_against_quadrature_oracle(a):
+    for u0, u1 in ((-1.0, 1.0), (-2.0, -0.5), (0.3, 4.0)):
+        oracle, _ = quad(lambda u: np.hypot(u, a), u0, u1,
+                         points=[0.0] if u0 < 0 < u1 else None, epsabs=1e-13, epsrel=1e-13)
+        got = numkit.hypot_antiderivative(u1, a) - numkit.hypot_antiderivative(u0, a)
+        assert abs(got - oracle) < 1e-13 * max(1.0, abs(oracle))
+
+
 # ---------------------------------------------------------- find_root_bracketed
 
 def test_root_sqrt2():
@@ -154,36 +183,51 @@ def test_fit_rejects_degenerate_input():
         numkit.fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
 
 
-# ---------------------------------------------------------- complete_elliptic_e
+# ------------------------------------------------- complete elliptic integral E(m)
+# The chain's scenario-2 condition is the only user of E(m) (scipy's ellipe).
+# These oracles read E back out of it at the field h < 1 where
+# m = 4h/(1+h)^2; a long sweep (hdot = 1e-12) makes the elliptic rate term
+# dominate 1/|h - 1|, so the read-back loses nothing to cancellation.
+
+_KZ_SWEEP = tfi.TfiParams(2, 0.0, 2.0, 2e12)
+
+
+def _elliptic_e_at_field(h):
+    """E(4h/(1+h)^2) recovered from tfi._kz_condition_scenario2 at field h."""
+    p = _KZ_SWEEP
+    cond = tfi._kz_condition_scenario2(p, h)
+    return float((1.0 / abs(h - 1.0) - cond) * np.pi * p.hdot / (h + 1.0))
+
+
+def _elliptic_e(m):
+    """E(m) through the condition at h = m / (2 - m + 2 sqrt(1 - m)), m < 1."""
+    return _elliptic_e_at_field(m / (2.0 - m + 2.0 * np.sqrt(1.0 - m)))
+
 
 def test_elliptic_endpoints():
-    assert abs(numkit.complete_elliptic_e(0.0) - np.pi / 2) < 1e-15
-    assert numkit.complete_elliptic_e(1.0) == 1.0
+    assert abs(_elliptic_e(0.0) - np.pi / 2) < 1e-15
+    # m = 4h/(1+h)^2 rounds to 1 within 1e-9 of the critical field
+    assert _elliptic_e_at_field(1.0 - 1e-9) == 1.0
 
 
 def test_elliptic_half_against_quadrature_oracle():
     oracle, _ = quad(lambda x: np.sqrt(1 - 0.5 * np.sin(x) ** 2), 0, np.pi / 2,
                      epsabs=1e-14, epsrel=1e-14)
-    assert abs(numkit.complete_elliptic_e(0.5) - 1.350643881) < 1e-9
-    assert abs(numkit.complete_elliptic_e(0.5) - oracle) < 1e-12
+    assert abs(_elliptic_e(0.5) - 1.350643881) < 1e-9
+    assert abs(_elliptic_e(0.5) - oracle) < 1e-12
 
 
 def test_elliptic_quadrature_oracle_on_grid():
     for m in np.linspace(0.0, 0.99, 21):
         oracle, _ = quad(lambda x: np.sqrt(1 - m * np.sin(x) ** 2), 0, np.pi / 2,
                          epsabs=1e-13, epsrel=1e-13)
-        assert abs(numkit.complete_elliptic_e(m) - oracle) < 1e-12
+        assert abs(_elliptic_e(m) - oracle) < 1e-12
 
 
 def test_elliptic_monotone_decreasing():
-    vals = [numkit.complete_elliptic_e(m) for m in np.linspace(0, 1, 101)]
+    vals = [_elliptic_e(m) for m in np.linspace(0, 1, 101)[:-1]] + [
+        _elliptic_e_at_field(1.0 - 1e-9)]
     assert np.all(np.diff(vals) < 0)
-
-
-def test_elliptic_rejects_out_of_range():
-    for m in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            numkit.complete_elliptic_e(m)
 
 
 # ----------------------------------------------------------------- eig_hermitian

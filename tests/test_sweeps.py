@@ -70,6 +70,17 @@ def test_parse_rejects_bad_value_with_line_number():
                             "tf_min=1\ntf_max=10\ntf_points=3\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    (LZ_CFG.replace("x = 0.1", "x = nan"), 2),
+    (LZ_CFG.replace("z_i = -1", "z_i = -inf"), 3),
+    (LZ_CFG.replace("tf_max = 60", "tf_max = inf"), 6),
+    (OPEN_CFG.replace("0.05, 0.5", "0.05, nan"), 6),
+], ids=["x", "z_i", "tf_max", "temperatures"])
+def test_parse_rejects_non_finite_values_with_line_number(text, lineno):
+    with pytest.raises(sweeps.ConfigError, match=rf"line {lineno}: .* not finite"):
+        sweeps.parse_config(text)
+
+
 def test_parse_rejects_empty_scenarios():
     text = LZ_CFG.replace("scenarios = 1,2,3,4,opt", "scenarios =")
     with pytest.raises(sweeps.ConfigError, match="empty"):
@@ -92,6 +103,9 @@ def test_parse_grid_sanity():
     with pytest.raises(sweeps.ConfigError, match="tf_min < tf_max"):
         sweeps.parse_config("model = lz\nx=.1\nz_i=-1\nz_f=1\n"
                             "tf_min=10\ntf_max=1\ntf_points=3\n")
+    with pytest.raises(sweeps.ConfigError, match="line 5: need 0 < tf_min"):
+        sweeps.parse_config("model = lz\nx=.1\nz_i=-1\nz_f=1\n"
+                            "tf_min=0\ntf_max=1\ntf_points=3\n")
 
 
 # ------------------------------------------------------------------------ sweeps
@@ -219,6 +233,18 @@ def test_cli_model_mismatch(tmp_path):
     cfg_path = tmp_path / "lz.cfg"
     cfg_path.write_text(LZ_CFG)
     assert cli_main(["tfi", "--config", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_thread_count_below_one(tmp_path, monkeypatch, capsys, threads):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started despite the invalid thread count")
+
+    monkeypatch.setattr("aia.cli.run_sweep", no_sweep)
+    cfg_path = tmp_path / "lz.cfg"
+    cfg_path.write_text(LZ_CFG)
+    assert cli_main(["lz", "--config", str(cfg_path), "--threads", threads]) == 1
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_cli_entry_point_installed(tmp_path):

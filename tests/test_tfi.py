@@ -15,6 +15,10 @@ def test_params_validation():
         tfi.TfiParams(150, 1.2, 1.5, 10.0)
     with pytest.raises(ValueError):
         tfi.TfiParams(150, 0.5, 0.9, 10.0)
+    for bad in ((150, np.nan, 1.5, 10.0), (150, 0.5, np.inf, 10.0),
+                (150, 0.5, 1.5, np.nan), (150, 0.5, 1.5, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            tfi.TfiParams(*bad)
 
 
 # ----------------------------------------------------------------------- modes
@@ -122,28 +126,17 @@ def test_evolve_mode_norms():
     assert np.abs(np.linalg.norm(reg.amps, axis=1) - 1.0).max() < 1e-9
 
 
-def test_phase_integral_matches_closed_form():
-    # oracle: the antiderivative of eps in h is elementary
-    p = tfi.TfiParams(150, 0.5, 1.5, 100.0)
-    ks = tfi.momenta(p.L)
-
-    def prim(h):
-        u = h - np.cos(ks)
-        s = np.sin(ks)
-        return u * np.hypot(u, s) + s * s * np.arcsinh(u / s)
-
-    got = tfi._eps_time_integral(p, 13.0, 77.0)
-    want = (p.t_f / p.dh) * (prim(float(p.h(77.0))) - prim(float(p.h(13.0))))
-    assert np.abs(got - want).max() < 1e-10
-
-
 def test_adiabatic_phase_against_quad_oracle():
-    p = tfi.TfiParams(6, 0.5, 1.5, 9.0)
-    got = tfi._eps_time_integral(p, 0.0, p.t_f)
-    for i, k in enumerate(tfi.momenta(6)):
-        want, _ = quad(lambda t: tfi.epsilon_k(float(p.h(t)), k), 0, p.t_f,
-                       epsabs=1e-13, epsrel=1e-13)
-        assert abs(got[i] - want) < 1e-10
+    cases = [(tfi.TfiParams(6, 0.5, 1.5, 9.0), 0.0, 9.0),
+             # L = 150 holds k = pi/150, the mode with the sharpest kink
+             # in eps_k (at t = 49.98)
+             (tfi.TfiParams(150, 0.5, 1.5, 100.0), 13.0, 77.0)]
+    for p, t_a, t_b in cases:
+        got = tfi._eps_time_integral(p, t_a, t_b)
+        for i, k in enumerate(tfi.momenta(p.L)):
+            want, _ = quad(lambda t: tfi.epsilon_k(float(p.h(t)), k), t_a, t_b,
+                           epsabs=1e-13, epsrel=1e-13)
+            assert abs(got[i] - want) < 1e-10
 
 
 # ------------------------------------------------------------------- AIA register
