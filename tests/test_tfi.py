@@ -126,8 +126,24 @@ def test_evolve_mode_norms():
     assert np.abs(np.linalg.norm(reg.amps, axis=1) - 1.0).max() < 1e-9
 
 
+def test_phase_integral_matches_closed_form():
+    # oracle: the antiderivative of eps in h, written out here in h and
+    # s = sin k rather than through numkit.hypot_antiderivative
+    p = tfi.TfiParams(150, 0.5, 1.5, 100.0)
+    ks = tfi.momenta(p.L)
+
+    def prim(h):
+        u = h - np.cos(ks)
+        s = np.sin(ks)
+        return u * np.hypot(u, s) + s * s * np.arcsinh(u / s)
+
+    got = tfi._eps_time_integral(p, 13.0, 77.0)
+    want = (p.t_f / p.dh) * (prim(float(p.h(77.0))) - prim(float(p.h(13.0))))
+    assert np.abs(got - want).max() < 1e-10
+
+
 def test_adiabatic_phase_against_quad_oracle():
-    cases = [(tfi.TfiParams(6, 0.5, 1.5, 9.0), 0.0, 9.0),
+    cases =[(tfi.TfiParams(6, 0.5, 1.5, 9.0), 0.0, 9.0),
              # L = 150 holds k = pi/150, the mode with the sharpest kink
              # in eps_k (at t = 49.98)
              (tfi.TfiParams(150, 0.5, 1.5, 100.0), 13.0, 77.0)]
