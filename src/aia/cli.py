@@ -4,30 +4,27 @@
     aia fit --csv FILE --column NAME --tmin V --tmax V
     aia dtau-scan --config FILE --tf V [--out FILE.csv]
 
-Exit codes: 0 success, 1 config error, 2 numerical failure in every row.
+Exit codes: 0 success, 1 config error, 2 numerical failure (in every row of a
+sweep, or in the scan's exact evolution).
 """
 
 import argparse
 import sys
 
-from .sweeps import (ConfigError, fit_line, load_config, run_dtau_scan,
+from .numkit import IntegrationError
+from .sweeps import (MODELS, ConfigError, fit_line, load_config, run_dtau_scan,
                      run_fit, run_sweep)
-
-
-def _add_sweep_parser(sub, model):
-    p = sub.add_parser(model, help=f"run a {model} sweep over t_f")
-    p.add_argument("--config", required=True, help="key = value config file")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
-    return p
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="aia",
                                      description="adiabatic-impulse sweep driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for model in ("lz", "tfi", "open"):
-        _add_sweep_parser(sub, model)
+    for model in MODELS:
+        sweep_p = sub.add_parser(model, help=f"run a {model} sweep over t_f")
+        sweep_p.add_argument("--config", required=True, help="key = value config file")
+        sweep_p.add_argument("--out", default=None, help="output CSV path")
+        sweep_p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     fit_p = sub.add_parser("fit", help="power-law fit of a CSV column")
     fit_p.add_argument("--csv", required=True)
@@ -42,7 +39,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
-    if args.command in ("lz", "tfi", "open"):
+    if args.command in MODELS:
         if args.threads < 1:
             print(f"config error: --threads must be >= 1, got {args.threads}",
                   file=sys.stderr)
@@ -79,6 +76,9 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except IntegrationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote impulse-interval scan to {path}")
     return 0
 

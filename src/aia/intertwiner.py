@@ -22,9 +22,11 @@ shrinks like 1/t_f. The Choi-matrix diagnostics quantify both. The Choi
 convention puts the output factor first: C = sum_ij S(|i><j|) (x) |i><j|.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from .numkit import eig_hermitian, integrate_ode
+from .numkit import eig_hermitian, fit_power_law, integrate_ode
 from .lindblad_open import PAULI_BASIS, liouvillian_matrix, liouvillian_spectrum
 
 
@@ -78,8 +80,7 @@ def _commutator_term(p, s, fd_step):
     return 0.5 * acc.real
 
 
-def full_intertwiner(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12, fd_step=1e-6,
-                     method="DOP853"):
+def full_intertwiner(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12, fd_step=1e-6):
     """Transport superoperator U(s) for the sweep stretched to duration t_f."""
 
     def rhs(sv, u):
@@ -87,18 +88,18 @@ def full_intertwiner(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12, fd_step=1e-6,
                + _commutator_term(p, sv, fd_step))
         return (gen @ u.reshape(4, 4)).ravel()
 
-    u = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, method=method)
+    u = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, method="DOP853")
     return u.reshape(4, 4)
 
 
-def exact_propagator(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"):
+def exact_propagator(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12):
     """Exact evolution superoperator E(s), dE/ds = t_f L(s) E, E(0) = 1."""
 
     def rhs(sv, e):
         gen = p.t_f * liouvillian_matrix(p.x, float(p.z(sv * p.t_f)), p.beta, p.g)
         return (gen @ e.reshape(4, 4)).ravel()
 
-    e = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, method=method)
+    e = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, method="DOP853")
     return e.reshape(4, 4)
 
 
@@ -152,10 +153,6 @@ def closeness_bound_check(p, t_f_list, rel_tol=1e-10, abs_tol=1e-12):
 
     Returns (fit, norms): the transport error should shrink like C / t_f.
     """
-    from dataclasses import replace
-
-    from .numkit import fit_power_law
-
     t_f_list = np.asarray(t_f_list, dtype=float)
     if t_f_list.size < 3:
         raise ValueError("need at least 3 values of t_f")

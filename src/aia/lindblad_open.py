@@ -21,12 +21,12 @@ spectrum and biorthonormal left/right eigenvectors are known in closed
 form and drive the adiabatic and adiabatic-impulse constructions.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import eig_hermitian, hypot_antiderivative, integrate_ode, minimize_scalar
-from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from .numkit import eig_hermitian, hypot_antiderivative, integrate_ode, minimize_symmetric
+from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, switching_from_dtau,
                         switching_times as lz_switching_times)
 
 PAULI_BASIS = [np.eye(2) / np.sqrt(2.0), SIGMA_X / np.sqrt(2.0),
@@ -34,25 +34,14 @@ PAULI_BASIS = [np.eye(2) / np.sqrt(2.0), SIGMA_X / np.sqrt(2.0),
 
 
 @dataclass(frozen=True)
-class OpenParams:
+class OpenParams(LzParams):
     """Sweep parameters plus bath temperature T (beta = 1/T) and coupling g."""
 
-    x: float
-    z_i: float
-    z_f: float
-    t_f: float
     T: float
     g: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(astuple(self))):
-            raise ValueError(f"require finite parameters, got {self}")
-        if self.x <= 0:
-            raise ValueError(f"require x > 0, got {self.x}")
-        if not (self.z_i < 0 < self.z_f):
-            raise ValueError(f"require z_i < 0 < z_f, got z_i={self.z_i}, z_f={self.z_f}")
-        if self.t_f <= 0:
-            raise ValueError(f"require t_f > 0, got {self.t_f}")
+        super().__post_init__()
         if self.T <= 0:
             raise ValueError(f"require T > 0, got {self.T}")
         if self.g < 0:
@@ -61,17 +50,6 @@ class OpenParams:
     @property
     def beta(self):
         return 1.0 / self.T
-
-    @property
-    def dz(self):
-        return self.z_f - self.z_i
-
-    @property
-    def zdot(self):
-        return self.dz / self.t_f
-
-    def z(self, t):
-        return self.z_i + self.dz * np.asarray(t) / self.t_f
 
     def lz(self):
         """The closed-system parameter set driving the Hamiltonian part."""
@@ -193,7 +171,7 @@ def density_to_coherence(rho):
     return np.array([np.trace(g @ rho).real for g in PAULI_BASIS])
 
 
-def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12, method="DOP853", n_checks=0):
+def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12, n_checks=0):
     """Integrate dc/dt = L(t) c from the Gibbs state at z_i.
 
     The first component is conserved identically (zero first row). With
@@ -206,13 +184,13 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12, method="DOP853", n_checks=0):
         return liouvillian_matrix(p.x, float(p.z(t)), p.beta, p.g) @ c
 
     if not n_checks:
-        return integrate_ode(rhs, c0, 0.0, p.t_f, rel_tol, abs_tol, method=method)
+        return integrate_ode(rhs, c0, 0.0, p.t_f, rel_tol, abs_tol, method="DOP853")
 
     times = np.linspace(0.0, p.t_f, n_checks + 1)
     mins = []
     c = c0
     for t0, t1 in zip(times[:-1], times[1:]):
-        c = integrate_ode(rhs, c, t0, t1, rel_tol, abs_tol, method=method)
+        c = integrate_ode(rhs, c, t0, t1, rel_tol, abs_tol, method="DOP853")
         mins.append(eig_hermitian(coherence_to_density(c))[0][0])
     return c, np.array(mins)
 
@@ -311,32 +289,17 @@ def trace_distance(ca, cb):
 
 def switching_times_open(p, scenario):
     """Impulse window from the Hamiltonian gap: same formulas as the closed sweep."""
-    return lz_switching_times(p.lz(), scenario)
+    return lz_switching_times(p, scenario)
 
 
 def aia_distance_grid(p, dtaus, c_exact):
     """Trace distance of the centered-window AIA to c_exact per impulse interval."""
-    from .lz_closed import switching_from_dtau
     out = np.empty(len(dtaus))
     for i, dt in enumerate(np.asarray(dtaus, dtype=float)):
-        st = switching_from_dtau(p.lz(), dt)
-        out[i] = trace_distance(aia_state_open(p, st), c_exact)
+        out[i] = trace_distance(aia_state_open(p, switching_from_dtau(p, dt)), c_exact)
     return out
 
 
-def optimize_dtau_open(p, c_exact=None, rel_tol=1e-10, abs_tol=1e-12,
-                       n_grid=601, tol=1e-6):
+def optimize_dtau_open(p, c_exact):
     """Impulse interval minimizing the trace distance over [-t_f, t_f]."""
-    if c_exact is None:
-        c_exact = evolve_master(p, rel_tol, abs_tol)
-    n = max(int(n_grid), 201)
-    if n % 2 == 0:
-        n += 1
-
-    def f(dt):
-        return float(aia_distance_grid(p, [dt], c_exact)[0])
-
-    def f_grid(dts):
-        return aia_distance_grid(p, dts, c_exact)
-
-    return minimize_scalar(f, -p.t_f, p.t_f, tol=tol, n_grid=n, f_grid=f_grid)
+    return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, c_exact), p.t_f, 601, 1e-6)

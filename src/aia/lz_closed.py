@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .numkit import hypot_antiderivative, integrate_ode, minimize_scalar
+from .numkit import hypot_antiderivative, integrate_ode, minimize_symmetric
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -99,30 +99,18 @@ def hamiltonian(x, z):
 def lz_eigensystem(x, z):
     """Instantaneous energies and real-gauge eigenvectors at coupling x, detuning z.
 
-    Returns (E1, E2, psi1, psi2) with E1 = -b <= E2 = +b.
+    Returns (E1, E2, psi1, psi2) with E1 = -b <= E2 = +b. Broadcasts over z;
+    the vectors have shape z.shape + (2,).
     """
     b = np.hypot(x, z)
-    if b == 0.0:
+    if (b == 0.0).any():
         raise ValueError("eigensystem is degenerate at x = z = 0")
     lo = np.sqrt((b - z) / (2.0 * b))
     hi = np.sqrt((b + z) / (2.0 * b))
-    psi1 = np.array([-lo, hi])
-    psi2 = np.array([hi, lo])
-    return -b, b, psi1, psi2
+    return -b, b, np.stack([-lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
 
 
-def _eigvecs_grid(x, z):
-    """Vectorized eigenvectors; returns psi1, psi2 with shape z.shape + (2,)."""
-    z = np.asarray(z, dtype=float)
-    b = np.hypot(x, z)
-    lo = np.sqrt((b - z) / (2.0 * b))
-    hi = np.sqrt((b + z) / (2.0 * b))
-    psi1 = np.stack([-lo, hi], axis=-1)
-    psi2 = np.stack([hi, lo], axis=-1)
-    return psi1, psi2
-
-
-def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12, frame="auto", method="DOP853"):
+def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12, frame="auto"):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
     ``frame="fixed"`` integrates i c' = H(t) c directly in the sigma_z basis.
@@ -141,7 +129,7 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12, frame="auto", method="DO
             return -1j * np.array([z * c[0] + p.x * c[1], p.x * c[0] - z * c[1]])
 
         return integrate_ode(rhs, psi1_0.astype(complex), 0.0, p.t_f,
-                             rel_tol, abs_tol, method=method)
+                             rel_tol, abs_tol, method="DOP853")
 
     # adiabatic frame: c = a1 e^{-i d1} psi1 + a2 e^{+i d1} psi2, with the
     # real-gauge coupling <psi2|d psi1/dt> = zdot x / (2 b^2)
@@ -157,7 +145,7 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12, frame="auto", method="DO
         return np.array([kappa * ph * a[1], -kappa * a[0] / ph])
 
     a = integrate_ode(rhs, np.array([1.0 + 0.0j, 0.0j]), 0.0, p.t_f,
-                      rel_tol, abs_tol, method=method)
+                      rel_tol, abs_tol, method="DOP853")
     d1_f = dynamical_phase_gs(p, 0.0, p.t_f)
     _, _, psi1_f, psi2_f = lz_eigensystem(p.x, p.z_f)
     state = (a[0] * np.exp(-1j * d1_f) * psi1_f
@@ -231,16 +219,22 @@ def aia_state(p, st):
     tm, tp = st.tau_minus, st.tau_plus
     if not (0.0 <= tm <= p.t_f and 0.0 <= tp <= p.t_f):
         raise ValueError("switching times must lie in [0, t_f]")
-    _, _, psi1_m, _ = lz_eigensystem(p.x, float(p.z(tm)))
-    _, _, psi1_p, psi2_p = lz_eigensystem(p.x, float(p.z(tp)))
+    return _aia_states(p, tm, tp)
+
+
+def _aia_states(p, tm, tp):
+    """The AIA state of :func:`aia_state`, broadcast over arrays of windows
+    (tm, tp); shape tm.shape + (2,)."""
+    _, _, psi1_m, _ = lz_eigensystem(p.x, p.z(tm))
+    _, _, psi1_p, psi2_p = lz_eigensystem(p.x, p.z(tp))
     _, _, psi1_f, psi2_f = lz_eigensystem(p.x, p.z_f)
 
     d1_tail = dynamical_phase_gs(p, tp, p.t_f)
     pre = np.exp(1j * dynamical_phase_gs(p, 0.0, tm))
-    c1 = np.exp(-1j * d1_tail) * pre * np.dot(psi1_p, psi1_m)
-    c2 = np.exp(+1j * d1_tail) * pre * np.dot(psi2_p, psi1_m)
-    state = c1 * psi1_f + c2 * psi2_f
-    return state / np.linalg.norm(state)
+    c1 = np.exp(-1j * d1_tail) * pre * np.einsum("...i,...i->...", psi1_p, psi1_m)
+    c2 = np.exp(+1j * d1_tail) * pre * np.einsum("...i,...i->...", psi2_p, psi1_m)
+    states = c1[..., None] * psi1_f + c2[..., None] * psi2_f
+    return states / np.linalg.norm(states, axis=-1, keepdims=True)
 
 
 def switching_times(p, scenario):
@@ -319,32 +313,13 @@ def aia_distance_grid(p, dtaus, psi_exact):
     the impulse-interval optimizer and the scan command.
     """
     dtaus = np.asarray(dtaus, dtype=float)
-    tm = p.t_f / 2.0 - dtaus / 2.0
-    tp = p.t_f / 2.0 + dtaus / 2.0
-
-    zm, zp = p.z(tm), p.z(tp)
-    d1_head = dynamical_phase_gs(p, 0.0, tm)
-    d1_tail = dynamical_phase_gs(p, tp, p.t_f)
-
-    psi1_m, _ = _eigvecs_grid(p.x, zm)
-    psi1_p, psi2_p = _eigvecs_grid(p.x, zp)
-    ov1 = np.einsum("...i,...i->...", psi1_p, psi1_m)
-    ov2 = np.einsum("...i,...i->...", psi2_p, psi1_m)
-
-    pre = np.exp(1j * d1_head)
-    c1 = np.exp(-1j * d1_tail) * pre * ov1
-    c2 = np.exp(+1j * d1_tail) * pre * ov2
-
-    _, _, psi1_f, psi2_f = lz_eigensystem(p.x, p.z_f)
-    states = c1[..., None] * psi1_f + c2[..., None] * psi2_f
-    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    states = _aia_states(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0)
     # wedge form of the two-level distance (see state_distance)
     wedge = states[..., 0] * psi_exact[1] - states[..., 1] * psi_exact[0]
     return np.minimum(np.abs(wedge), 1.0)
 
 
-def optimize_dtau(p, psi_exact=None, rel_tol=1e-10, abs_tol=1e-12,
-                  scan_step=2.0, tol=1e-8):
+def optimize_dtau(p, psi_exact):
     """Impulse interval minimizing the AIA distance, searched over [-t_f, t_f].
 
     The scan grid always contains dtau = 0 (which reproduces the adiabatic
@@ -352,23 +327,9 @@ def optimize_dtau(p, psi_exact=None, rel_tol=1e-10, abs_tol=1e-12,
     grid is fine enough to resolve the phase oscillations of the distance;
     a golden-section pass refines the best grid point.
     """
-    if psi_exact is None:
-        psi_exact = evolve_schrodinger(p, rel_tol, abs_tol)
     # grid step ~ a tenth of the local phase-oscillation period 2 pi / x
-    step = min(scan_step, 0.5 / p.x)
-    n = int(np.ceil(2.0 * p.t_f / step)) + 1
-    if n % 2 == 0:
-        n += 1
-    n = max(n, 201)
-
-    def f(dt):
-        return float(aia_distance_grid(p, np.array([dt]), psi_exact)[0])
-
-    def f_grid(dts):
-        return aia_distance_grid(p, dts, psi_exact)
-
-    dt_opt, d_opt = minimize_scalar(f, -p.t_f, p.t_f, tol=tol, n_grid=n, f_grid=f_grid)
-    return dt_opt, d_opt
+    n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / p.x))) + 1
+    return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, psi_exact), p.t_f, n, 1e-8)
 
 
 def switching_from_dtau(p, dtau):

@@ -108,6 +108,20 @@ def minimize_scalar(f, a, b, tol=1e-10, n_grid=201, f_grid=None):
     return x_best, f_best
 
 
+def minimize_symmetric(f_grid, half_width, n_grid, tol):
+    """:func:`minimize_scalar` over [-half_width, half_width] with an odd scan grid.
+
+    The grid has at least 201 points and an odd count, so it contains 0 and
+    the returned value never exceeds f(0). ``f_grid`` evaluates f on an
+    array; the golden-section step calls it on one point at a time.
+    """
+    def f(x):
+        return float(f_grid(np.array([x]))[0])
+
+    n_grid = max(n_grid + 1 - n_grid % 2, 201)
+    return minimize_scalar(f, -half_width, half_width, tol=tol, n_grid=n_grid, f_grid=f_grid)
+
+
 def fit_power_law(t, d):
     """Least-squares fit of d = A * t**p in (log t, log d) coordinates."""
     t = np.asarray(t, dtype=float)

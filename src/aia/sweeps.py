@@ -13,12 +13,19 @@ Config files are flat ``key = value`` text ('#' starts a comment). Keys:
     dtau_points  grid size for impulse-interval scans   (default 2001)
     out          output path                            (optional)
 
+Model parameters are checked when the config is parsed. All three models
+run one row and one scan (:func:`pipeline`): the distance of the exact final
+state to the adiabatic state, its first-order correction (lz only), the
+adiabatic-impulse state of each prescription and of the optimal impulse
+interval, which may be negative (:func:`run_dtau_scan` scans that interval).
+
 Rows are one per t_f (times one per temperature for the open model), written
 in ascending order with 17-significant-digit floats, so identical configs
 produce byte-identical files regardless of worker count.
 """
 
 import concurrent.futures
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +43,39 @@ _MODEL_KEYS = {
     "tfi": {"L", "h_i", "h_f"},
     "open": {"x", "z_i", "z_f", "g", "temperatures"},
 }
+MODELS = tuple(_MODEL_KEYS)
 _COMMON_KEYS = {"model", "tf_min", "tf_max", "tf_points", "tf_log",
                 "scenarios", "rel_tol", "abs_tol", "dtau_points", "out"}
 _SCENARIOS = {"lz": {"1", "2", "3", "4", "opt"},
               "open": {"1", "2", "3", "4", "opt"},
               "tfi": {"1", "2", "opt"}}
+
+
+# One model's sweep row and scan: params(t_f, T) builds its parameter set (T is
+# None for the closed models, whose only temperature is None), exact(p,
+# rel_tol, abs_tol) its exact final state, and distance compares that with the
+# adiabatic, first-order (lz only, else None) and adiabatic-impulse states.
+Pipeline = namedtuple("Pipeline", "params temperatures exact adiabatic first_order "
+                                  "switching aia distance distance_grid optimize")
+
+
+def pipeline(cfg):
+    """The ``Pipeline`` of ``cfg.model``. Its functions are read from the model
+    modules at each call, so a patched module attribute is the one rows call."""
+    if cfg.model == "lz":
+        return Pipeline(lambda tf, T: lz.LzParams(t_f=tf, **cfg.params), (None,),
+                        lz.evolve_schrodinger, lz.adiabatic_state, lz.adiabatic_first_order,
+                        lz.switching_times, lz.aia_state, lz.state_distance,
+                        lz.aia_distance_grid, lz.optimize_dtau)
+    if cfg.model == "tfi":
+        return Pipeline(lambda tf, T: tfi.TfiParams(t_f=tf, **cfg.params), (None,),
+                        tfi.evolve_register, tfi.adiabatic_register, None,
+                        tfi.switching_times_tfi, tfi.aia_register, tfi.register_distance,
+                        tfi.aia_distance_grid, tfi.optimize_dtau_tfi)
+    return Pipeline(lambda tf, T: lo.OpenParams(t_f=tf, T=T, **cfg.params), cfg.temperatures,
+                    lo.evolve_master, lo.adiabatic_state_open, None,
+                    lo.switching_times_open, lo.aia_state_open, lo.trace_distance,
+                    lo.aia_distance_grid, lo.optimize_dtau_open)
 
 
 class ConfigError(ValueError):
@@ -118,10 +153,7 @@ def parse_config(text):
     for key in entries:
         if key not in allowed:
             raise ConfigError(f"line {lines[key]}: unknown key {key!r} for model {model!r}")
-    for key in ("tf_min", "tf_max"):
-        if key not in entries:
-            raise ConfigError(f"line 1: missing required key {key!r}")
-    for key in _MODEL_KEYS[model] - {"temperatures"}:
+    for key in ["tf_min", "tf_max", *sorted(_MODEL_KEYS[model] - {"temperatures"})]:
         if key not in entries:
             raise ConfigError(f"line 1: missing required key {key!r} for model {model!r}")
 
@@ -149,6 +181,20 @@ def parse_config(text):
         raise ConfigError(f"line {lines['tf_min']}: need 0 < tf_min < tf_max")
     if cfg.tf_points < 2:
         raise ConfigError(f"line {lines['tf_points']}: need tf_points >= 2")
+    if cfg.dtau_points < 2:
+        raise ConfigError(f"line {lines['dtau_points']}: need dtau_points >= 2")
+    for key in ("rel_tol", "abs_tol"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"line {lines[key]}: need {key} > 0")
+    m = pipeline(cfg)
+    if not m.temperatures:
+        raise ConfigError(f"line {lines['temperatures']}: temperature list is empty")
+    for temperature in m.temperatures:
+        try:
+            m.params(cfg.tf_min, temperature)
+        except ValueError as exc:
+            where = sorted(lines[k] for k in _MODEL_KEYS[model] if k in lines)
+            raise ConfigError(f"lines {', '.join(map(str, where))}: {exc}") from None
     return cfg
 
 
@@ -165,82 +211,39 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
-def _lz_row(cfg, tf):
-    row = {"t_f": tf}
-    p = lz.LzParams(cfg.params["x"], cfg.params["z_i"], cfg.params["z_f"], tf)
-    psi = lz.evolve_schrodinger(p, cfg.rel_tol, cfg.abs_tol)
-    row["d_adi"] = lz.state_distance(psi, lz.adiabatic_state(p))
-    row["d_adi1"] = lz.state_distance(psi, lz.adiabatic_first_order(p))
+def _row(cfg, tf, temperature):
+    m = pipeline(cfg)
+    p = m.params(tf, temperature)
+    exact = m.exact(p, cfg.rel_tol, cfg.abs_tol)
+    row = {"d_adi": m.distance(exact, m.adiabatic(p))}
+    if m.first_order is not None:
+        row["d_adi1"] = m.distance(exact, m.first_order(p))
     for s in "1234":
         if s in cfg.scenarios:
-            st = lz.switching_times(p, int(s))
-            row[f"d_aia{s}"] = lz.state_distance(psi, lz.aia_state(p, st))
+            st = m.switching(p, int(s))
+            row[f"d_aia{s}"] = m.distance(exact, m.aia(p, st))
             row[f"dtau{s}"] = st.dtau
     if "opt" in cfg.scenarios:
-        dt, d = lz.optimize_dtau(p, psi_exact=psi)
-        row["d_aia_opt"], row["dtau_opt"] = d, dt
-    return row
-
-
-def _tfi_row(cfg, tf):
-    row = {"t_f": tf}
-    p = tfi.TfiParams(cfg.params["L"], cfg.params["h_i"], cfg.params["h_f"], tf)
-    exact = tfi.evolve_register(p, cfg.rel_tol, cfg.abs_tol)
-    row["d_adi"] = tfi.register_distance(exact, tfi.adiabatic_register(p))
-    for s in "12":
-        if s in cfg.scenarios:
-            st = tfi.switching_times_tfi(p, int(s))
-            row[f"d_aia{s}"] = tfi.register_distance(exact, tfi.aia_register(p, st))
-            row[f"dtau{s}"] = st.dtau
-    if "opt" in cfg.scenarios:
-        dt, d = tfi.optimize_dtau_tfi(p, exact_reg=exact)
-        row["d_aia_opt"], row["dtau_opt"] = d, dt
-    return row
-
-
-def _open_row(cfg, tf, temperature):
-    row = {"t_f": tf, "T": temperature}
-    p = lo.OpenParams(cfg.params["x"], cfg.params["z_i"], cfg.params["z_f"],
-                      tf, temperature, cfg.params["g"])
-    c_exact = lo.evolve_master(p, cfg.rel_tol, cfg.abs_tol)
-    row["d_adi"] = lo.trace_distance(c_exact, lo.adiabatic_state_open(p))
-    for s in "1234":
-        if s in cfg.scenarios:
-            st = lo.switching_times_open(p, int(s))
-            row[f"d_aia{s}"] = lo.trace_distance(c_exact, lo.aia_state_open(p, st))
-            row[f"dtau{s}"] = st.dtau
-    if "opt" in cfg.scenarios:
-        dt, d = lo.optimize_dtau_open(p, c_exact=c_exact)
-        row["d_aia_opt"], row["dtau_opt"] = d, dt
+        row["dtau_opt"], row["d_aia_opt"] = m.optimize(p, exact)
     return row
 
 
 def _compute_task(args):
     cfg, tf, temperature = args
+    key = {"t_f": tf} if temperature is None else {"t_f": tf, "T": temperature}
     try:
-        if cfg.model == "lz":
-            row = _lz_row(cfg, tf)
-        elif cfg.model == "tfi":
-            row = _tfi_row(cfg, tf)
-        else:
-            row = _open_row(cfg, tf, temperature)
-        row["err"] = ""
+        return {**key, **_row(cfg, tf, temperature), "err": ""}
     except Exception as exc:  # recorded per row; the sweep continues
-        row = {"t_f": tf, "err": f"{type(exc).__name__}: {exc}"}
-        if temperature is not None:
-            row["T"] = temperature
-    return row
+        return {**key, "err": f"{type(exc).__name__}: {exc}"}
 
 
 def run_sweep(cfg, out=None, threads=1):
     """Run the sweep and write the CSV; returns (path, rows, n_failed)."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     path = out or cfg.out or f"{cfg.model}_sweep.csv"
-    tasks = []
-    for tf in cfg.tf_grid():
-        if cfg.model == "open":
-            tasks.extend((cfg, float(tf), float(T)) for T in cfg.temperatures)
-        else:
-            tasks.append((cfg, float(tf), None))
+    temperatures = pipeline(cfg).temperatures
+    tasks = [(cfg, float(tf), T) for tf in cfg.tf_grid() for T in temperatures]
 
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
@@ -249,7 +252,7 @@ def run_sweep(cfg, out=None, threads=1):
         rows = [_compute_task(t) for t in tasks]
 
     rows.sort(key=lambda r: (r["t_f"], r.get("T", 0.0)))
-    columns = COLUMNS if cfg.model == "open" else [c for c in COLUMNS if c != "T"]
+    columns = COLUMNS if temperatures != (None,) else [c for c in COLUMNS if c != "T"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -298,24 +301,15 @@ def run_dtau_scan(cfg, tf, out=None):
     The grid spans [-t_f, t_f] with ``dtau_points`` points (forced odd so the
     dtau = 0 row is present). The open model scans at its first temperature.
     """
+    m = pipeline(cfg)
+    try:
+        p = m.params(tf, m.temperatures[0])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     path = out or f"{cfg.model}_dtau_scan.csv"
     n = cfg.dtau_points
-    if n % 2 == 0:
-        n += 1
-    dtaus = np.linspace(-tf, tf, n)
-    if cfg.model == "lz":
-        p = lz.LzParams(cfg.params["x"], cfg.params["z_i"], cfg.params["z_f"], tf)
-        psi = lz.evolve_schrodinger(p, cfg.rel_tol, cfg.abs_tol)
-        dists = lz.aia_distance_grid(p, dtaus, psi)
-    elif cfg.model == "tfi":
-        p = tfi.TfiParams(cfg.params["L"], cfg.params["h_i"], cfg.params["h_f"], tf)
-        exact = tfi.evolve_register(p, cfg.rel_tol, cfg.abs_tol)
-        dists = tfi.aia_distance_grid(p, dtaus, exact)
-    else:
-        p = lo.OpenParams(cfg.params["x"], cfg.params["z_i"], cfg.params["z_f"],
-                          tf, cfg.temperatures[0], cfg.params["g"])
-        c_exact = lo.evolve_master(p, cfg.rel_tol, cfg.abs_tol)
-        dists = lo.aia_distance_grid(p, dtaus, c_exact)
+    dtaus = np.linspace(-tf, tf, n + 1 - n % 2)
+    dists = m.distance_grid(p, dtaus, m.exact(p, cfg.rel_tol, cfg.abs_tol))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dtau,d\n")
         for dt, d in zip(dtaus, dists):

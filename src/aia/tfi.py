@@ -27,7 +27,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ellipe
 
-from .numkit import find_root_bracketed, hypot_antiderivative, integrate_ode, minimize_scalar
+from .numkit import (find_root_bracketed, hypot_antiderivative, integrate_ode,
+                     minimize_symmetric)
 from .lz_closed import REGIME_INTERIOR, REGIME_WHOLE, SwitchingTimes
 
 
@@ -140,7 +141,7 @@ def _eps_antiderivative(h, cos_k, sin_k):
     return 2.0 * hypot_antiderivative(h - cos_k, sin_k)
 
 
-def evolve_register(p, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"):
+def evolve_register(p, rel_tol=1e-10, abs_tol=1e-12):
     """Exact evolution of every mode from the h_i ground register.
 
     Each mode is integrated in its adiabatic frame, psi_k = c_g e^{+i Phi_k}
@@ -174,7 +175,7 @@ def evolve_register(p, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"):
         return dy
 
     y0 = np.concatenate([np.ones(m, dtype=complex), np.zeros(m, dtype=complex)])
-    y = integrate_ode(rhs, y0, 0.0, p.t_f, rel_tol, abs_tol, method=method)
+    y = integrate_ode(rhs, y0, 0.0, p.t_f, rel_tol, abs_tol, method="DOP853")
     phi = np.exp(0.5j * two_scale * (_eps_antiderivative(p.h_f, cos_k, sin_k) - prim_i))
     amps = ((y[:m] * phi)[:, None] * mode_ground(p.h_f, ks)
             + (y[m:] / phi)[:, None] * mode_excited(p.h_f, ks))
@@ -209,38 +210,45 @@ def aia_register(p, st):
     Per-mode analog of the two-level construction; mode energies are -/+
     eps_k, so the ground-state phase over [a, b] is +int eps dt and the
     excited one its negative. tau_+ < tau_- encodes the double crossing.
+    Each mode is fixed up to a global phase (see :func:`_aia_amps`).
     """
     tm, tp = st.tau_minus, st.tau_plus
     if not (0.0 <= tm <= p.t_f and 0.0 <= tp <= p.t_f):
         raise ValueError("switching times must lie in [0, t_f]")
+    return ModeRegister(momenta(p.L), _aia_amps(p, tm, tp))
+
+
+def _aia_amps(p, tm, tp):
+    """Normalized mode amplitudes of :func:`aia_register` for arrays of windows
+    (tm, tp), shape tm.shape + (M, 2). The head's phase exp(-i int_0^tau_- eps_k
+    dt) is global per mode, so it is left out: no overlap magnitude changes."""
     ks = momenta(p.L)
-    th_m = theta_k(p.h(tm), ks)
-    th_p = theta_k(p.h(tp), ks)
-    half = 0.5 * (th_m - th_p)
-    ov_gg = np.cos(half)            # <g(tau_+)|g(tau_-)>
-    ov_eg = 1.0j * np.sin(half)     # <e(tau_+)|g(tau_-)>
-
-    head = _eps_time_integral(p, 0.0, tm)   # (M,)
+    half = 0.5 * (theta_k(np.asarray(p.h(tm))[..., None], ks)
+                  - theta_k(np.asarray(p.h(tp))[..., None], ks))
     tail = _eps_time_integral(p, tp, p.t_f)
-    cg = np.exp(1j * tail) * np.exp(-1j * head) * ov_gg
-    ce = np.exp(-1j * tail) * np.exp(-1j * head) * ov_eg
-
-    amps = cg[:, None] * mode_ground(p.h_f, ks) + ce[:, None] * mode_excited(p.h_f, ks)
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    return ModeRegister(ks, amps)
+    cg = np.exp(1j * tail) * np.cos(half)             # <g(tau_+)|g(tau_-)>
+    ce = np.exp(-1j * tail) * (1.0j * np.sin(half))   # <e(tau_+)|g(tau_-)>
+    amps = cg[..., None] * mode_ground(p.h_f, ks) + ce[..., None] * mode_excited(p.h_f, ks)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
 def register_fidelity(reg_a, reg_b):
-    """Product of per-mode overlap magnitudes squared."""
+    """Product over modes of |<a_k|b_k>|^2 / (<a_k|a_k> <b_k|b_k>).
+
+    Normalizing each mode keeps a norm error of either register out of the
+    fidelity, where it would enter at first order.
+    """
     if reg_a.momenta.shape != reg_b.momenta.shape or not np.allclose(
             reg_a.momenta, reg_b.momenta):
         raise ValueError("registers carry different momentum lists")
-    ov = np.einsum("ki,ki->k", reg_a.amps.conj(), reg_b.amps)
-    return float(np.prod(np.abs(ov) ** 2))
+    a, b = reg_a.amps, reg_b.amps
+    ov = np.einsum("ki,ki->k", a.conj(), b)
+    norms = np.einsum("ki,ki->k", a.conj(), a).real * np.einsum("ki,ki->k", b.conj(), b).real
+    return float(np.prod(np.abs(ov) ** 2 / norms))
 
 
 def register_distance(reg_a, reg_b):
-    """sqrt(1 - prod_k |<psi_k|phi_k>|^2), clamped to [0, 1]."""
+    """sqrt(1 - prod_k |<psi_k|phi_k>|^2) of the normalized modes, clamped to [0, 1]."""
     f = min(register_fidelity(reg_a, reg_b), 1.0)
     return float(np.sqrt(max(0.0, 1.0 - f)))
 
@@ -307,47 +315,16 @@ def aia_distance_grid(p, dtaus, exact_reg):
     """Register distance of the centered-window AIA to the exact register,
     vectorized over an array of impulse intervals."""
     dtaus = np.asarray(dtaus, dtype=float)
-    tm = p.t_f / 2.0 - dtaus / 2.0
-    tp = p.t_f / 2.0 + dtaus / 2.0
-    ks = momenta(p.L)
-
-    th_m = theta_k(np.asarray(p.h(tm))[:, None], ks)
-    th_p = theta_k(np.asarray(p.h(tp))[:, None], ks)
-    half = 0.5 * (th_m - th_p)
-    ov_gg = np.cos(half)
-    ov_eg = 1.0j * np.sin(half)
-
-    tail = _eps_time_integral(p, tp, p.t_f)  # (N, M)
-    cg = np.exp(1j * tail) * ov_gg
-    ce = np.exp(-1j * tail) * ov_eg
-
-    g_f = mode_ground(p.h_f, ks)   # (M, 2)
-    e_f = mode_excited(p.h_f, ks)
-    amps = cg[..., None] * g_f + ce[..., None] * e_f  # (N, M, 2)
-    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
-
+    amps = _aia_amps(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0)
     ov = np.einsum("nki,ki->nk", amps.conj(), exact_reg.amps)
     fid = np.prod(np.abs(ov) ** 2, axis=-1)
     return np.sqrt(np.maximum(0.0, 1.0 - np.minimum(fid, 1.0)))
 
 
-def optimize_dtau_tfi(p, exact_reg=None, rel_tol=1e-10, abs_tol=1e-12,
-                      n_grid=801, tol=1e-6):
+def optimize_dtau_tfi(p, exact_reg):
     """Impulse interval minimizing the register distance over [-t_f, t_f].
 
     The scan grid contains dtau = 0, so the result never exceeds the
     adiabatic distance.
     """
-    if exact_reg is None:
-        exact_reg = evolve_register(p, rel_tol, abs_tol)
-    n = max(int(n_grid), 201)
-    if n % 2 == 0:
-        n += 1
-
-    def f(dt):
-        return float(aia_distance_grid(p, np.array([dt]), exact_reg)[0])
-
-    def f_grid(dts):
-        return aia_distance_grid(p, dts, exact_reg)
-
-    return minimize_scalar(f, -p.t_f, p.t_f, tol=tol, n_grid=n, f_grid=f_grid)
+    return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, exact_reg), p.t_f, 801, 1e-6)

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from aia import lindblad_open as lo
 from aia import lz_closed as lz
-from aia import sweeps
+from aia import sweeps, tfi
 from aia.cli import main as cli_main
+from aia.numkit import IntegrationError
 
 LZ_CFG = """\
 model = lz
@@ -81,6 +83,20 @@ def test_parse_rejects_non_finite_values_with_line_number(text, lineno):
         sweeps.parse_config(text)
 
 
+@pytest.mark.parametrize("text, match", [
+    (LZ_CFG.replace("x = 0.1", "x = -0.1"), r"lines 2, 3, 4: require x > 0"),
+    (TFI_CFG.replace("L = 20", "L = 151"), r"lines 2, 3, 4: require even L >= 2"),
+    (OPEN_CFG.replace("0.05, 0.5", "0.05, -1"), r"lines 2, 3, 4, 5, 6: require T > 0"),
+    (OPEN_CFG.replace("0.05, 0.5", ""), r"line 6: temperature list is empty"),
+    (LZ_CFG + "rel_tol = 0\n", "line 9: need rel_tol > 0"),
+    (LZ_CFG + "abs_tol = -1e-12\n", "line 9: need abs_tol > 0"),
+    (LZ_CFG + "dtau_points = 1\n", "line 9: need dtau_points >= 2"),
+], ids=["lz-x", "tfi-L", "open-T", "open-no-T", "rel_tol", "abs_tol", "dtau_points"])
+def test_parse_rejects_out_of_range_values(text, match):
+    with pytest.raises(sweeps.ConfigError, match=match):
+        sweeps.parse_config(text)
+
+
 def test_parse_rejects_empty_scenarios():
     text = LZ_CFG.replace("scenarios = 1,2,3,4,opt", "scenarios =")
     with pytest.raises(sweeps.ConfigError, match="empty"):
@@ -143,6 +159,19 @@ def test_csv_deterministic_and_parallel_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_run_sweep_rejects_thread_count_below_one(tmp_path, monkeypatch, threads):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a row or a pool started despite the invalid thread count")
+
+    monkeypatch.setattr(sweeps, "_compute_task", no_work)
+    monkeypatch.setattr(sweeps.concurrent.futures, "ProcessPoolExecutor", no_work)
+    cfg = sweeps.parse_config(LZ_CFG)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        sweeps.run_sweep(cfg, out=str(tmp_path / "never.csv"), threads=threads)
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_rows_ascending_in_tf(lz_csv):
     data = sweeps.read_csv(lz_csv)
     assert np.all(np.diff(data["t_f"]) > 0)
@@ -192,18 +221,39 @@ def test_run_fit_errors(lz_csv):
 
 # -------------------------------------------------------------------- dtau scan
 
-def test_dtau_scan_consistency(tmp_path):
-    cfg = sweeps.parse_config(LZ_CFG + "dtau_points = 4001\n")
-    path, dtaus, dists = sweeps.run_dtau_scan(cfg, 50.0, out=str(tmp_path / "scan.csv"))
-    p = lz.LzParams(0.1, -1.0, 1.0, 50.0)
-    psi = lz.evolve_schrodinger(p)
-    dt_opt, d_opt = lz.optimize_dtau(p, psi_exact=psi)
+def _scan_reference(model, tf):
+    """(d_adi, (dtau_opt, d_opt)) at t_f from the model modules directly."""
+    if model == "lz":
+        p = lz.LzParams(0.1, -1.0, 1.0, tf)
+        exact = lz.evolve_schrodinger(p)
+        return lz.state_distance(exact, lz.adiabatic_state(p)), lz.optimize_dtau(p, exact)
+    if model == "tfi":
+        p = tfi.TfiParams(20, 0.5, 1.5, tf)
+        exact = tfi.evolve_register(p)
+        return (tfi.register_distance(exact, tfi.adiabatic_register(p)),
+                tfi.optimize_dtau_tfi(p, exact))
+    p = lo.OpenParams(0.1, -1.0, 1.0, tf, 0.05, 0.01)  # the first temperature
+    exact = lo.evolve_master(p)
+    return (lo.trace_distance(exact, lo.adiabatic_state_open(p)),
+            lo.optimize_dtau_open(p, exact))
+
+
+@pytest.mark.parametrize("model, text, tf", [
+    ("lz", LZ_CFG + "dtau_points = 4001\n", 50.0),
+    ("tfi", TFI_CFG + "dtau_points = 801\n", 12.0),
+    ("open", OPEN_CFG + "dtau_points = 401\n", 20.0),
+], ids=["lz", "tfi", "open"])
+def test_dtau_scan_consistency(tmp_path, model, text, tf):
+    cfg = sweeps.parse_config(text)
+    path, dtaus, dists = sweeps.run_dtau_scan(cfg, tf, out=str(tmp_path / "scan.csv"))
+    assert len(dtaus) == cfg.dtau_points
+    d_adi, (dt_opt, d_opt) = _scan_reference(model, tf)
     i = int(np.argmin(dists))
     assert abs(dists[i] - d_opt) < 1e-3
     assert abs(dtaus[i] - dt_opt) <= 2 * (dtaus[1] - dtaus[0])
     # the dtau = 0 row reproduces the adiabatic distance
     j = int(np.argmin(np.abs(dtaus)))
-    d_adi = lz.state_distance(psi, lz.adiabatic_state(p))
+    assert dtaus[j] == 0.0
     assert abs(dists[j] - d_adi) < 1e-12
 
 
@@ -221,12 +271,17 @@ def test_cli_sweep_and_fit_roundtrip(tmp_path):
                      "--out", str(tmp_path / "scan.csv")]) == 0
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(LZ_CFG + "volume = 11\n")
     assert cli_main(["lz", "--config", str(bad)]) == 1
     missing = tmp_path / "nope.cfg"
     assert cli_main(["lz", "--config", str(missing)]) == 1
+    # an out-of-range parameter is a config error, not a sweep of failed rows
+    bad.write_text(LZ_CFG.replace("x = 0.1", "x = -0.1"))
+    assert cli_main(["lz", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error: lines 2, 3, 4: require x > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_model_mismatch(tmp_path):
@@ -247,6 +302,24 @@ def test_cli_rejects_thread_count_below_one(tmp_path, monkeypatch, capsys, threa
     assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
+def test_cli_dtau_scan_exit_codes(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "lz.cfg"
+    cfg_path.write_text(LZ_CFG)
+    out = tmp_path / "scan.csv"
+    assert cli_main(["dtau-scan", "--config", str(cfg_path), "--tf", "-5",
+                     "--out", str(out)]) == 1
+    assert "config error: require t_f > 0" in capsys.readouterr().err
+
+    def diverging(*args, **kwargs):
+        raise IntegrationError("integration failed at t=1: synthetic")
+
+    monkeypatch.setattr(lz, "evolve_schrodinger", diverging)
+    assert cli_main(["dtau-scan", "--config", str(cfg_path), "--tf", "20",
+                     "--out", str(out)]) == 2
+    assert "numerical failure: integration failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_entry_point_installed(tmp_path):
     cfg_path = tmp_path / "lz.cfg"
     cfg_path.write_text(LZ_CFG.replace("tf_points = 4", "tf_points = 2"))
@@ -262,14 +335,14 @@ def test_cli_entry_point_installed(tmp_path):
 
 def test_row_failures_recorded_and_sweep_continues(tmp_path, monkeypatch):
     cfg = sweeps.parse_config(LZ_CFG)
-    real = sweeps._lz_row
+    real = lz.evolve_schrodinger
 
-    def flaky(cfg_, tf):
-        if abs(tf - 10.0) < 1e-9:
+    def flaky(p, *args, **kwargs):
+        if abs(p.t_f - 10.0) < 1e-9:
             raise RuntimeError("synthetic blow-up")
-        return real(cfg_, tf)
+        return real(p, *args, **kwargs)
 
-    monkeypatch.setattr(sweeps, "_lz_row", flaky)
+    monkeypatch.setattr(lz, "evolve_schrodinger", flaky)
     path, rows, n_failed = sweeps.run_sweep(cfg, out=str(tmp_path / "flaky.csv"))
     assert n_failed == 1
     data = sweeps.read_csv(path)
@@ -280,10 +353,10 @@ def test_row_failures_recorded_and_sweep_continues(tmp_path, monkeypatch):
 
 
 def test_cli_exit_2_when_every_row_fails(tmp_path, monkeypatch):
-    def broken(cfg_, tf):
+    def broken(*args, **kwargs):
         raise RuntimeError("synthetic blow-up")
 
-    monkeypatch.setattr(sweeps, "_lz_row", broken)
+    monkeypatch.setattr(lz, "evolve_schrodinger", broken)
     cfg_path = tmp_path / "lz.cfg"
     cfg_path.write_text(LZ_CFG)
     code = cli_main(["lz", "--config", str(cfg_path),

@@ -210,6 +210,18 @@ def test_register_distance_two_partial_modes():
     assert abs(tfi.register_distance(a, b) - np.sqrt(3) / 2) < 1e-14
 
 
+def test_register_distance_normalizes_each_mode():
+    p = tfi.TfiParams(150, 0.5, 1.5, 20.0)
+    reg = tfi.ground_register(p)
+    scaled = tfi.ModeRegister(reg.momenta, (1.0 - 1e-6) * reg.amps)
+    # a norm error is not a distance: without normalization this reads 0.012247
+    assert tfi.register_distance(reg, scaled) < 1e-7
+    exact, adi = tfi.evolve_register(p), tfi.adiabatic_register(p)
+    stretched = tfi.ModeRegister(exact.momenta, 1.5 * exact.amps)
+    assert abs(tfi.register_distance(stretched, adi)
+               - tfi.register_distance(exact, adi)) < 1e-14
+
+
 def test_register_distance_rejects_mismatched_momenta():
     a = tfi.ground_register(tfi.TfiParams(4, 0.5, 1.5, 1.0))
     b = tfi.ground_register(tfi.TfiParams(6, 0.5, 1.5, 1.0))
