@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from .numkit import eig_hermitian, fit_power_law, integrate_ode
-from .lindblad_open import PAULI_BASIS, liouvillian_matrix, liouvillian_spectrum
+from .lindblad_open import PAULI_BASIS, liouvillian_matrix, liouvillian_spectrum, trace_distance
 
 
 def kernel_projector(p, t):
@@ -112,13 +112,8 @@ def apply_superoperator(superop, rho):
 
 def choi_matrix(superop):
     """Choi matrix sum_ij S(|i><j|) (x) |i><j| (output factor first)."""
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.zeros((2, 2), dtype=complex)
-            e_ij[i, j] = 1.0
-            out += np.kron(apply_superoperator(superop, e_ij), e_ij)
-    return out
+    return sum(np.kron(apply_superoperator(superop, e_ij), e_ij)
+               for e_ij in np.eye(4, dtype=complex).reshape(4, 2, 2))
 
 
 def cptp_diagnostics(superop):
@@ -128,10 +123,8 @@ def cptp_diagnostics(superop):
     min_choi_eig is negative when the map fails complete positivity.
     """
     superop = np.asarray(superop)
-    trace_error = 0.0
-    for k, g in enumerate(PAULI_BASIS):
-        tr_out = np.sqrt(2.0) * superop[0, k]
-        trace_error = max(trace_error, abs(tr_out - np.trace(g).real))
+    trace_error = max(abs(np.sqrt(2.0) * superop[0, k] - np.trace(g).real)
+                      for k, g in enumerate(PAULI_BASIS))
     choi = choi_matrix(superop)
     choi = 0.5 * (choi + choi.conj().T)
     w, _ = eig_hermitian(choi)
@@ -139,13 +132,9 @@ def cptp_diagnostics(superop):
 
 
 def superop_trace_norm_distance(s_a, s_b):
-    """max over Pauli-basis inputs of the output trace-norm difference."""
-    worst = 0.0
-    for g in PAULI_BASIS:
-        diff = apply_superoperator(s_a, g) - apply_superoperator(s_b, g)
-        w, _ = eig_hermitian(0.5 * (diff + diff.conj().T))
-        worst = max(worst, float(np.abs(w).sum()))
-    return worst
+    """max over Pauli-basis inputs of the output trace-norm difference: column k
+    is the image of Gamma_k, whose trace norm is twice its trace distance to 0."""
+    return 2.0 * float(np.max(trace_distance(np.real(np.asarray(s_a) - np.asarray(s_b)).T, 0.0)))
 
 
 def closeness_bound_check(p, t_f_list, rel_tol=1e-10, abs_tol=1e-12):

@@ -25,7 +25,6 @@ backwards in time, and crossing again.
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .numkit import hypot_antiderivative, integrate_ode, minimize_symmetric
 
@@ -180,14 +179,18 @@ def m21(p, t):
     return p.t_f * coupling_matrix_element(p, t) / (2.0 * b) ** 2
 
 
-def j21(p, t, quad_tol=1e-12):
-    """Secular phase coefficient t_f int_0^t |<psi_2|dH/dt'|psi_1>|^2 / (E2-E1)^3 dt'."""
-    def integrand(s):
-        b = p.b(s)
-        return (p.zdot * p.x / b) ** 2 / (2.0 * b) ** 3
+def j21(p, t):
+    """Secular phase coefficient t_f int_0^t |<psi_2|dH/dt'|psi_1>|^2 / (E2-E1)^3 dt'.
 
-    val, _ = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=400)
-    return p.t_f * val
+    Closed form: t_f zdot (F(z(t)) - F(z_i)) / (8 x^2), F = (1 + s)^2 (2 - s) / 3,
+    s = z/b, with 1 + s = x^2 / (b (b - z)) for z < 0, free of cancellation.
+    """
+    def f(z):
+        b = np.hypot(p.x, z)
+        u = p.x * p.x / (b * (b - z)) if z < 0 else 1.0 + z / b  # 1 + s
+        return u * u * (3.0 - u) / 3.0
+
+    return float(p.t_f * p.zdot * (f(float(p.z(t))) - f(p.z_i)) / (8.0 * p.x * p.x))
 
 
 def adiabatic_first_order(p):
@@ -291,19 +294,17 @@ def switching_times(p, scenario):
 
 
 def state_distance(psi, phi):
-    """sqrt(1 - |<psi|phi>|^2) for normalized vectors, clamped against rounding.
+    """sqrt(1 - |<psi|phi>|^2) of normalized two-level states, clamped against
+    rounding; broadcasts over leading axes.
 
     For two-level states this equals |psi_1 phi_2 - psi_2 phi_1|, which is
     evaluated directly: the wedge form has no cancellation and resolves
     distances all the way down to machine precision, where 1 - |<psi|phi>|^2
     would round to zero.
     """
-    psi = np.asarray(psi)
-    phi = np.asarray(phi)
-    if psi.shape == (2,) and phi.shape == (2,):
-        return float(min(abs(psi[0] * phi[1] - psi[1] * phi[0]), 1.0))
-    f = abs(np.vdot(psi, phi)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - min(f, 1.0))))
+    psi, phi = np.asarray(psi), np.asarray(phi)
+    d = np.minimum(np.abs(psi[..., 0] * phi[..., 1] - psi[..., 1] * phi[..., 0]), 1.0)
+    return d if d.ndim else float(d)
 
 
 def aia_distance_grid(p, dtaus, psi_exact):
@@ -312,11 +313,8 @@ def aia_distance_grid(p, dtaus, psi_exact):
     The window is centered, tau_± = t_f/2 ± dtau/2. Fully vectorized; used by
     the impulse-interval optimizer and the scan command.
     """
-    dtaus = np.asarray(dtaus, dtype=float)
-    states = _aia_states(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0)
-    # wedge form of the two-level distance (see state_distance)
-    wedge = states[..., 0] * psi_exact[1] - states[..., 1] * psi_exact[0]
-    return np.minimum(np.abs(wedge), 1.0)
+    half = np.asarray(dtaus, dtype=float) / 2.0
+    return state_distance(_aia_states(p, p.t_f / 2.0 - half, p.t_f / 2.0 + half), psi_exact)
 
 
 def optimize_dtau(p, psi_exact):

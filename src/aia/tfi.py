@@ -24,7 +24,6 @@ prescriptions, and the impulse-interval optimizer.
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ellipe
 
 from .numkit import (find_root_bracketed, hypot_antiderivative, integrate_ode,
@@ -119,12 +118,18 @@ def ground_register(p, h=None):
     return ModeRegister(ks, mode_ground(h, ks))
 
 
+def _elliptic_term(h):
+    """(1 + h) E(4h/(1 + h)^2) = (1/4) int_0^pi eps_k(h) dk; broadcasts over h >= 0."""
+    h = np.asarray(h, dtype=float)
+    m = np.minimum(4.0 * h / (1.0 + h) ** 2, 1.0)  # = 1 at h = 1 up to rounding
+    return (h + 1.0) * ellipe(m)
+
+
 def gs_energy_thermo(h, L):
-    """Thermodynamic-limit ground energy -(L / 2 pi) int_0^pi eps_k dk."""
+    """Thermodynamic-limit ground energy -(L / 2 pi) int_0^pi eps_k dk, in closed form."""
     if h < 0:
         raise ValueError(f"require h >= 0, got {h}")
-    val, _ = quad(lambda k: epsilon_k(h, k), 0.0, np.pi, epsabs=1e-13, epsrel=1e-13)
-    return -L / (2.0 * np.pi) * val
+    return float(-2.0 * L / np.pi * _elliptic_term(h))
 
 
 def tfi_gap(h, L, thermodynamic=False):
@@ -232,25 +237,31 @@ def _aia_amps(p, tm, tp):
     return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
-def register_fidelity(reg_a, reg_b):
-    """Product over modes of |<a_k|b_k>|^2 / (<a_k|a_k> <b_k|b_k>).
+def _mode_fidelity(a, b):
+    """Product over modes of |<a_k|b_k>|^2 / (<a_k|a_k> <b_k|b_k>) of amplitude arrays
+    (..., M, 2), broadcast; normalizing keeps a norm error out at first order."""
+    ov = np.einsum("...ki,...ki->...k", a.conj(), b)
+    norms = (np.einsum("...ki,...ki->...k", a.conj(), a).real
+             * np.einsum("...ki,...ki->...k", b.conj(), b).real)
+    return np.prod(np.abs(ov) ** 2 / norms, axis=-1)
 
-    Normalizing each mode keeps a norm error of either register out of the
-    fidelity, where it would enter at first order.
-    """
+
+def _fidelity_distance(f):
+    """sqrt(1 - f) of a fidelity f >= 0, clamped at f = 1; broadcasts."""
+    return np.sqrt(1.0 - np.minimum(f, 1.0))
+
+
+def register_fidelity(reg_a, reg_b):
+    """Product over modes of |<a_k|b_k>|^2 / (<a_k|a_k> <b_k|b_k>)."""
     if reg_a.momenta.shape != reg_b.momenta.shape or not np.allclose(
             reg_a.momenta, reg_b.momenta):
         raise ValueError("registers carry different momentum lists")
-    a, b = reg_a.amps, reg_b.amps
-    ov = np.einsum("ki,ki->k", a.conj(), b)
-    norms = np.einsum("ki,ki->k", a.conj(), a).real * np.einsum("ki,ki->k", b.conj(), b).real
-    return float(np.prod(np.abs(ov) ** 2 / norms))
+    return float(_mode_fidelity(reg_a.amps, reg_b.amps))
 
 
 def register_distance(reg_a, reg_b):
     """sqrt(1 - prod_k |<psi_k|phi_k>|^2) of the normalized modes, clamped to [0, 1]."""
-    f = min(register_fidelity(reg_a, reg_b), 1.0)
-    return float(np.sqrt(max(0.0, 1.0 - f)))
+    return float(_fidelity_distance(register_fidelity(reg_a, reg_b)))
 
 
 def _kz_condition_scenario2(p, h):
@@ -261,10 +272,7 @@ def _kz_condition_scenario2(p, h):
     inside the frozen region around h = 1. Broadcasts over an array of
     fields h.
     """
-    h = np.asarray(h, dtype=float)
-    m = np.minimum(4.0 * h / (1.0 + h) ** 2, 1.0)  # = 1 at h = 1 up to rounding
-    rate = (h + 1.0) * ellipe(m) / (np.pi * p.hdot)
-    return 1.0 / np.abs(h - 1.0) - rate
+    return 1.0 / np.abs(np.asarray(h) - 1.0) - _elliptic_term(h) / (np.pi * p.hdot)
 
 
 def switching_times_tfi(p, scenario):
@@ -316,9 +324,7 @@ def aia_distance_grid(p, dtaus, exact_reg):
     vectorized over an array of impulse intervals."""
     dtaus = np.asarray(dtaus, dtype=float)
     amps = _aia_amps(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0)
-    ov = np.einsum("nki,ki->nk", amps.conj(), exact_reg.amps)
-    fid = np.prod(np.abs(ov) ** 2, axis=-1)
-    return np.sqrt(np.maximum(0.0, 1.0 - np.minimum(fid, 1.0)))
+    return _fidelity_distance(_mode_fidelity(amps, exact_reg.amps))
 
 
 def optimize_dtau_tfi(p, exact_reg):

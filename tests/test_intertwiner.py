@@ -100,6 +100,43 @@ def test_kernel_projector_fd_derivative_matches_analytic():
         assert np.abs(fd - dr1_dt).max() < 1e-7
 
 
+def _closed_form_right_and_derivative(x, z, beta):
+    """Right eigenvectors R_n(z) of the generator and their analytic z-derivatives.
+
+    With n = (x, z)/b and th = tanh(beta b): R_1 = (1, -th n_x, 0, -th n_z)/sqrt2,
+    R_2 = (0, n_x, 0, n_z), R_3 = (0, -n_z, -i, n_x)/sqrt2, R_4 = conj(R_3);
+    dn/dz = (n_x/b) (-n_z, n_x) and dth/dz = beta (1 - th^2) n_z.
+    """
+    b = np.hypot(x, z)
+    nx, nz, th = x / b, z / b, np.tanh(beta * b)
+    dnx, dnz, dth = -nx * nz / b, nx * nx / b, beta * (1.0 - th * th) * nz
+    sq2 = np.sqrt(2.0)
+    right = np.array([[1 / sq2, -th * nx / sq2, 0, -th * nz / sq2], [0, nx, 0, nz],
+                      [0, -nz / sq2, -1j / sq2, nx / sq2], [0, -nz / sq2, 1j / sq2, nx / sq2]]).T
+    deriv = np.array([[0, -(dth * nx + th * dnx) / sq2, 0, -(dth * nz + th * dnz) / sq2],
+                      [0, dnx, 0, dnz], [0, -dnz / sq2, 0, dnx / sq2],
+                      [0, -dnz / sq2, 0, dnx / sq2]]).T
+    return right, deriv
+
+
+def test_all_four_connections_vanish_identically():
+    # L_n . dR_n/dz for n = 1..4 with the analytic derivative of the closed-form
+    # R_n, on a dense z grid: every sector is transported without a connection
+    for x, beta, g in ((0.25, 1 / 0.3, 1e-3), (0.1, 20.0, 0.01), (1.0, 0.5, 0.2)):
+        for z in np.linspace(-3.0, 3.0, 1201):
+            right, deriv = _closed_form_right_and_derivative(x, z, beta)
+            spec = lo.liouvillian_spectrum(x, z, beta, g)
+            assert np.abs(spec.right - right).max() < 1e-15
+            conn = np.einsum("ni,in->n", spec.left, deriv)
+            assert np.abs(conn).max() < 1e-14 * (1.0 + np.abs(deriv).max())
+    # the analytic derivative is the derivative (central differences, step 1e-6)
+    for z in (-0.7, 0.0, 0.05, 1.3):
+        _, deriv = _closed_form_right_and_derivative(0.1, z, 20.0)
+        r_p, _ = _closed_form_right_and_derivative(0.1, z + 1e-6, 20.0)
+        r_m, _ = _closed_form_right_and_derivative(0.1, z - 1e-6, 20.0)
+        assert np.abs((r_p - r_m) / 2e-6 - deriv).max() < 1e-7 * (1.0 + np.abs(deriv).max())
+
+
 def test_holonomy_scalar_vanishes():
     for t in (5.0, 50.0, 95.0):
         assert abs(itw.holonomy_a1(P_STD, t)) < 1e-8
@@ -183,6 +220,17 @@ def test_transport_cp_defect_bounded_by_distance_to_exact():
         e = itw.exact_propagator(q, 1.0)
         defect = max(0.0, -itw.cptp_diagnostics(u)[1])
         assert defect <= 2.0 * itw.superop_trace_norm_distance(u, e) + 1e-9
+
+
+def test_superop_distance_against_eigvalsh_oracle():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        s_a, s_b = rng.standard_normal((2, 4, 4))
+        want = 0.0
+        for g in lo.PAULI_BASIS:
+            diff = itw.apply_superoperator(s_a, g) - itw.apply_superoperator(s_b, g)
+            want = max(want, np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+        assert abs(itw.superop_trace_norm_distance(s_a, s_b) - want) < 1e-14 * max(1.0, want)
 
 
 def test_closeness_bound_requires_enough_points():

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from aia import lindblad_open as lo
 from aia import intertwiner as itw
-from aia.lz_closed import SwitchingTimes, lz_eigensystem
+from aia.lz_closed import SwitchingTimes, lz_eigensystem, switching_from_dtau
 
 P_STD = lo.OpenParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=50.0, T=0.05, g=0.01)
 
@@ -276,6 +276,75 @@ def test_aia_open_trace_row():
     assert abs(c[0] - 1 / np.sqrt(2)) < 1e-12
 
 
+def _spectral_sum_aia(p, tm, tp):
+    """The AIA coherence vector as the explicit spectral sum over the
+    eigenvectors of liouvillian_spectrum (one window)."""
+    spec_p = lo.liouvillian_spectrum(p.x, float(p.z(tp)), p.beta, p.g)
+    spec_f = lo.liouvillian_spectrum(p.x, p.z_f, p.beta, p.g)
+    r1_m = lo.liouvillian_spectrum(p.x, float(p.z(tm)), p.beta, p.g).right[:, 0]
+    rate_int, delta_int = lo._rate_integrals(p, tp, p.t_f)
+    decay = np.exp(np.array([0.0, -rate_int, -0.5 * rate_int - 1j * delta_int,
+                             -0.5 * rate_int + 1j * delta_int]))
+    return sum(decay[j] * np.dot(spec_p.left[j], r1_m) * spec_f.right[:, j] for j in range(4))
+
+
+def test_aia_coherences_match_spectral_sum():
+    rng = np.random.default_rng(13)
+    for p in (P_STD, lo.OpenParams(0.3, -0.7, 1.3, 20.0, 0.5, 0.05)):
+        tm, tp = rng.uniform(0.0, p.t_f, (2, 40))  # about half the windows reversed
+        tm[:3], tp[:3] = (0.0, p.t_f, 0.3 * p.t_f), (p.t_f, 0.0, 0.3 * p.t_f)
+        got = lo._aia_coherences(p, tm, tp)
+        assert got.shape == (40, 4) and not np.iscomplexobj(got)
+        for i in range(40):
+            want = _spectral_sum_aia(p, tm[i], tp[i])
+            assert np.abs(got[i] - want).max() < 1e-14
+
+
+def test_aia_distance_grid_matches_scalar_state():
+    p = lo.OpenParams(0.1, -1, 1, 60.0, 0.05, 0.01)
+    c_exact = lo.evolve_master(p)
+    dtaus = np.concatenate([np.linspace(-p.t_f, p.t_f, 41), [0.37, -13.1]])
+    grid = lo.aia_distance_grid(p, dtaus, c_exact)
+    for dt, dg in zip(dtaus, grid):
+        d = lo.trace_distance(lo.aia_state_open(p, switching_from_dtau(p, dt)), c_exact)
+        assert abs(d - dg) < 1e-15
+
+
+def test_rate_integrals_broadcast_like_scalar_calls():
+    t_a = np.array([0.0, 10.0, 24.9, 50.0])
+    rate_int, delta_int = lo._rate_integrals(P_STD, t_a, P_STD.t_f)
+    for i, t in enumerate(t_a):
+        r, d = lo._rate_integrals(P_STD, t, P_STD.t_f)
+        assert isinstance(r, float) and isinstance(d, float)
+        assert abs(rate_int[i] - r) <= 1e-15 * r and delta_int[i] == d
+
+
+def test_rate_integrals_warn_at_the_panel_cap():
+    # at x = 1e-6, T = 1e-4 the rate has a kink of width ~1e-6 at the
+    # crossing, and 64 panels leave the quadrature 1.6e-8 off
+    p = lo.OpenParams(1e-6, -1, 1, 1e3, 1e-4, 0.3)
+    with pytest.warns(RuntimeWarning, match=r"over \[0, 1000\] stopped at 64 panels, "
+                                            r"last difference \d"):
+        rate_int, _ = lo._rate_integrals(p, 0.0, p.t_f)
+    assert np.isfinite(rate_int)
+
+
+def test_rate_integrals_open_sweep_converge_within_four_panels(monkeypatch, recwarn):
+    # the open-sweep parameters: T = 0.05, t_f 8.5..304; every window of the
+    # optimizer's grid converges at 4 panels or fewer (1 + 2 + 4 panel passes,
+    # two rate evaluations each), and nothing warns
+    calls = []
+    gamma = lo.spectral_gamma
+    monkeypatch.setattr(lo, "spectral_gamma", lambda *a: calls.append(1) or gamma(*a))
+    for tf in np.geomspace(1.0, 1000.0, 30)[9:25:5]:
+        p = lo.OpenParams(0.1, -1, 1, tf, 0.05, 0.01)
+        dtaus = np.linspace(-tf, tf, 601)
+        calls.clear()
+        lo._rate_integrals(p, tf / 2 + dtaus / 2, tf)
+        assert len(calls) <= 2 * (1 + 2 + 4)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # ----------------------------------------------------------- gap, trace distance
 
 def test_rate_integrals_against_quad_oracle():
@@ -323,6 +392,19 @@ def test_trace_distance_cases():
     assert lo.trace_distance(up, up) == 0.0
     assert abs(lo.trace_distance(up, down) - 1.0) < 1e-14
     assert abs(lo.trace_distance(up, mixed) - 0.5) < 1e-14
+
+
+def test_trace_distance_against_eigvalsh_oracle():
+    # random Hermitian pairs, traces unequal (d_0 != 0) in general
+    rng = np.random.default_rng(14)
+    ca, cb = rng.standard_normal((2, 50, 4))
+    ca[:10, 0] = cb[:10, 0]  # and some with equal traces
+    got = lo.trace_distance(ca, cb)
+    for i in range(50):
+        diff = lo.coherence_to_density(ca[i] - cb[i])
+        want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+        assert abs(got[i] - want) < 1e-14 * max(1.0, want)
+        assert lo.trace_distance(ca[i], cb[i]) == got[i]
 
 
 def test_trace_distance_cptp_contraction():

@@ -164,6 +164,27 @@ def test_first_order_j21_quadrature():
     assert abs(val - p.t_f * oracle) < 1e-10 * max(1.0, abs(val))
 
 
+def test_j21_closed_form_against_mpmath_oracle():
+    # 40-digit quadrature in z, split at the crossing; at x = 1e-3 and t =
+    # 1e-3 t_f both ends lie far out on the negative side, where the naive
+    # s - s^3/3 form is 5.8e-3 off
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in (1e-3, 0.1, 1.0, 3.0):
+        p = lz.LzParams(x, -1.0, 1.0, 100.0)
+        xm, zdot = mpmath.mpf(x), mpmath.mpf(2) / 100
+
+        def integrand(z):  # t_f |<psi_2|dH/dt|psi_1>|^2 / (2b)^3 dt, dt = dz / zdot
+            b = mpmath.sqrt(xm ** 2 + z ** 2)
+            return 100 * (zdot * xm / b) ** 2 / (2 * b) ** 3 / zdot
+
+        for frac in (1e-3, 0.1, 0.5, 0.9, 1.0):
+            z_t = -1 + zdot * mpmath.mpf(frac * p.t_f)
+            cuts = [q for q in (-10 * xm, -xm, 0, xm, 10 * xm) if -1 < q < z_t]
+            want = mpmath.quad(integrand, [-1] + cuts + [z_t])
+            assert abs(lz.j21(p, frac * p.t_f) - want) < 1e-12 * abs(want), (x, frac)
+
+
 def test_first_order_correction_vanishes_at_large_tf():
     # the corrected state converges to the plain adiabatic one like 1/t_f
     deltas = []
@@ -323,6 +344,21 @@ def test_distance_matches_fidelity_form():
         wedge = lz.state_distance(a, b)
         fid = np.sqrt(max(0.0, 1.0 - abs(np.vdot(a, b)) ** 2))
         assert abs(wedge - fid) < 1e-12
+
+
+def test_state_distance_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    b = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    stacked = lz.state_distance(a, b)
+    against_one = lz.state_distance(a, b[0])
+    assert stacked.shape == against_one.shape == (7,)
+    for i in range(7):
+        assert stacked[i] == lz.state_distance(a[i], b[i])
+        assert against_one[i] == lz.state_distance(a[i], b[0])
+    assert isinstance(lz.state_distance(a[0], b[0]), float)
 
 
 def test_distance_metric_properties():

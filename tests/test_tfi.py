@@ -97,6 +97,13 @@ def test_gs_energy_thermo_vs_finite_sum():
     assert abs(thermo - finite) / abs(finite) < 0.01
 
 
+def test_gs_energy_thermo_against_quad_oracle():
+    for h in np.linspace(0.0, 3.0, 31):
+        want, _ = quad(lambda k: tfi.epsilon_k(h, k), 0.0, np.pi, epsabs=1e-13, epsrel=1e-13)
+        want *= -150 / (2 * np.pi)
+        assert abs(tfi.gs_energy_thermo(h, 150) - want) < 1e-13 * abs(want), h
+
+
 def test_gap_values():
     assert abs(tfi.tfi_gap(1.5, 150, thermodynamic=True) - 1.0) < 1e-15
     assert abs(tfi.tfi_gap(1.0, 150) - tfi.epsilon_k(1.0, np.pi / 150)) < 1e-15
@@ -181,6 +188,20 @@ def test_aia_grid_matches_scalar_path():
         st = SwitchingTimes(p.t_f / 2 - dt / 2, p.t_f / 2 + dt / 2, "x")
         d = tfi.register_distance(tfi.aia_register(p, st), exact)
         assert abs(d - dg) < 1e-12
+
+
+def test_aia_grid_normalizes_each_mode():
+    # the grid and register_distance share one per-mode-normalized fidelity,
+    # so a stretched exact register reads the same distances
+    p = tfi.TfiParams(20, 0.5, 1.5, 12.0)
+    exact = tfi.evolve_register(p)
+    stretched = tfi.ModeRegister(exact.momenta, 1.5 * exact.amps)
+    dtaus = np.linspace(-p.t_f, p.t_f, 9)
+    grid = tfi.aia_distance_grid(p, dtaus, stretched)
+    assert np.abs(grid - tfi.aia_distance_grid(p, dtaus, exact)).max() < 1e-14
+    for dt, dg in zip(dtaus, grid):
+        st = SwitchingTimes(p.t_f / 2 - dt / 2, p.t_f / 2 + dt / 2, "x")
+        assert abs(tfi.register_distance(tfi.aia_register(p, st), stretched) - dg) < 1e-14
 
 
 # -------------------------------------------------------------- register distance
