@@ -15,10 +15,14 @@ whose ground vector is (cos(theta_k/2), i sin(theta_k/2)) with the Bogoliubov
 angle theta_k = atan2(sin k, h - cos k). The many-body state is the product
 of the mode states; fidelities factorize accordingly.
 
+Each mode is the two-level crossing x sigma_x + z sigma_z of
+:mod:`aia.lz_closed` with x = 2 sin k, z = 2 (h - cos k), in the basis that
+the constant unitary _PAIR maps to the pair basis. TfiParams exposes the
+modes as a batch of such crossings, so the exact, adiabatic and AIA
+registers are the two-level functions followed by _PAIR.
+
 The sweep h(t) = h_i + (h_f - h_i) t / t_f crosses the critical point h = 1
-(thermodynamic gap 2|h - 1|). The module mirrors the two-level toolkit:
-exact evolution, adiabatic and adiabatic-impulse registers, switching-time
-prescriptions, and the impulse-interval optimizer.
+(thermodynamic gap 2|h - 1|).
 """
 
 from dataclasses import astuple, dataclass
@@ -26,9 +30,12 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.special import ellipe
 
-from .numkit import (find_root_bracketed, hypot_antiderivative, integrate_ode,
-                     minimize_symmetric)
+from . import lz_closed as lz
+from .numkit import find_root_bracketed, minimize_symmetric
 from .lz_closed import REGIME_INTERIOR, REGIME_WHOLE, SwitchingTimes
+
+# the two-level basis of aia.lz_closed -> the pair basis
+_PAIR = np.array([[0.0, 1.0], [-1.0j, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,30 @@ class TfiParams:
 
     def h(self, t):
         return self.h_i + self.dh * np.asarray(t) / self.t_f
+
+    # the modes as a batch of two-level crossings, mode axis last
+    @property
+    def x(self):
+        return 2.0 * np.sin(momenta(self.L))
+
+    def z(self, t):
+        return 2.0 * (self.h(t)[..., None] - np.cos(momenta(self.L)))
+
+    @property
+    def z_i(self):
+        return 2.0 * (self.h_i - np.cos(momenta(self.L)))
+
+    @property
+    def z_f(self):
+        return 2.0 * (self.h_f - np.cos(momenta(self.L)))
+
+    @property
+    def dz(self):
+        return 2.0 * self.dh
+
+    @property
+    def zdot(self):
+        return self.dz / self.t_f
 
 
 @dataclass
@@ -141,100 +172,21 @@ def tfi_gap(h, L, thermodynamic=False):
     return float(np.min(epsilon_k(h, momenta(L))))
 
 
-def _eps_antiderivative(h, cos_k, sin_k):
-    """Antiderivative in h of eps_k(h) = 2 sqrt((h - cos k)^2 + sin^2 k), per mode."""
-    return 2.0 * hypot_antiderivative(h - cos_k, sin_k)
-
-
 def evolve_register(p, rel_tol=1e-10, abs_tol=1e-12):
-    """Exact evolution of every mode from the h_i ground register.
-
-    Each mode is integrated in its adiabatic frame, psi_k = c_g e^{+i Phi_k}
-    g_k + c_e e^{-i Phi_k} e_k with the dynamical phase Phi_k = int_0^t eps_k
-    in closed form, as in :func:`aia.lz_closed.evolve_schrodinger`: the Berry
-    connection vanishes in this gauge and <e_k|d g_k/dt> = i theta_k'/2, so
-    only the small non-adiabatic coupling is integrated and the global error
-    no longer grows with the accumulated phase. Each mode is renormalized at
-    the end: a norm error of the integrator would otherwise enter the
-    distances under a square root. The modes are uncoupled; they are stacked
-    into one system purely for efficiency.
-    """
-    ks = momenta(p.L)
-    m = ks.size
-    cos_k, sin_k = np.cos(ks), np.sin(ks)
-    s2 = sin_k * sin_k
-    hdot = p.hdot
-    two_scale = 2.0 * p.t_f / p.dh
-    prim_i = _eps_antiderivative(p.h_i, cos_k, sin_k)
-    # i theta_k' / 2 = -i hdot sin k / (2 ((h - cos k)^2 + sin^2 k))
-    coupling = -0.5j * hdot * sin_k
-
-    def rhs(t, y):
-        h = p.h_i + hdot * t
-        u = h - cos_k
-        ph = np.exp(1j * two_scale * (_eps_antiderivative(h, cos_k, sin_k) - prim_i))
-        w = coupling / (u * u + s2)
-        dy = np.empty_like(y)
-        dy[:m] = -w * ph.conj() * y[m:]
-        dy[m:] = -w * ph * y[:m]
-        return dy
-
-    y0 = np.concatenate([np.ones(m, dtype=complex), np.zeros(m, dtype=complex)])
-    y = integrate_ode(rhs, y0, 0.0, p.t_f, rel_tol, abs_tol, method="DOP853")
-    phi = np.exp(0.5j * two_scale * (_eps_antiderivative(p.h_f, cos_k, sin_k) - prim_i))
-    amps = ((y[:m] * phi)[:, None] * mode_ground(p.h_f, ks)
-            + (y[m:] / phi)[:, None] * mode_excited(p.h_f, ks))
-    return ModeRegister(ks, amps / np.linalg.norm(amps, axis=1, keepdims=True))
-
-
-def _eps_time_integral(p, t_a, t_b):
-    """int_{t_a}^{t_b} eps_k(h(t)) dt for every mode, in closed form.
-
-    The difference of :func:`_eps_antiderivative` at h(t_b) and h(t_a),
-    times dt/dh = t_f/dh. t_a, t_b may be arrays (broadcast against each
-    other); the result has shape broadcast(t_a, t_b).shape + (M,).
-    """
-    ks = momenta(p.L)
-    cos_k, sin_k = np.cos(ks), np.sin(ks)
-    prim_a = _eps_antiderivative(p.h(t_a)[..., None], cos_k, sin_k)
-    prim_b = _eps_antiderivative(p.h(t_b)[..., None], cos_k, sin_k)
-    return (p.t_f / p.dh) * (prim_b - prim_a)
+    """Exact evolution of every mode from the h_i ground register, as one
+    batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`."""
+    return ModeRegister(momenta(p.L), lz.evolve_schrodinger(p, rel_tol, abs_tol) @ _PAIR.T)
 
 
 def adiabatic_register(p):
     """Per-mode adiabatic state: ground vector at h_f with its dynamical phase."""
-    ks = momenta(p.L)
-    phases = _eps_time_integral(p, 0.0, p.t_f)  # ground energy is -eps_k
-    amps = np.exp(1j * phases)[:, None] * mode_ground(p.h_f, ks)
-    return ModeRegister(ks, amps)
+    return ModeRegister(momenta(p.L), lz.adiabatic_state(p) @ _PAIR.T)
 
 
 def aia_register(p, st):
-    """Adiabatic-impulse register: frozen on [tau_-, tau_+], adiabatic outside.
-
-    Per-mode analog of the two-level construction; mode energies are -/+
-    eps_k, so the ground-state phase over [a, b] is +int eps dt and the
-    excited one its negative. tau_+ < tau_- encodes the double crossing.
-    Each mode is fixed up to a global phase (see :func:`_aia_amps`).
-    """
-    tm, tp = st.tau_minus, st.tau_plus
-    if not (0.0 <= tm <= p.t_f and 0.0 <= tp <= p.t_f):
-        raise ValueError("switching times must lie in [0, t_f]")
-    return ModeRegister(momenta(p.L), _aia_amps(p, tm, tp))
-
-
-def _aia_amps(p, tm, tp):
-    """Normalized mode amplitudes of :func:`aia_register` for arrays of windows
-    (tm, tp), shape tm.shape + (M, 2). The head's phase exp(-i int_0^tau_- eps_k
-    dt) is global per mode, so it is left out: no overlap magnitude changes."""
-    ks = momenta(p.L)
-    half = 0.5 * (theta_k(np.asarray(p.h(tm))[..., None], ks)
-                  - theta_k(np.asarray(p.h(tp))[..., None], ks))
-    tail = _eps_time_integral(p, tp, p.t_f)
-    cg = np.exp(1j * tail) * np.cos(half)             # <g(tau_+)|g(tau_-)>
-    ce = np.exp(-1j * tail) * (1.0j * np.sin(half))   # <e(tau_+)|g(tau_-)>
-    amps = cg[..., None] * mode_ground(p.h_f, ks) + ce[..., None] * mode_excited(p.h_f, ks)
-    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+    """Adiabatic-impulse register, per mode :func:`aia.lz_closed.aia_state`:
+    frozen on [tau_-, tau_+], adiabatic outside; tau_+ < tau_- crosses twice."""
+    return ModeRegister(momenta(p.L), lz.aia_state(p, st) @ _PAIR.T)
 
 
 def _mode_fidelity(a, b):
@@ -323,7 +275,7 @@ def aia_distance_grid(p, dtaus, exact_reg):
     """Register distance of the centered-window AIA to the exact register,
     vectorized over an array of impulse intervals."""
     dtaus = np.asarray(dtaus, dtype=float)
-    amps = _aia_amps(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0)
+    amps = lz._aia_states(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0) @ _PAIR.T
     return _fidelity_distance(_mode_fidelity(amps, exact_reg.amps))
 
 

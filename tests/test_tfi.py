@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from aia import lz_closed as lz
 from aia import numkit, tfi
 from aia.lz_closed import SwitchingTimes
 
@@ -144,7 +145,7 @@ def test_phase_integral_matches_closed_form():
         s = np.sin(ks)
         return u * np.hypot(u, s) + s * s * np.arcsinh(u / s)
 
-    got = tfi._eps_time_integral(p, 13.0, 77.0)
+    got = -lz.dynamical_phase_gs(p, 13.0, 77.0)
     want = (p.t_f / p.dh) * (prim(float(p.h(77.0))) - prim(float(p.h(13.0))))
     assert np.abs(got - want).max() < 1e-10
 
@@ -155,7 +156,7 @@ def test_adiabatic_phase_against_quad_oracle():
              # in eps_k (at t = 49.98)
              (tfi.TfiParams(150, 0.5, 1.5, 100.0), 13.0, 77.0)]
     for p, t_a, t_b in cases:
-        got = tfi._eps_time_integral(p, t_a, t_b)
+        got = -lz.dynamical_phase_gs(p, t_a, t_b)
         for i, k in enumerate(tfi.momenta(p.L)):
             want, _ = quad(lambda t: tfi.epsilon_k(float(p.h(t)), k), t_a, t_b,
                            epsabs=1e-13, epsrel=1e-13)
@@ -335,6 +336,31 @@ def test_l2_register_pipeline_equals_direct_two_level():
     d_reg = tfi.register_distance(reg, adi)
     d_direct = np.sqrt(max(0.0, 1.0 - abs(np.vdot(adi.amps[0], reg.amps[0])) ** 2))
     assert abs(d_reg - d_direct) < 1e-12
+
+
+def test_chain_modes_are_two_level_crossings():
+    # a mode is the crossing x sigma_x + z sigma_z, x = 2 sin k, z = 2 (h - cos k),
+    # in the pair basis
+    p = tfi.TfiParams(20, 0.5, 1.5, 12.0)
+    ks = tfi.momenta(p.L)
+    for h in (0.2, 1.0, 2.7):
+        _, _, psi1, _ = lz.lz_eigensystem(2 * np.sin(ks), 2 * (h - np.cos(ks)))
+        assert np.abs(psi1 @ tfi._PAIR.T - tfi.mode_ground(h, ks)).max() < 1e-15
+
+    windows = [SwitchingTimes(4.0, 7.5, "interior"), SwitchingTimes(8.0, 3.0, "reversed")]
+    exact = tfi.evolve_register(p, 1e-12, 1e-14)
+    adi = tfi.adiabatic_register(p)
+    aia = [tfi.aia_register(p, st) for st in windows]
+    crossing = np.nonzero((p.h_i < np.cos(ks)) & (np.cos(ks) < p.h_f))[0]
+    assert crossing.size == 3
+    for i in crossing:
+        k = ks[i]
+        q = lz.LzParams(2 * np.sin(k), 2 * (p.h_i - np.cos(k)), 2 * (p.h_f - np.cos(k)), p.t_f)
+        assert np.abs(adi.amps[i] - tfi._PAIR @ lz.adiabatic_state(q)).max() < 1e-14
+        for st, reg in zip(windows, aia):
+            assert np.abs(reg.amps[i] - tfi._PAIR @ lz.aia_state(q, st)).max() < 1e-14
+        single = tfi._PAIR @ lz.evolve_schrodinger(q, 1e-12, 1e-14)
+        assert np.abs(exact.amps[i] - single).max() < 1e-10
 
 
 # L = 150 distances (d_adi, d_aia1, d_aia2) from an independent propagator:
