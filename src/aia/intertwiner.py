@@ -1,12 +1,11 @@
 """Spectral transport of the damped-qubit generator along the sweep.
 
-Two constructions are provided, both acting on coherence 4-vectors:
+Two transports act on coherence 4-vectors:
 
-* the kernel transport W_1, realized as the limit of products of the
-  instantaneous kernel projectors P_1(t) = R_1(t) L_1(t)^T taken at an
-  increasingly fine time mesh, together with the scalar connection
-  A_1(t) = L_1(t) . dR_1/dt that governs transport inside the kernel
-  (identically zero here, so the ordered exponential collapses);
+* the kernel transport W_1, the limit of ordered products of the kernel
+  projectors P_1(t) = R_1(t) L_1^T, is P_1(t) itself: L_1 = (sqrt2, 0, 0, 0)
+  is constant and L_1 . R_1 = 1, so P_1(b) P_1(a) = P_1(b) on any mesh and
+  the kernel connection A_1 = L_1 . dR_1/dt = d(L_1 . R_1)/dt is zero;
 
 * the full transport U(s) carrying every spectral sector at once, defined
   on the rescaled time s = t / t_f by
@@ -31,7 +30,7 @@ from .lindblad_open import PAULI_BASIS, liouvillian_matrix, liouvillian_spectrum
 
 
 def kernel_projector(p, t):
-    """Rank-one kernel projector R_1(t) L_1(t)^T of the sweep generator."""
+    """Rank-one kernel projector R_1(t) L_1^T, also the kernel transport over [0, t]."""
     spec = liouvillian_spectrum(p.x, float(p.z(t)), p.beta, p.g)
     return np.outer(spec.right[:, 0], spec.left[0]).real
 
@@ -40,32 +39,6 @@ def spectral_projectors(p, s):
     """All four projectors P_n at rescaled time s (complex for the paired sectors)."""
     spec = liouvillian_spectrum(p.x, float(p.z(s * p.t_f)), p.beta, p.g)
     return [np.outer(spec.right[:, n], spec.left[n]) for n in range(4)]
-
-
-def w1_projector_product(p, n_steps, t=None):
-    """Kernel transport as the ordered product P_1(t) ... P_1(eps) P_1(0).
-
-    ``n_steps`` is the number of mesh intervals (n_steps + 1 factors). The
-    product converges as the mesh refines; for this generator the kernel
-    connection vanishes, so it is exact already at the coarsest mesh.
-    """
-    if n_steps < 2:
-        raise ValueError(f"require n_steps >= 2, got {n_steps}")
-    if t is None:
-        t = p.t_f
-    out = kernel_projector(p, 0.0)
-    for j in range(1, n_steps + 1):
-        out = kernel_projector(p, t * j / n_steps) @ out
-    return out
-
-
-def holonomy_a1(p, t, step=1e-6):
-    """Kernel connection L_1 . dR_1/dt by central differences (scalar here)."""
-    spec_p = liouvillian_spectrum(p.x, float(p.z(t + step)), p.beta, p.g)
-    spec_m = liouvillian_spectrum(p.x, float(p.z(t - step)), p.beta, p.g)
-    spec_0 = liouvillian_spectrum(p.x, float(p.z(t)), p.beta, p.g)
-    dr1 = (spec_p.right[:, 0] - spec_m.right[:, 0]) / (2.0 * step)
-    return complex(np.dot(spec_0.left[0], dr1))
 
 
 def _commutator_term(p, s, fd_step):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import hypot_antiderivative, integrate_ode, minimize_symmetric
-from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from .numkit import integrate_ode, minimize_symmetric
+from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, dynamical_phase_gs,
                         switching_times as lz_switching_times)
 
 PAULI_BASIS = [np.eye(2) / np.sqrt(2.0), SIGMA_X / np.sqrt(2.0),
@@ -151,14 +151,8 @@ def liouvillian_spectrum(x, z, beta, g):
 
 
 def steady_state(x, z, beta):
-    """Gibbs coherence vector (1/sqrt2, -sqrt2 x th/D, 0, -sqrt2 z th/D)."""
-    b = np.hypot(x, z)
-    if b == 0.0:
-        raise ValueError("degenerate point x = z = 0")
-    delta = 2.0 * b
-    th = np.tanh(0.5 * beta * delta)
-    sq2 = np.sqrt(2.0)
-    return np.array([1 / sq2, -sq2 * x * th / delta, 0.0, -sq2 * z * th / delta])
+    """Gibbs coherence vector, the kernel vector R_1 of the spectrum at any g."""
+    return liouvillian_spectrum(x, z, beta, 0.0).right[:, 0].real
 
 
 def coherence_to_density(c):
@@ -206,20 +200,20 @@ def adiabatic_state_open(p):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_RATE_TOL = 1e-12
 
 
-def _rate_integrals(p, t_a, t_b, tol=1e-12):
+def _rate_integrals(p, t_a, t_b):
     """(int |l_2| dt, int Delta dt) over [t_a, t_b]; broadcasts over intervals.
 
-    The gap Delta = 2 sqrt(x^2 + z^2) integrates in closed form
-    (:func:`aia.numkit.hypot_antiderivative`). The rate |l_2| = gamma(Delta)
+    The gap Delta = 2 sqrt(x^2 + z^2) = -2 E_1 integrates in closed form, as
+    -2 :func:`aia.lz_closed.dynamical_phase_gs`. The rate |l_2| = gamma(Delta)
     + gamma(-Delta) has no elementary antiderivative and is integrated by
     panel-doubling Gauss-Legendre quadrature, each interval until two panel
-    counts agree to ``tol``; at 64 panels it stops with a RuntimeWarning.
+    counts agree to ``_RATE_TOL``; at 64 panels it stops with a RuntimeWarning.
     """
     t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float))
-    delta_int = (2.0 * p.t_f / p.dz) * (hypot_antiderivative(p.z(t_b), p.x)
-                                       - hypot_antiderivative(p.z(t_a), p.x))
+    delta_int = -2.0 * dynamical_phase_gs(p, t_a, t_b)
 
     def gl(a, b, n_panels):
         step, total = (b - a) / n_panels, 0.0
@@ -236,7 +230,7 @@ def _rate_integrals(p, t_a, t_b, tol=1e-12):
     while todo.size:  # the intervals not yet converged
         new = gl(a[todo], b[todo], n)
         diff = np.abs(new - val)
-        done = diff <= tol * np.maximum(1.0, np.abs(new))
+        done = diff <= _RATE_TOL * np.maximum(1.0, np.abs(new))
         if n == 64 and not done.all():
             i = np.argmax(diff * ~done)
             warnings.warn(f"rate quadrature over [{a[todo[i]]:.17g}, {b[todo[i]]:.17g}] "
@@ -280,11 +274,10 @@ def aia_state_open(p, st):
 
 
 def liouvillian_gap(x, z, beta, g):
-    """min(|l_2|, |l_3|), the slowest nonzero decay scale of the generator."""
-    b = np.hypot(x, z)
-    delta = 2.0 * b
-    s = spectral_gamma(delta, beta, g) + spectral_gamma(-delta, beta, g)
-    return float(min(s, np.hypot(0.5 * s, delta)))
+    """min(|l_2|, |l_3|), the slowest nonzero decay scale of the generator, read
+    from :func:`liouvillian_spectrum` (|l_3| = hypot(l_2 / 2, Delta))."""
+    eigs = liouvillian_spectrum(x, z, beta, g).eigenvalues
+    return float(min(abs(eigs[1]), abs(eigs[2])))
 
 
 def trace_distance(ca, cb):

@@ -26,6 +26,7 @@ The sweep h(t) = h_i + (h_f - h_i) t / t_f crosses the critical point h = 1
 """
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ellipe
@@ -68,21 +69,25 @@ class TfiParams:
     def h(self, t):
         return self.h_i + self.dh * np.asarray(t) / self.t_f
 
-    # the modes as a batch of two-level crossings, mode axis last
-    @property
+    # the modes as a batch of two-level crossings, mode axis last (cached)
+    @cached_property
+    def _cos_k(self):
+        return np.cos(momenta(self.L))
+
+    @cached_property
     def x(self):
         return 2.0 * np.sin(momenta(self.L))
 
     def z(self, t):
-        return 2.0 * (self.h(t)[..., None] - np.cos(momenta(self.L)))
+        return 2.0 * (self.h(t)[..., None] - self._cos_k)
 
-    @property
+    @cached_property
     def z_i(self):
-        return 2.0 * (self.h_i - np.cos(momenta(self.L)))
+        return 2.0 * (self.h_i - self._cos_k)
 
-    @property
+    @cached_property
     def z_f(self):
-        return 2.0 * (self.h_f - np.cos(momenta(self.L)))
+        return 2.0 * (self.h_f - self._cos_k)
 
     @property
     def dz(self):
@@ -203,17 +208,12 @@ def _fidelity_distance(f):
     return np.sqrt(1.0 - np.minimum(f, 1.0))
 
 
-def register_fidelity(reg_a, reg_b):
-    """Product over modes of |<a_k|b_k>|^2 / (<a_k|a_k> <b_k|b_k>)."""
+def register_distance(reg_a, reg_b):
+    """sqrt(1 - prod_k |<psi_k|phi_k>|^2) of the normalized modes, clamped to [0, 1]."""
     if reg_a.momenta.shape != reg_b.momenta.shape or not np.allclose(
             reg_a.momenta, reg_b.momenta):
         raise ValueError("registers carry different momentum lists")
-    return float(_mode_fidelity(reg_a.amps, reg_b.amps))
-
-
-def register_distance(reg_a, reg_b):
-    """sqrt(1 - prod_k |<psi_k|phi_k>|^2) of the normalized modes, clamped to [0, 1]."""
-    return float(_fidelity_distance(register_fidelity(reg_a, reg_b)))
+    return float(_fidelity_distance(_mode_fidelity(reg_a.amps, reg_b.amps)))
 
 
 def _kz_condition_scenario2(p, h):

@@ -26,6 +26,22 @@ class _FrozenPath:
         return self._z0 + 0.0 * np.asarray(t)
 
 
+def _kernel_product(p, n_steps):
+    """Ordered product P_1(t_f) ... P_1(t_f / n_steps) P_1(0) of kernel projectors."""
+    out = itw.kernel_projector(p, 0.0)
+    for j in range(1, n_steps + 1):
+        out = itw.kernel_projector(p, p.t_f * j / n_steps) @ out
+    return out
+
+
+def _kernel_connection(p, t, step=1e-6):
+    """A_1 = L_1 . dR_1/dt with dR_1/dt by central differences of the spectrum."""
+    spec_p = lo.liouvillian_spectrum(p.x, float(p.z(t + step)), p.beta, p.g)
+    spec_m = lo.liouvillian_spectrum(p.x, float(p.z(t - step)), p.beta, p.g)
+    spec_0 = lo.liouvillian_spectrum(p.x, float(p.z(t)), p.beta, p.g)
+    return complex(np.dot(spec_0.left[0], (spec_p.right[:, 0] - spec_m.right[:, 0]) / (2 * step)))
+
+
 # ----------------------------------------------------------- projectors, kernel
 
 def test_projector_completeness_along_path():
@@ -44,34 +60,38 @@ def test_commutator_term_traceless():
 
 def test_w1_time_independent_is_projector():
     frozen = _FrozenPath(-0.4)
-    w = itw.w1_projector_product(frozen, 50)
+    w = _kernel_product(frozen, 50)
     p1 = itw.kernel_projector(frozen, 0.0)
     assert np.abs(w - p1).max() < 1e-13
+    assert np.abs(w - itw.kernel_projector(frozen, frozen.t_f)).max() < 1e-13
 
 
 def test_w1_mesh_independent_for_flat_connection():
     # the kernel connection vanishes, so 2 mesh points already give the limit
-    w2 = itw.w1_projector_product(P_STD, 2)
-    w200 = itw.w1_projector_product(P_STD, 200)
+    w2 = _kernel_product(P_STD, 2)
+    w200 = _kernel_product(P_STD, 200)
     assert np.abs(w2 - w200).max() < 1e-14
     spec_f = lo.liouvillian_spectrum(P_STD.x, P_STD.z_f, P_STD.beta, P_STD.g)
     spec_0 = lo.liouvillian_spectrum(P_STD.x, P_STD.z_i, P_STD.beta, P_STD.g)
     ref = np.outer(spec_f.right[:, 0], spec_0.left[0]).real
     assert np.abs(w2 - ref).max() < 1e-14
+    assert np.abs(w200 - itw.kernel_projector(P_STD, P_STD.t_f)).max() < 1e-14
 
 
 def test_w1_mesh_doubling_converges():
-    a = itw.w1_projector_product(P_STD, 10000)
-    b = itw.w1_projector_product(P_STD, 20000)
+    a = _kernel_product(P_STD, 10000)
+    b = _kernel_product(P_STD, 20000)
     assert np.abs(a - b).max() < 1e-8
+    assert np.abs(b - itw.kernel_projector(P_STD, P_STD.t_f)).max() < 1e-8
 
 
 def test_w1_projector_sandwich_identities():
-    w = itw.w1_projector_product(P_STD, 64)
+    w = _kernel_product(P_STD, 64)
     p1_t = itw.kernel_projector(P_STD, P_STD.t_f)
     p1_0 = itw.kernel_projector(P_STD, 0.0)
     assert np.abs(p1_t @ w - w).max() < 1e-8
     assert np.abs(w @ p1_0 - w).max() < 1e-8
+    assert np.abs(w - p1_t).max() < 1e-8
 
 
 def test_kernel_projector_fd_derivative_matches_analytic():
@@ -139,17 +159,21 @@ def test_all_four_connections_vanish_identically():
 
 def test_holonomy_scalar_vanishes():
     for t in (5.0, 50.0, 95.0):
-        assert abs(itw.holonomy_a1(P_STD, t)) < 1e-8
+        assert abs(_kernel_connection(P_STD, t)) < 1e-8
 
 
 def test_holonomy_consistent_with_product_limit():
     # exp(-int A_1) should equal the scalar part of the projector product;
     # here both are exactly one
-    w = itw.w1_projector_product(P_STD, 5000)
+    w = _kernel_product(P_STD, 5000)
     spec_f = lo.liouvillian_spectrum(P_STD.x, P_STD.z_f, P_STD.beta, P_STD.g)
     spec_0 = lo.liouvillian_spectrum(P_STD.x, P_STD.z_i, P_STD.beta, P_STD.g)
     scalar = np.dot(spec_f.left[0], w @ spec_0.right[:, 0]).real
     assert abs(scalar - 1.0) < 1e-8
+    ts = np.linspace(0.0, P_STD.t_f, 21)
+    a1 = np.array([_kernel_connection(P_STD, t) for t in ts])
+    holonomy = np.exp(-np.sum(0.5 * (a1[1:] + a1[:-1]) * np.diff(ts)))
+    assert abs(scalar - holonomy) < 1e-8
 
 
 # --------------------------------------------------------------- full transport
@@ -163,7 +187,7 @@ def test_full_transport_time_independent_is_exponential():
 
 def test_full_transport_agrees_with_kernel_transport():
     u = itw.full_intertwiner(P_STD, 1.0)
-    w = itw.w1_projector_product(P_STD, 2)
+    w = itw.kernel_projector(P_STD, P_STD.t_f)
     r1_0 = lo.steady_state(P_STD.x, P_STD.z_i, P_STD.beta)
     assert np.abs(u @ r1_0 - w @ r1_0).max() < 1e-8
 
