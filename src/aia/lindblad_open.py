@@ -52,10 +52,6 @@ class OpenParams(LzParams):
     def beta(self):
         return 1.0 / self.T
 
-    def lz(self):
-        """The closed-system parameter set driving the Hamiltonian part."""
-        return LzParams(self.x, self.z_i, self.z_f, self.t_f)
-
 
 @dataclass
 class LiouvillianSpectrum:

@@ -209,7 +209,7 @@ def adiabatic_first_order(p):
 def aia_state(p, st):
     """Adiabatic-impulse state: adiabatic on [0, tau_-] and [tau_+, t_f], frozen between.
 
-        sum_j exp(-i delta_j(tau_+, t_f)) exp(+i delta_1(0, tau_-))
+        sum_j exp(-i delta_j(tau_+, t_f)) exp(-i delta_1(0, tau_-))
               <psi_j(tau_+) | psi_1(tau_-)>  psi_j(t_f)
 
     tau_+ < tau_- is allowed and realizes the double crossing of the gap
@@ -231,7 +231,7 @@ def _aia_states(p, tm, tp):
     _, _, psi1_f, psi2_f = lz_eigensystem(x, p.z_f)
 
     d1_tail = dynamical_phase_gs(p, tp, p.t_f)
-    pre = np.exp(1j * dynamical_phase_gs(p, 0.0, tm))
+    pre = np.exp(-1j * dynamical_phase_gs(p, 0.0, tm))
     c1 = np.exp(-1j * d1_tail) * pre * np.einsum("...i,...i->...", psi1_p, psi1_m)
     c2 = np.exp(+1j * d1_tail) * pre * np.einsum("...i,...i->...", psi2_p, psi1_m)
     states = c1[..., None] * psi1_f + c2[..., None] * psi2_f
@@ -247,7 +247,7 @@ def switching_times(p, scenario):
     4: matrix-element condition |<psi_2|dH/dt|psi_1>| = (2b)^2.
 
     Below the lower threshold the whole sweep is impulse, (0, t_f); above the
-    upper threshold (scenarios 2-4) the window collapses to a point.
+    upper threshold (scenarios 2-4) the window collapses to the crossing time.
     """
     x, zi, zf, tf, dz = p.x, p.z_i, p.z_f, p.t_f, p.dz
     center = -zi * tf / dz  # time where z = 0
@@ -264,7 +264,7 @@ def switching_times(p, scenario):
         if tf < lower:
             return SwitchingTimes(0.0, tf, REGIME_WHOLE)
         if tf >= upper:
-            return SwitchingTimes(tf / 2.0, tf / 2.0, REGIME_COLLAPSED)
+            return SwitchingTimes(center, center, REGIME_COLLAPSED)
         half = (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(-2.0 + dz / (x * x * tf))
     elif scenario == 3:
         lower = 0.5 / np.hypot(x, zf)
@@ -280,7 +280,7 @@ def switching_times(p, scenario):
         if tf < lower:
             return SwitchingTimes(0.0, tf, REGIME_WHOLE)
         if tf >= upper:
-            return SwitchingTimes(tf / 2.0, tf / 2.0, REGIME_COLLAPSED)
+            return SwitchingTimes(center, center, REGIME_COLLAPSED)
         half = (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(
             -2.0 + (dz / (np.sqrt(2.0) * x * x * tf)) ** (2.0 / 3.0))
     else:

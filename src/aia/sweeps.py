@@ -88,7 +88,7 @@ class SweepConfig:
     params: dict
     tf_min: float
     tf_max: float
-    tf_points: int = 60
+    tf_points: int = 60  # 60 log points per 5 decades
     tf_log: bool = True
     scenarios: tuple = ("1", "2", "3", "4", "opt")
     rel_tol: float = 1e-10
@@ -165,18 +165,11 @@ def parse_config(text):
         raise ConfigError(f"line {lines.get('scenarios', 1)}: invalid scenarios {bad} "
                           f"for model {model!r}")
 
-    cfg = SweepConfig(
-        model=model,
-        params={k: entries[k] for k in _MODEL_KEYS[model] - {"temperatures"}},
-        tf_min=entries["tf_min"], tf_max=entries["tf_max"],
-        tf_points=entries.get("tf_points", 60),  # 60 log points per 5 decades
-        tf_log=entries.get("tf_log", True),
-        scenarios=tuple(scenarios),
-        rel_tol=entries.get("rel_tol", 1e-10), abs_tol=entries.get("abs_tol", 1e-12),
-        temperatures=entries.get("temperatures", (0.05, 0.1, 0.5, 1.0)),
-        dtau_points=entries.get("dtau_points", 2001),
-        out=entries.get("out", ""),
-    )
+    # keys absent from the config take the SweepConfig defaults
+    params = _MODEL_KEYS[model] - {"temperatures"}
+    fields = {k: v for k, v in entries.items() if k not in params}
+    fields["scenarios"] = tuple(scenarios)
+    cfg = SweepConfig(params={k: entries[k] for k in params}, **fields)
     if not 0 < cfg.tf_min < cfg.tf_max:
         raise ConfigError(f"line {lines['tf_min']}: need 0 < tf_min < tf_max")
     if cfg.tf_points < 2:

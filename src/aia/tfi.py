@@ -10,16 +10,16 @@ governed by
 
     H_k(h) = -2 [ (h - cos k) sigma_z + sin k sigma_y ],
 
-whose spectrum is -/+ eps_k with eps_k = 2 sqrt((h - cos k)^2 + sin^2 k) and
-whose ground vector is (cos(theta_k/2), i sin(theta_k/2)) with the Bogoliubov
-angle theta_k = atan2(sin k, h - cos k). The many-body state is the product
-of the mode states; fidelities factorize accordingly.
+whose spectrum is -/+ eps_k with eps_k = 2 sqrt((h - cos k)^2 + sin^2 k).
 
 Each mode is the two-level crossing x sigma_x + z sigma_z of
 :mod:`aia.lz_closed` with x = 2 sin k, z = 2 (h - cos k), in the basis that
 the constant unitary _PAIR maps to the pair basis. TfiParams exposes the
-modes as a batch of such crossings, so the exact, adiabatic and AIA
-registers are the two-level functions followed by _PAIR.
+modes as a batch of such crossings. A register, the many-body product state,
+is an (L/2, 2) complex array with one pair-basis mode per row: the exact,
+adiabatic and AIA registers are the two-level batch states followed by
+_PAIR, and the register distance sqrt(1 - prod_k (1 - d_k^2)) combines the
+two-level distances d_k of the normalized modes.
 
 The sweep h(t) = h_i + (h_f - h_i) t / t_f crosses the critical point h = 1
 (thermodynamic gap 2|h - 1|).
@@ -98,17 +98,6 @@ class TfiParams:
         return self.dz / self.t_f
 
 
-@dataclass
-class ModeRegister:
-    """Product state: one normalized complex 2-vector per positive momentum."""
-
-    momenta: np.ndarray  # shape (M,)
-    amps: np.ndarray     # shape (M, 2) complex, pair basis {|00>, |11>}
-
-    def copy(self):
-        return ModeRegister(self.momenta.copy(), self.amps.copy())
-
-
 def momenta(L):
     """Positive pseudo-momenta (2j - 1) pi / L, j = 1 .. L/2, ascending."""
     if L < 2 or L % 2:
@@ -122,11 +111,6 @@ def epsilon_k(h, k):
     return 2.0 * np.hypot(np.asarray(h) - np.cos(k), np.sin(k))
 
 
-def theta_k(h, k):
-    """Bogoliubov angle atan2(sin k, h - cos k), continuous across h = cos k."""
-    return np.arctan2(np.sin(k), np.asarray(h) - np.cos(k))
-
-
 def mode_hamiltonian(h, k):
     """Pair-basis 2x2 mode Hamiltonian -2[(h - cos k) sigma_z + sin k sigma_y]."""
     a = h - np.cos(k)
@@ -134,24 +118,26 @@ def mode_hamiltonian(h, k):
     return np.array([[-2.0 * a, 2.0j * s], [-2.0j * s, 2.0 * a]])
 
 
+def _mode_eigenvectors(h, k):
+    """The crossing's real-gauge eigenvectors at field h, in the pair basis."""
+    _, _, psi1, psi2 = lz.lz_eigensystem(2.0 * np.sin(k), 2.0 * (np.asarray(h) - np.cos(k)))
+    return psi1 @ _PAIR.T, psi2 @ _PAIR.T
+
+
 def mode_ground(h, k):
-    """Ground vector (cos(theta/2), i sin(theta/2)); broadcasts to (..., 2)."""
-    th = theta_k(h, k)
-    return np.stack([np.cos(th / 2.0) + 0.0j, 1.0j * np.sin(th / 2.0)], axis=-1)
+    """Ground vector (cos(theta/2), i sin(theta/2)), theta = atan2(sin k, h - cos k);
+    broadcasts to (..., 2)."""
+    return _mode_eigenvectors(h, k)[0]
 
 
 def mode_excited(h, k):
     """Excited vector (i sin(theta/2), cos(theta/2)), orthogonal to the ground one."""
-    th = theta_k(h, k)
-    return np.stack([1.0j * np.sin(th / 2.0), np.cos(th / 2.0) + 0.0j], axis=-1)
+    return 1j * _mode_eigenvectors(h, k)[1]
 
 
 def ground_register(p, h=None):
-    """Product ground state at field h (defaults to the initial field)."""
-    if h is None:
-        h = p.h_i
-    ks = momenta(p.L)
-    return ModeRegister(ks, mode_ground(h, ks))
+    """Product ground register at field h (defaults to the initial field)."""
+    return mode_ground(p.h_i if h is None else h, momenta(p.L))
 
 
 def _elliptic_term(h):
@@ -180,40 +166,37 @@ def tfi_gap(h, L, thermodynamic=False):
 def evolve_register(p, rel_tol=1e-10, abs_tol=1e-12):
     """Exact evolution of every mode from the h_i ground register, as one
     batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`."""
-    return ModeRegister(momenta(p.L), lz.evolve_schrodinger(p, rel_tol, abs_tol) @ _PAIR.T)
+    return lz.evolve_schrodinger(p, rel_tol, abs_tol) @ _PAIR.T
 
 
 def adiabatic_register(p):
     """Per-mode adiabatic state: ground vector at h_f with its dynamical phase."""
-    return ModeRegister(momenta(p.L), lz.adiabatic_state(p) @ _PAIR.T)
+    return lz.adiabatic_state(p) @ _PAIR.T
 
 
 def aia_register(p, st):
     """Adiabatic-impulse register, per mode :func:`aia.lz_closed.aia_state`:
     frozen on [tau_-, tau_+], adiabatic outside; tau_+ < tau_- crosses twice."""
-    return ModeRegister(momenta(p.L), lz.aia_state(p, st) @ _PAIR.T)
+    return lz.aia_state(p, st) @ _PAIR.T
 
 
-def _mode_fidelity(a, b):
-    """Product over modes of |<a_k|b_k>|^2 / (<a_k|a_k> <b_k|b_k>) of amplitude arrays
-    (..., M, 2), broadcast; normalizing keeps a norm error out at first order."""
-    ov = np.einsum("...ki,...ki->...k", a.conj(), b)
-    norms = (np.einsum("...ki,...ki->...k", a.conj(), a).real
-             * np.einsum("...ki,...ki->...k", b.conj(), b).real)
-    return np.prod(np.abs(ov) ** 2 / norms, axis=-1)
+def _normalized(reg):
+    return reg / np.linalg.norm(reg, axis=-1, keepdims=True)
 
 
-def _fidelity_distance(f):
-    """sqrt(1 - f) of a fidelity f >= 0, clamped at f = 1; broadcasts."""
-    return np.sqrt(1.0 - np.minimum(f, 1.0))
+def _product_distance(d):
+    """sqrt(1 - prod_k (1 - d_k^2)) of per-mode distances (mode axis last), as
+    sqrt(-expm1(sum_k log1p(-d_k^2))): free of cancellation at small d, and an
+    orthogonal mode (log1p(-1) = -inf) reads exactly 1."""
+    with np.errstate(divide="ignore"):
+        return np.sqrt(-np.expm1(np.sum(np.log1p(-d * d), axis=-1)))
 
 
 def register_distance(reg_a, reg_b):
-    """sqrt(1 - prod_k |<psi_k|phi_k>|^2) of the normalized modes, clamped to [0, 1]."""
-    if reg_a.momenta.shape != reg_b.momenta.shape or not np.allclose(
-            reg_a.momenta, reg_b.momenta):
-        raise ValueError("registers carry different momentum lists")
-    return float(_fidelity_distance(_mode_fidelity(reg_a.amps, reg_b.amps)))
+    """sqrt(1 - prod_k |<a_k|b_k>|^2) of the normalized modes, in [0, 1]."""
+    if np.shape(reg_a) != np.shape(reg_b):
+        raise ValueError(f"registers of different shape {np.shape(reg_a)} and {np.shape(reg_b)}")
+    return float(_product_distance(lz.state_distance(_normalized(reg_a), _normalized(reg_b))))
 
 
 def _kz_condition_scenario2(p, h):
@@ -274,9 +257,9 @@ def switching_times_tfi(p, scenario):
 def aia_distance_grid(p, dtaus, exact_reg):
     """Register distance of the centered-window AIA to the exact register,
     vectorized over an array of impulse intervals."""
-    dtaus = np.asarray(dtaus, dtype=float)
-    amps = lz._aia_states(p, p.t_f / 2.0 - dtaus / 2.0, p.t_f / 2.0 + dtaus / 2.0) @ _PAIR.T
-    return _fidelity_distance(_mode_fidelity(amps, exact_reg.amps))
+    # _PAIR^dagger maps the pair basis back to the basis of lz_closed
+    exact = _normalized(exact_reg) @ _PAIR.conj()
+    return _product_distance(lz.aia_distance_grid(p, dtaus, exact))
 
 
 def optimize_dtau_tfi(p, exact_reg):

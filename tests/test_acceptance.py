@@ -331,7 +331,7 @@ def test_criterion_09_open_convergence_stated_point():
     p = lo.OpenParams(x, z_i, z_f, 1e3, temp, g)
     d_adi, d_aia = _open_distances(p)
     st = lo.switching_times_open(p, 1)
-    closed = p.lz()
+    closed = lz.LzParams(p.x, p.z_i, p.z_f, p.t_f)
     d_closed = lz.state_distance(lz.evolve_schrodinger(closed),
                                  lz.aia_state(closed, lz.switching_times(closed, 1)))
     rate_int, _ = lo._rate_integrals(p, st.tau_plus, p.t_f)
@@ -432,7 +432,7 @@ def test_criterion_11_oracle_equivalences():
 
     direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
                                   1e-13, 1e-15)
-    l2_diff = np.abs(reg.amps[0] - direct).max()
+    l2_diff = np.abs(reg[0] - direct).max()
 
     ok = worst_mat < 1e-11 and worst_eig < 1e-11 and worst_jump < 1e-13 \
         and l2_diff < 1e-12

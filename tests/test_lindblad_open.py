@@ -353,12 +353,12 @@ def test_rate_integrals_against_quad_oracle():
     rate_int, delta_int = lo._rate_integrals(p, 10.0, 40.0)
 
     def rate(t):
-        delta = 2.0 * p.lz().b(t)
+        delta = 2.0 * p.b(t)
         return lo.spectral_gamma(delta, p.beta, p.g) + lo.spectral_gamma(-delta, p.beta, p.g)
 
     opts = dict(points=[25.0], epsabs=1e-14, epsrel=1e-13, limit=200)
     rate_oracle, _ = quad(rate, 10.0, 40.0, **opts)
-    delta_oracle, _ = quad(lambda t: 2.0 * p.lz().b(t), 10.0, 40.0, **opts)
+    delta_oracle, _ = quad(lambda t: 2.0 * p.b(t), 10.0, 40.0, **opts)
     assert abs(rate_int - rate_oracle) < 1e-12 * rate_oracle
     assert abs(delta_int - delta_oracle) < 1e-12 * delta_oracle
     assert lo._rate_integrals(p, 17.0, 17.0) == (0.0, 0.0)
@@ -438,7 +438,8 @@ def test_switching_times_delegate_to_closed_formulas():
     from aia import lz_closed as lz
     for scenario in (1, 2, 3, 4):
         got = lo.switching_times_open(P_STD, scenario)
-        want = lz.switching_times(P_STD.lz(), scenario)
+        want = lz.switching_times(lz.LzParams(P_STD.x, P_STD.z_i, P_STD.z_f, P_STD.t_f),
+                                  scenario)
         assert (got.tau_minus, got.tau_plus, got.regime) == \
             (want.tau_minus, want.tau_plus, want.regime)
 

@@ -218,6 +218,21 @@ def test_aia_collapsed_window_equals_adiabatic():
         assert d < 1e-12
 
 
+def test_aia_collapsed_window_equals_adiabatic_amplitudes():
+    # the distance does not see a global phase, so compare amplitudes: the
+    # adiabatic head [0, tau] carries exp(-i delta_1(0, tau)), the tail
+    # exp(-i delta_1(tau, t_f)), and together they give the adiabatic state
+    eps = np.finfo(float).eps
+    for p in (lz.LzParams(0.1, -1.0, 1.0, 10.0), lz.LzParams(0.1, -1.5, 0.5, 300.0),
+              lz.LzParams(0.7, -2.0, 3.0, 3e3)):
+        want = lz.adiabatic_state(p)
+        tol = 4 * eps * max(1.0, abs(lz.dynamical_phase_gs(p, 0.0, p.t_f)))
+        for frac in (0.0, 0.13, 0.5, 0.77, 1.0):
+            tau = frac * p.t_f
+            got = lz.aia_state(p, lz.SwitchingTimes(tau, tau, lz.REGIME_COLLAPSED))
+            assert np.abs(got - want).max() <= tol, (p, tau)
+
+
 def test_aia_whole_interval_is_frozen_initial_state():
     st = lz.SwitchingTimes(0.0, P_STD.t_f, lz.REGIME_WHOLE)
     _, _, psi1_0, _ = lz.lz_eigensystem(P_STD.x, P_STD.z_i)
@@ -294,6 +309,18 @@ def test_scenario_collapse_thresholds():
         above = lz.switching_times(lz.LzParams(0.1, -1, 1, thresh * 1.02), scenario)
         assert below.dtau > 0
         assert above.dtau == 0.0
+
+
+def test_scenario_window_continuous_across_collapse_threshold():
+    # asymmetric sweep: the crossing is at t_f z_i / (z_i - z_f) = 0.75 t_f,
+    # where the shrinking interior window ends and the collapsed one sits
+    for scenario, upper in ((2, 100.0), (3, 5.0), (4, 50.0)):
+        below = lz.switching_times(lz.LzParams(0.1, -1.5, 0.5, upper * (1 - 1e-9)), scenario)
+        at = lz.switching_times(lz.LzParams(0.1, -1.5, 0.5, upper), scenario)
+        assert (below.regime, at.regime) == (lz.REGIME_INTERIOR, lz.REGIME_COLLAPSED)
+        assert abs(at.tau_minus - 0.75 * upper) < 1e-12 * upper
+        assert abs(below.tau_minus - at.tau_minus) < 1e-3, scenario
+        assert abs(below.tau_plus - at.tau_plus) < 1e-3, scenario
 
 
 def test_scenario_windows_ordered_and_contained():

@@ -1,7 +1,11 @@
 """Ising chain in momentum modes: spectra, registers, windows, factorization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from aia import lz_closed as lz
@@ -70,7 +74,7 @@ def test_mode_vectors_orthonormal():
 def test_ground_register_limits():
     p = tfi.TfiParams(8, 0.5, 1.5, 1.0)
     reg = tfi.ground_register(p, h=1e8)
-    assert np.abs(reg.amps[:, 0] - 1.0).max() < 1e-7  # strong-field polarization
+    assert np.abs(reg[:, 0] - 1.0).max() < 1e-7  # strong-field polarization
     mode = tfi.mode_ground(0.0, np.pi / 2)
     assert np.abs(mode - np.array([np.cos(np.pi / 4), 1j * np.sin(np.pi / 4)])).max() < 1e-14
 
@@ -79,8 +83,8 @@ def test_register_energy_identity():
     p = tfi.TfiParams(50, 0.5, 1.5, 1.0)
     h0 = 0.85
     reg = tfi.ground_register(p, h=h0)
-    ks = reg.momenta
-    e = sum(np.vdot(reg.amps[i], tfi.mode_hamiltonian(h0, ks[i]) @ reg.amps[i]).real
+    ks = tfi.momenta(p.L)
+    e = sum(np.vdot(reg[i], tfi.mode_hamiltonian(h0, ks[i]) @ reg[i]).real
             for i in range(ks.size))
     assert abs(e + tfi.epsilon_k(h0, ks).sum()) < 1e-10
 
@@ -131,7 +135,7 @@ def test_evolve_sudden_limit():
 def test_evolve_mode_norms():
     p = tfi.TfiParams(150, 0.5, 1.5, 10.0)
     reg = tfi.evolve_register(p, 1e-10, 1e-12)
-    assert np.abs(np.linalg.norm(reg.amps, axis=1) - 1.0).max() < 1e-9
+    assert np.abs(np.linalg.norm(reg, axis=1) - 1.0).max() < 1e-9
 
 
 def test_phase_integral_matches_closed_form():
@@ -192,11 +196,11 @@ def test_aia_grid_matches_scalar_path():
 
 
 def test_aia_grid_normalizes_each_mode():
-    # the grid and register_distance share one per-mode-normalized fidelity,
-    # so a stretched exact register reads the same distances
+    # the grid and register_distance normalize each mode, so a stretched
+    # exact register reads the same distances
     p = tfi.TfiParams(20, 0.5, 1.5, 12.0)
     exact = tfi.evolve_register(p)
-    stretched = tfi.ModeRegister(exact.momenta, 1.5 * exact.amps)
+    stretched = 1.5 * exact
     dtaus = np.linspace(-p.t_f, p.t_f, 9)
     grid = tfi.aia_distance_grid(p, dtaus, stretched)
     assert np.abs(grid - tfi.aia_distance_grid(p, dtaus, exact)).max() < 1e-14
@@ -212,7 +216,7 @@ def test_register_distance_cases():
     reg = tfi.ground_register(p)
     assert tfi.register_distance(reg, reg) == 0.0
     flipped = reg.copy()
-    flipped.amps[1] = np.array([-np.conj(reg.amps[1, 1]), np.conj(reg.amps[1, 0])])
+    flipped[1] = np.array([-np.conj(reg[1, 1]), np.conj(reg[1, 0])])
     assert abs(tfi.register_distance(reg, flipped) - 1.0) < 1e-14
 
 
@@ -226,29 +230,114 @@ def test_register_distance_symmetric():
 
 
 def test_register_distance_two_partial_modes():
-    ks = tfi.momenta(4)
-    a = tfi.ModeRegister(ks, np.array([[1, 0], [1, 0]], dtype=complex))
-    b = tfi.ModeRegister(ks, np.array([[1, 1], [1, 1]], dtype=complex) / np.sqrt(2))
+    a = np.array([[1, 0], [1, 0]], dtype=complex)
+    b = np.array([[1, 1], [1, 1]], dtype=complex) / np.sqrt(2)
     assert abs(tfi.register_distance(a, b) - np.sqrt(3) / 2) < 1e-14
 
 
 def test_register_distance_normalizes_each_mode():
     p = tfi.TfiParams(150, 0.5, 1.5, 20.0)
     reg = tfi.ground_register(p)
-    scaled = tfi.ModeRegister(reg.momenta, (1.0 - 1e-6) * reg.amps)
+    scaled = (1.0 - 1e-6) * reg
     # a norm error is not a distance: without normalization this reads 0.012247
     assert tfi.register_distance(reg, scaled) < 1e-7
     exact, adi = tfi.evolve_register(p), tfi.adiabatic_register(p)
-    stretched = tfi.ModeRegister(exact.momenta, 1.5 * exact.amps)
+    stretched = 1.5 * exact
     assert abs(tfi.register_distance(stretched, adi)
                - tfi.register_distance(exact, adi)) < 1e-14
 
 
-def test_register_distance_rejects_mismatched_momenta():
+def test_register_distance_rejects_mismatched_lengths():
     a = tfi.ground_register(tfi.TfiParams(4, 0.5, 1.5, 1.0))
     b = tfi.ground_register(tfi.TfiParams(6, 0.5, 1.5, 1.0))
     with pytest.raises(ValueError):
         tfi.register_distance(a, b)
+
+
+def test_register_distance_against_mpmath_oracle():
+    # every mode of an L = 150 register rotated by ~1e-9: the distance, ~1e-8,
+    # is below what 1 - prod_k |<a_k|b_k>|^2 resolves in double precision
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    a = tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 20.0))
+    perp = np.stack([-a[:, 1].conj(), a[:, 0].conj()], axis=-1)
+    angle = 1e-9 * rng.uniform(0.5, 1.5, size=(a.shape[0], 1))
+    b = np.cos(angle) * a + np.sin(angle) * perp
+    with mpmath.workdps(50):
+        prod = mpmath.mpf(1)
+        for u, v in zip(a, b):
+            u, v = [mpmath.mpc(c) for c in u], [mpmath.mpc(c) for c in v]
+            ov = mpmath.conj(u[0]) * v[0] + mpmath.conj(u[1]) * v[1]
+            nu = abs(u[0]) ** 2 + abs(u[1]) ** 2
+            nv = abs(v[0]) ** 2 + abs(v[1]) ** 2
+            prod *= abs(ov) ** 2 / (nu * nv)
+        want = float(mpmath.sqrt(1 - prod))
+    assert abs(tfi.register_distance(a, b) - want) <= 1e-15, want
+
+
+_EPS = np.finfo(float).eps
+_mode = hst.tuples(*[hst.floats(-1.0, 1.0)] * 4).map(
+    lambda r: np.array([r[0] + 1j * r[1], r[2] + 1j * r[3]])).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@hst.composite
+def _register_pair(draw, max_modes=8):
+    m = draw(hst.integers(1, max_modes))
+    a = np.array(draw(hst.lists(_mode, min_size=m, max_size=m)))
+    b = np.array(draw(hst.lists(_mode, min_size=m, max_size=m)))
+    return a, b
+
+
+_few = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_few
+@given(_register_pair())
+def test_register_distance_is_a_symmetric_unit_interval_value(pair):
+    a, b = pair
+    d = tfi.register_distance(a, b)
+    assert 0.0 <= d <= 1.0
+    # the two orders round the complex products differently
+    assert abs(tfi.register_distance(b, a) - d) <= 4 * a.shape[0] * _EPS
+
+
+@_few
+@given(_register_pair(), hst.data())
+def test_register_distance_ignores_mode_phases_and_scales(pair, data):
+    a, b = pair
+    m = a.shape[0]
+    phases = np.array(data.draw(hst.lists(hst.floats(-np.pi, np.pi), min_size=m, max_size=m)))
+    scales = np.array(data.draw(hst.lists(hst.floats(1e-3, 1e3), min_size=m, max_size=m)))
+    moved = a * (scales * np.exp(1j * phases))[:, None]
+    assert abs(tfi.register_distance(moved, b) - tfi.register_distance(a, b)) <= 8 * m * _EPS
+
+
+@_few
+@given(_mode, _mode)
+def test_single_mode_register_distance_is_the_two_level_distance(u, v):
+    want = lz.state_distance(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    got = tfi.register_distance(u[None], v[None])
+    # the two normalizations may round a component differently, which moves
+    # the wedge by ~eps
+    assert abs(got - want) <= 8 * _EPS
+
+
+@_few
+@given(_register_pair(), hst.data())
+def test_orthogonal_mode_reads_one_without_warning(pair, data):
+    a, b = pair
+    j = data.draw(hst.integers(0, a.shape[0] - 1))
+    units = hst.sampled_from([1.0, -1.0, 1j, -1j])
+    a[j] = data.draw(units) * 2.0 ** data.draw(hst.integers(-20, 20)) * np.array([1, 0])
+    b[j] = data.draw(units) * 2.0 ** data.draw(hst.integers(-20, 20)) * np.array([0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tfi.register_distance(a, b) == 1.0
+        # the orthogonal complement of any mode reads 1 to rounding
+        a[j] = data.draw(_mode)
+        b[j] = np.array([-a[j, 1].conj(), a[j, 0].conj()])
+        assert tfi.register_distance(a, b) >= 1.0 - 8 * _EPS
 
 
 # ------------------------------------------------------------- switching times
@@ -315,7 +404,7 @@ def test_smallest_momentum_dominates_infidelity_at_large_tf():
     p = tfi.TfiParams(150, 0.5, 1.5, 300.0)
     exact = tfi.evolve_register(p)
     adi = tfi.adiabatic_register(p)
-    ov = np.abs(np.einsum("ki,ki->k", adi.amps.conj(), exact.amps)) ** 2
+    ov = np.abs(np.einsum("ki,ki->k", adi.conj(), exact)) ** 2
     total_infid = 1.0 - np.prod(ov)
     assert (1.0 - ov[0]) >= 0.5 * total_infid
 
@@ -330,11 +419,11 @@ def test_l2_register_pipeline_equals_direct_two_level():
 
     direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
                                   1e-13, 1e-15)
-    assert np.abs(reg.amps[0] - direct).max() < 1e-12
+    assert np.abs(reg[0] - direct).max() < 1e-12
     # distance through the register machinery equals the direct two-level one
     adi = tfi.adiabatic_register(p)
     d_reg = tfi.register_distance(reg, adi)
-    d_direct = np.sqrt(max(0.0, 1.0 - abs(np.vdot(adi.amps[0], reg.amps[0])) ** 2))
+    d_direct = np.sqrt(max(0.0, 1.0 - abs(np.vdot(adi[0], reg[0])) ** 2))
     assert abs(d_reg - d_direct) < 1e-12
 
 
@@ -356,11 +445,11 @@ def test_chain_modes_are_two_level_crossings():
     for i in crossing:
         k = ks[i]
         q = lz.LzParams(2 * np.sin(k), 2 * (p.h_i - np.cos(k)), 2 * (p.h_f - np.cos(k)), p.t_f)
-        assert np.abs(adi.amps[i] - tfi._PAIR @ lz.adiabatic_state(q)).max() < 1e-14
+        assert np.abs(adi[i] - tfi._PAIR @ lz.adiabatic_state(q)).max() < 1e-14
         for st, reg in zip(windows, aia):
-            assert np.abs(reg.amps[i] - tfi._PAIR @ lz.aia_state(q, st)).max() < 1e-14
+            assert np.abs(reg[i] - tfi._PAIR @ lz.aia_state(q, st)).max() < 1e-14
         single = tfi._PAIR @ lz.evolve_schrodinger(q, 1e-12, 1e-14)
-        assert np.abs(exact.amps[i] - single).max() < 1e-10
+        assert np.abs(exact[i] - single).max() < 1e-10
 
 
 # L = 150 distances (d_adi, d_aia1, d_aia2) from an independent propagator:
