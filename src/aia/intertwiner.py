@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .numkit import eig_hermitian, fit_power_law, integrate_ode
+from .numkit import fit_power_law, integrate_ode
 from .lindblad_open import PAULI_BASIS, liouvillian_matrix, liouvillian_spectrum, trace_distance
 
 
@@ -41,27 +41,30 @@ def spectral_projectors(p, s):
     return [np.outer(spec.right[:, n], spec.left[n]) for n in range(4)]
 
 
-def _commutator_term(p, s, fd_step):
+_FD_STEP = 1e-6
+
+
+def _commutator_term(p, s):
     """(1/2) sum_n [dP_n/ds, P_n] with dP_n/ds by central differences; real."""
     pn = spectral_projectors(p, s)
-    pp = spectral_projectors(p, s + fd_step)
-    pm = spectral_projectors(p, s - fd_step)
+    pp = spectral_projectors(p, s + _FD_STEP)
+    pm = spectral_projectors(p, s - _FD_STEP)
     acc = np.zeros((4, 4), dtype=complex)
     for n in range(4):
-        dp = (pp[n] - pm[n]) / (2.0 * fd_step)
+        dp = (pp[n] - pm[n]) / (2.0 * _FD_STEP)
         acc += dp @ pn[n] - pn[n] @ dp
     return 0.5 * acc.real
 
 
-def full_intertwiner(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12, fd_step=1e-6):
+def full_intertwiner(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12):
     """Transport superoperator U(s) for the sweep stretched to duration t_f."""
 
     def rhs(sv, u):
         gen = (p.t_f * liouvillian_matrix(p.x, float(p.z(sv * p.t_f)), p.beta, p.g)
-               + _commutator_term(p, sv, fd_step))
+               + _commutator_term(p, sv))
         return (gen @ u.reshape(4, 4)).ravel()
 
-    u = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, method="DOP853")
+    u = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol)
     return u.reshape(4, 4)
 
 
@@ -72,7 +75,7 @@ def exact_propagator(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12):
         gen = p.t_f * liouvillian_matrix(p.x, float(p.z(sv * p.t_f)), p.beta, p.g)
         return (gen @ e.reshape(4, 4)).ravel()
 
-    e = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, method="DOP853")
+    e = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol)
     return e.reshape(4, 4)
 
 
@@ -100,8 +103,7 @@ def cptp_diagnostics(superop):
                       for k, g in enumerate(PAULI_BASIS))
     choi = choi_matrix(superop)
     choi = 0.5 * (choi + choi.conj().T)
-    w, _ = eig_hermitian(choi)
-    return float(trace_error), float(w[0])
+    return float(trace_error), float(np.linalg.eigh(choi)[0][0])
 
 
 def superop_trace_norm_distance(s_a, s_b):

@@ -162,28 +162,15 @@ def density_to_coherence(rho):
     return np.array([np.trace(g @ rho).real for g in PAULI_BASIS])
 
 
-def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12, n_checks=0):
+def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
     """Integrate dc/dt = L(t) c from the Gibbs state at z_i.
 
-    The first component is conserved identically (zero first row). With
-    ``n_checks`` > 0, returns (c, min_eigs) where min_eigs samples the smallest
-    eigenvalue (c_0 - |c_vec|)/sqrt2 of rho(t) at that many interior times.
+    The first component is conserved identically (zero first row).
     """
-    c0 = steady_state(p.x, p.z_i, p.beta)
-
     def rhs(t, c):
         return liouvillian_matrix(p.x, float(p.z(t)), p.beta, p.g) @ c
 
-    if not n_checks:
-        return integrate_ode(rhs, c0, 0.0, p.t_f, rel_tol, abs_tol, method="DOP853")
-
-    times = np.linspace(0.0, p.t_f, n_checks + 1)
-    mins = []
-    c = c0
-    for t0, t1 in zip(times[:-1], times[1:]):
-        c = integrate_ode(rhs, c, t0, t1, rel_tol, abs_tol, method="DOP853")
-        mins.append((c[0] - np.linalg.norm(c[1:])) / np.sqrt(2.0))
-    return c, np.array(mins)
+    return integrate_ode(rhs, steady_state(p.x, p.z_i, p.beta), 0.0, p.t_f, rel_tol, abs_tol)
 
 
 def adiabatic_state_open(p):

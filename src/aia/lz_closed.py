@@ -103,13 +103,16 @@ def lz_eigensystem(x, z):
     """Instantaneous energies and real-gauge eigenvectors at coupling x, detuning z.
 
     Returns (E1, E2, psi1, psi2) with E1 = -b <= E2 = +b. Broadcasts over z;
-    the vectors have shape z.shape + (2,).
+    the vectors have shape z.shape + (2,). The small component is x / (2b)
+    over the large one, sqrt((b + |z|)/2b): sqrt((b - |z|)/2b) would cancel
+    once x << |z|.
     """
     b = np.hypot(x, z)
     if (b == 0.0).any():
         raise ValueError("eigensystem is degenerate at x = z = 0")
-    lo = np.sqrt((b - z) / (2.0 * b))
-    hi = np.sqrt((b + z) / (2.0 * b))
+    big = np.sqrt((b + np.abs(z)) / (2.0 * b))
+    small = x / (2.0 * b * big)
+    lo, hi = np.where(z < 0, big, small), np.where(z < 0, small, big)
     return -b, b, np.stack([-lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
 
 
@@ -138,8 +141,7 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
 
     a0 = np.zeros(shape, dtype=complex)
     a0[0] = 1.0
-    a = integrate_ode(rhs, a0.ravel(), 0.0, p.t_f, rel_tol, abs_tol,
-                      method="DOP853").reshape(shape)
+    a = integrate_ode(rhs, a0.ravel(), 0.0, p.t_f, rel_tol, abs_tol).reshape(shape)
     d1_f = dynamical_phase_gs(p, 0.0, p.t_f)
     _, _, psi1_f, psi2_f = lz_eigensystem(x, p.z_f)
     state = ((a[0] * np.exp(-1j * d1_f))[..., None] * psi1_f

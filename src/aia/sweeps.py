@@ -7,7 +7,7 @@ Config files are flat ``key = value`` text ('#' starts a comment). Keys:
     L, h_i, h_f  chain parameters                       (tfi)
     g            system-bath coupling                   (open)
     temperatures comma-separated bath temperatures      (open; default 0.05, 0.1, 0.5, 1.0)
-    tf_min, tf_max, tf_points, tf_log                   (grid; log-spaced, 60 points by default)
+    tf_min, tf_max, tf_points                           (log-spaced grid; 60 points by default)
     scenarios    comma-separated subset of 1,2,3,4,opt  (tfi: only 1,2,opt)
     rel_tol, abs_tol                                    (integrator control)
     dtau_points  grid size for impulse-interval scans   (default 2001)
@@ -44,7 +44,7 @@ _MODEL_KEYS = {
     "open": {"x", "z_i", "z_f", "g", "temperatures"},
 }
 MODELS = tuple(_MODEL_KEYS)
-_COMMON_KEYS = {"model", "tf_min", "tf_max", "tf_points", "tf_log",
+_COMMON_KEYS = {"model", "tf_min", "tf_max", "tf_points",
                 "scenarios", "rel_tol", "abs_tol", "dtau_points", "out"}
 _SCENARIOS = {"lz": {"1", "2", "3", "4", "opt"},
               "open": {"1", "2", "3", "4", "opt"},
@@ -89,7 +89,6 @@ class SweepConfig:
     tf_min: float
     tf_max: float
     tf_points: int = 60  # 60 log points per 5 decades
-    tf_log: bool = True
     scenarios: tuple = ("1", "2", "3", "4", "opt")
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -98,19 +97,13 @@ class SweepConfig:
     out: str = ""
 
     def tf_grid(self):
-        if self.tf_log:
-            return np.geomspace(self.tf_min, self.tf_max, self.tf_points)
-        return np.linspace(self.tf_min, self.tf_max, self.tf_points)
+        return np.geomspace(self.tf_min, self.tf_max, self.tf_points)
 
 
 def _parse_value(key, raw, lineno):
     try:
         if key in ("model", "out"):
             return raw
-        if key == "tf_log":
-            if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(raw)
-            return raw.lower() in ("true", "1", "yes")
         if key in ("tf_points", "L", "dtau_points"):
             return int(raw)
         if key == "scenarios":
@@ -238,8 +231,10 @@ def run_sweep(cfg, out=None, threads=1):
     temperatures = pipeline(cfg).temperatures
     tasks = [(cfg, float(tf), T) for tf in cfg.tf_grid() for T in temperatures]
 
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    # the executor forks all its workers at the first submit: no more than rows
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_task, tasks))
     else:
         rows = [_compute_task(t) for t in tasks]

@@ -22,7 +22,7 @@ _PAIR, and the register distance sqrt(1 - prod_k (1 - d_k^2)) combines the
 two-level distances d_k of the normalized modes.
 
 The sweep h(t) = h_i + (h_f - h_i) t / t_f crosses the critical point h = 1
-(thermodynamic gap 2|h - 1|).
+(infinite-chain gap 2|h - 1|).
 """
 
 from dataclasses import astuple, dataclass
@@ -135,9 +135,9 @@ def mode_excited(h, k):
     return 1j * _mode_eigenvectors(h, k)[1]
 
 
-def ground_register(p, h=None):
-    """Product ground register at field h (defaults to the initial field)."""
-    return mode_ground(p.h_i if h is None else h, momenta(p.L))
+def ground_register(p):
+    """Product ground register at the initial field."""
+    return mode_ground(p.h_i, momenta(p.L))
 
 
 def _elliptic_term(h):
@@ -148,18 +148,16 @@ def _elliptic_term(h):
 
 
 def gs_energy_thermo(h, L):
-    """Thermodynamic-limit ground energy -(L / 2 pi) int_0^pi eps_k dk, in closed form."""
+    """Infinite-chain ground energy -(L / 2 pi) int_0^pi eps_k dk, in closed form."""
     if h < 0:
         raise ValueError(f"require h >= 0, got {h}")
     return float(-2.0 * L / np.pi * _elliptic_term(h))
 
 
-def tfi_gap(h, L, thermodynamic=False):
-    """Spectral gap: min_k eps_k at finite L, or its k -> 0 limit 2|h - 1|."""
+def tfi_gap(h, L):
+    """Spectral gap min_k eps_k of the length-L chain (2|h - 1| as L -> inf)."""
     if h < 0:
         raise ValueError(f"require h >= 0, got {h}")
-    if thermodynamic:
-        return 2.0 * abs(h - 1.0)
     return float(np.min(epsilon_k(h, momenta(L))))
 
 
@@ -202,7 +200,7 @@ def register_distance(reg_a, reg_b):
 def _kz_condition_scenario2(p, h):
     """Signed mismatch of the modified freeze-out condition at field h.
 
-    Positive where the inverse thermodynamic gap 1/|h - 1| exceeds the
+    Positive where the inverse infinite-chain gap 1/|h - 1| exceeds the
     chain's inverse rate of change (h + 1) E(4h/(1+h)^2) / (pi hdot), i.e.
     inside the frozen region around h = 1. Broadcasts over an array of
     fields h.

@@ -431,7 +431,7 @@ def test_criterion_11_oracle_equivalences():
         return -1j * (tfi.mode_hamiltonian(float(p.h(t)), k) @ y)
 
     direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
-                                  1e-13, 1e-15)
+                                  1e-13, 1e-15, method="RK45")
     l2_diff = np.abs(reg[0] - direct).max()
 
     ok = worst_mat < 1e-11 and worst_eig < 1e-11 and worst_jump < 1e-13 \

@@ -54,7 +54,7 @@ def test_projector_completeness_along_path():
 
 def test_commutator_term_traceless():
     for s in (0.2, 0.5, 0.8):
-        term = itw._commutator_term(P_STD, s, 1e-6)
+        term = itw._commutator_term(P_STD, s)
         assert abs(np.trace(term)) < 1e-8
 
 
@@ -193,7 +193,7 @@ def test_full_transport_agrees_with_kernel_transport():
 
 
 def test_full_transport_intertwines_projectors():
-    u = itw.full_intertwiner(P_STD, 1.0, fd_step=1e-5)
+    u = itw.full_intertwiner(P_STD, 1.0)
     p_end = itw.spectral_projectors(P_STD, 1.0)
     p_start = itw.spectral_projectors(P_STD, 0.0)
     for n in range(4):
@@ -213,6 +213,17 @@ def test_choi_identity_map():
     assert trace_err < 1e-14 and abs(min_eig) < 1e-14
     w = np.linalg.eigvalsh(itw.choi_matrix(np.eye(4)))
     assert np.allclose(sorted(w), [0, 0, 0, 2], atol=1e-14)
+
+
+def test_choi_diagnostics_of_depolarizing_maps():
+    # S = diag(1, lam, lam, lam) keeps the trace and shrinks the Bloch vector
+    # by lam; its Choi matrix has eigenvalues (1 + 3 lam)/2 once and
+    # (1 - lam)/2 three times, so it is CP exactly for -1/3 <= lam <= 1
+    eps = np.finfo(float).eps
+    for lam in np.linspace(-1.0, 2.0, 61):
+        trace_err, min_eig = itw.cptp_diagnostics(np.diag([1.0, lam, lam, lam]))
+        assert trace_err <= 2 * eps
+        assert abs(min_eig - min((1 + 3 * lam) / 2, (1 - lam) / 2)) <= 8 * eps, lam
 
 
 def test_choi_exact_propagator_is_cptp():

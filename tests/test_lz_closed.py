@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from aia import lz_closed as lz
@@ -64,6 +66,21 @@ def test_eigensystem_continuous_in_z():
         psi_prev = psi
 
 
+def test_eigensystem_against_mpmath_oracle():
+    # x << |z|, where sqrt((b - |z|)/2b) cancels (1.8e-9 and 4.4e-5 off on the
+    # first two points), and the L = 150 chain's lowest mode at h_f = 1.5
+    mpmath = pytest.importorskip("mpmath")
+    k = np.pi / 150
+    for x, z in ((1e-4, 1.0), (1e-6, -1.0), (2.0 * np.sin(k), 2.0 * (1.5 - np.cos(k)))):
+        _, _, psi1, psi2 = lz.lz_eigensystem(x, z)
+        with mpmath.workdps(40):
+            xm, zm = mpmath.mpf(x), mpmath.mpf(z)
+            b = mpmath.sqrt(xm * xm + zm * zm)
+            lo, hi = mpmath.sqrt((b - zm) / (2 * b)), mpmath.sqrt((b + zm) / (2 * b))
+            for got, want in zip((*psi1, *psi2), (-lo, hi, hi, lo)):
+                assert abs(float(got) - want) <= 1e-15 * abs(want), (x, z)
+
+
 # --------------------------------------------------------------------- evolution
 
 def test_evolve_sudden_limit():
@@ -96,7 +113,8 @@ def test_evolve_frames_agree():
             return -1j * np.array([z * c[0] + p.x * c[1], p.x * c[0] - z * c[1]])
 
         _, _, psi1_0, _ = lz.lz_eigensystem(p.x, p.z_i)
-        fixed = numkit.integrate_ode(rhs, psi1_0.astype(complex), 0.0, tf, 1e-12, 1e-14)
+        fixed = numkit.integrate_ode(rhs, psi1_0.astype(complex), 0.0, tf, 1e-12, 1e-14,
+                                     method="RK45")
         got = lz.evolve_schrodinger(p, 1e-12, 1e-14)
         assert lz.state_distance(fixed, got) < 1e-10, tf
 
@@ -328,6 +346,20 @@ def test_scenario_windows_ordered_and_contained():
         for tf in np.geomspace(0.01, 1e4, 40):
             st = lz.switching_times(lz.LzParams(0.1, -1.0, 1.0, tf), scenario)
             assert 0.0 <= st.tau_minus <= st.tau_plus <= tf
+
+
+def _decades(lo, hi):
+    return hst.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# eight decades of x, z_i, z_f and t_f; far from overflow of x^2 or dz / x^2
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_decades(-4, 2), _decades(-4, 2), _decades(-4, 2), _decades(-3, 5))
+def test_scenario_windows_ordered_and_contained_at_random_parameters(x, minus_z_i, z_f, tf):
+    p = lz.LzParams(x, -minus_z_i, z_f, tf)
+    for scenario in (1, 2, 3, 4):
+        st = lz.switching_times(p, scenario)
+        assert 0.0 <= st.tau_minus <= st.tau_plus <= tf, (scenario, st)
 
 
 def test_scenario1_interior_values_solve_condition():

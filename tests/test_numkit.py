@@ -228,45 +228,3 @@ def test_elliptic_monotone_decreasing():
     vals = [_elliptic_e(m) for m in np.linspace(0, 1, 101)[:-1]] + [
         _elliptic_e_at_field(1.0 - 1e-9)]
     assert np.all(np.diff(vals) < 0)
-
-
-# ----------------------------------------------------------------- eig_hermitian
-
-def test_eigh_diagonal():
-    w, v = numkit.eig_hermitian(np.diag([1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0])
-    assert np.abs(np.abs(v) - np.eye(2)).max() < 1e-14
-
-
-def test_eigh_sigma_x():
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    w, v = numkit.eig_hermitian(sx)
-    assert np.allclose(w, [-1.0, 1.0])
-    assert np.abs(np.abs(v[0]) - 1 / np.sqrt(2)).max() < 1e-14
-
-
-def test_eigh_random_hermitian_reconstruction():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = a + a.conj().T
-        w, v = numkit.eig_hermitian(m)
-        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-11
-        assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
-        assert np.all(np.diff(w) >= 0)
-        assert abs(w.sum() - np.trace(m).real) < 1e-12 * max(1, abs(np.trace(m)))
-
-
-def test_eigh_trace_det_invariants_dim2():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = a + a.conj().T
-        w, _ = numkit.eig_hermitian(m)
-        assert abs(w.sum() - np.trace(m).real) < 1e-12 * max(1.0, abs(np.trace(m).real))
-        assert abs(np.prod(w) - np.linalg.det(m).real) < 1e-10 * max(1.0, abs(np.prod(w)))
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        numkit.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -56,7 +56,6 @@ def test_parse_defaults_and_comments():
                               "tf_min=1\ntf_max=10\n")
     assert cfg.scenarios == ("1", "2", "3", "4", "opt")
     assert cfg.rel_tol == 1e-10 and cfg.abs_tol == 1e-12
-    assert cfg.tf_log is True
     assert cfg.tf_points == 60
 
 
@@ -170,6 +169,32 @@ def test_run_sweep_rejects_thread_count_below_one(tmp_path, monkeypatch, threads
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
         sweeps.run_sweep(cfg, out=str(tmp_path / "never.csv"), threads=threads)
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("threads, workers", [(2, 2), (4, 4), (5000, 4)])
+def test_run_sweep_caps_pool_at_row_count(tmp_path, monkeypatch, threads, workers):
+    # the fork start method launches every worker at the first submit, so a
+    # 4-row sweep must never ask for more than 4; no process is started here
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweeps.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweeps, "_compute_task", lambda task: {"t_f": task[1], "err": ""})
+    cfg = sweeps.parse_config(LZ_CFG)
+    _, rows, _ = sweeps.run_sweep(cfg, out=str(tmp_path / "rows.csv"), threads=threads)
+    assert opened == [workers] and len(rows) == 4
 
 
 def test_rows_ascending_in_tf(lz_csv):

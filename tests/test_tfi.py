@@ -48,7 +48,9 @@ def test_mode_hamiltonian_critical_edge():
 
 def test_mode_hamiltonian_zero_field():
     for k in (0.3, 1.1, 2.9):
-        w, _ = numkit.eig_hermitian(tfi.mode_hamiltonian(0.0, k))
+        m = tfi.mode_hamiltonian(0.0, k)
+        assert np.array_equal(m, m.conj().T)
+        w, _ = np.linalg.eigh(m)
         assert np.allclose(w, [-2.0, 2.0])
 
 
@@ -56,10 +58,25 @@ def test_mode_ground_matches_eigensolver_oracle():
     rng = np.random.default_rng(17)
     for _ in range(40):
         h, k = rng.uniform(0, 3), rng.uniform(0.02, np.pi - 0.02)
-        w, v = numkit.eig_hermitian(tfi.mode_hamiltonian(h, k))
+        m = tfi.mode_hamiltonian(h, k)
+        assert np.array_equal(m, m.conj().T)
+        w, v = np.linalg.eigh(m)
         g = tfi.mode_ground(h, k)
         assert abs(w[0] + tfi.epsilon_k(h, k)) < 1e-12
         assert abs(abs(np.vdot(v[:, 0], g)) - 1.0) < 1e-12
+
+
+def test_mode_ground_against_mpmath_oracle():
+    # strong field: sin(theta/2) ~ sin k / (2h) is the crossing's small
+    # eigenvector component, which sqrt((b - |z|)/2b) gets 3.9e-8 wrong
+    mpmath = pytest.importorskip("mpmath")
+    h, k = 1e4, 0.5
+    g = tfi.mode_ground(h, k)
+    with mpmath.workdps(40):
+        half = mpmath.atan2(mpmath.sin(k), h - mpmath.cos(k)) / 2
+        want = (mpmath.cos(half), 1j * mpmath.sin(half))
+        for got, w in zip(g, want):
+            assert abs(complex(got) - w) <= 1e-15 * abs(w)
 
 
 def test_mode_vectors_orthonormal():
@@ -72,17 +89,20 @@ def test_mode_vectors_orthonormal():
 # -------------------------------------------------------------------- register
 
 def test_ground_register_limits():
-    p = tfi.TfiParams(8, 0.5, 1.5, 1.0)
-    reg = tfi.ground_register(p, h=1e8)
+    reg = tfi.mode_ground(1e8, tfi.momenta(8))
     assert np.abs(reg[:, 0] - 1.0).max() < 1e-7  # strong-field polarization
+    # zero field: theta = atan2(sin k, -cos k) = pi - k
+    half = (np.pi - tfi.momenta(8)) / 2
+    reg = tfi.ground_register(tfi.TfiParams(8, 0.0, 1.5, 1.0))
+    assert np.abs(reg - np.stack([np.cos(half), 1j * np.sin(half)], axis=-1)).max() < 1e-14
     mode = tfi.mode_ground(0.0, np.pi / 2)
     assert np.abs(mode - np.array([np.cos(np.pi / 4), 1j * np.sin(np.pi / 4)])).max() < 1e-14
 
 
 def test_register_energy_identity():
-    p = tfi.TfiParams(50, 0.5, 1.5, 1.0)
     h0 = 0.85
-    reg = tfi.ground_register(p, h=h0)
+    p = tfi.TfiParams(50, h0, 1.5, 1.0)
+    reg = tfi.ground_register(p)
     ks = tfi.momenta(p.L)
     e = sum(np.vdot(reg[i], tfi.mode_hamiltonian(h0, ks[i]) @ reg[i]).real
             for i in range(ks.size))
@@ -110,7 +130,6 @@ def test_gs_energy_thermo_against_quad_oracle():
 
 
 def test_gap_values():
-    assert abs(tfi.tfi_gap(1.5, 150, thermodynamic=True) - 1.0) < 1e-15
     assert abs(tfi.tfi_gap(1.0, 150) - tfi.epsilon_k(1.0, np.pi / 150)) < 1e-15
     assert abs(tfi.tfi_gap(1.0, 150) - 0.0419) < 1e-4
     gaps = [tfi.tfi_gap(h, 150) for h in np.linspace(0.5, 1.5, 41)]
@@ -387,6 +406,17 @@ def test_scenario_windows_contained():
             assert 0.0 <= st.tau_minus <= st.tau_plus <= tf
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hst.integers(1, 100), hst.floats(0.0, 1.0, exclude_max=True),
+       hst.floats(-6, 1).map(lambda e: 1.0 + 10.0 ** e),
+       hst.floats(-3, 5).map(lambda e: 10.0 ** e))
+def test_scenario_windows_contained_at_random_parameters(half_l, h_i, h_f, tf):
+    p = tfi.TfiParams(2 * half_l, h_i, h_f, tf)
+    for scenario in (1, 2):
+        st = tfi.switching_times_tfi(p, scenario)
+        assert 0.0 <= st.tau_minus <= st.tau_plus <= tf, (scenario, st)
+
+
 # --------------------------------------------------------- gauge and invariants
 
 def test_zero_berry_connection_by_finite_differences():
@@ -418,7 +448,7 @@ def test_l2_register_pipeline_equals_direct_two_level():
         return -1j * (tfi.mode_hamiltonian(float(p.h(t)), k) @ y)
 
     direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
-                                  1e-13, 1e-15)
+                                  1e-13, 1e-15, method="RK45")
     assert np.abs(reg[0] - direct).max() < 1e-12
     # distance through the register machinery equals the direct two-level one
     adi = tfi.adiabatic_register(p)
