@@ -13,7 +13,8 @@ in a fixed real gauge,
 
 so that all Berry connections vanish and overlap bookkeeping stays real.
 
-The module provides the exact Schroedinger propagation, the adiabatic
+The module provides the exact Schroedinger propagation (a Magnus
+propagator, no ODE: see :func:`evolve_schrodinger`), the adiabatic
 approximation and its first-order correction, the adiabatic-impulse
 approximation (adiabatic outside an impulse window [tau_-, tau_+], frozen
 inside it), four closed-form prescriptions for the switching times, and a
@@ -30,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numkit import hypot_antiderivative, integrate_ode, minimize_symmetric
+from .numkit import IntegrationError, hypot_antiderivative, minimize_symmetric
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -60,6 +61,10 @@ class LzParams:
             raise ValueError(f"require z_i < 0 < z_f, got z_i={self.z_i}, z_f={self.z_f}")
         if self.t_f <= 0:
             raise ValueError(f"require t_f > 0, got {self.t_f}")
+        # every closed form stays finite here: (dz / (x^2 t_f))^2 <= 4e240, x^2 >= 1e-60
+        scales = np.abs([self.x, self.z_i, self.z_f, self.t_f])
+        if not np.all((1e-30 <= scales) & (scales <= 1e30)):
+            raise ValueError(f"require x, |z_i|, z_f and t_f in [1e-30, 1e30], got {self}")
 
     @property
     def dz(self):
@@ -116,37 +121,62 @@ def lz_eigensystem(x, z):
     return -b, b, np.stack([-lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
 
 
+def _magnus_state(p, n, psi):
+    """psi evolved over [0, t_f] by n fourth-order Magnus steps, normalized.
+
+    With z linear in t, a step is exp(-i A.sigma) up to O(h^5), A = (h x,
+    h^3 x zdot / 6, h z(t + h/2)): the SU(2) matrix [[a, b], [-b*, a*]] with
+    a = cos|A| - i sinc A_z, b = -sinc (A_y + i A_x), sinc = sin|A| / |A|. The
+    steps are multiplied as a tree, in chunks of at most 8192 elements.
+    """
+    h, batch = p.t_f / n, np.shape(p.z_i)
+    per_chunk = 1 << max(1, 8192 // np.size(p.z_i)).bit_length() - 1
+    a_y = h ** 3 * p.x * p.zdot / 6.0
+    a_xy2, off = (h * p.x) ** 2 + a_y * a_y, -(a_y + 1j * h * p.x)
+    c0, c1 = psi[..., 0], psi[..., 1]
+    for start in range(0, n, per_chunk):
+        s = (np.arange(start, min(start + per_chunk, n)) + 0.5) / n
+        a_z = h * (p.z_i + p.dz * s.reshape(s.shape + (1,) * len(batch)))
+        angle = np.sqrt(a_xy2 + a_z * a_z)
+        sinc = np.sin(angle) / angle
+        a, b = -1j * (sinc * a_z), sinc * off  # real and complex operands apart: faster
+        a.real = np.cos(angle)
+        while len(a) > 1:
+            if len(a) % 2:  # the identity as the latest step
+                a, b = np.append(a, np.ones_like(a[:1]), 0), np.append(b, np.zeros_like(b[:1]), 0)
+            (a1, b1), (a0, b0) = (a[1::2], b[1::2]), (a[::2], b[::2])
+            a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
+        c0, c1 = a[0] * c0 + b[0] * c1, a[0].conj() * c1 - b[0].conj() * c0
+    psi = np.stack([c0, c1], axis=-1)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
 def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
-    Integrates the adiabatic-frame amplitudes of c = a_1 e^{-i d_1} psi_1 +
-    a_2 e^{+i d_1} psi_2 with the dynamical phase d_1 in closed form, so the
-    global error does not grow with the accumulated phase (the excited
-    amplitude stays resolved to ~1e-10 at t_f ~ 1e4). Each crossing of a
-    batch is one block of the stacked system and is renormalized at the
-    end; the result has shape z_i.shape + (2,).
+    Batched fourth-order Magnus steps in the fixed sigma_z frame (Blanes et al.,
+    Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation. By step
+    doubling, the 2n-step state is returned once it is within rel_tol + abs_tol
+    of the n-step one in every component; its own error, falling like n^-4, is
+    about a fifteenth of that. The first pair, at step angles h max b ~ 1,
+    predicts the n of the second; if that misses too, the roundoff floor is
+    reached and :class:`IntegrationError` is raised. The cost grows like
+    t_f max b. A batch of crossings shares the steps: shape z_i.shape + (2,).
     """
-    x, z_i, zdot, scale = p.x, p.z_i, p.zdot, p.t_f / p.dz
-    shape = (2,) + np.shape(z_i)
-    x2 = x * x
-    prim_i = hypot_antiderivative(z_i, x)
-
-    # real-gauge coupling <psi2|d psi1/dt> = zdot x / (2 b^2)
-    def rhs(t, a):
-        a = a.reshape(shape)
-        z = z_i + zdot * t
-        kappa = zdot * x / (2.0 * (x2 + z * z))
-        ph = np.exp(2.0j * (-scale * (hypot_antiderivative(z, x) - prim_i)))
-        return np.array([kappa * ph * a[1], -kappa * a[0] / ph]).ravel()
-
-    a0 = np.zeros(shape, dtype=complex)
-    a0[0] = 1.0
-    a = integrate_ode(rhs, a0.ravel(), 0.0, p.t_f, rel_tol, abs_tol).reshape(shape)
-    d1_f = dynamical_phase_gs(p, 0.0, p.t_f)
-    _, _, psi1_f, psi2_f = lz_eigensystem(x, p.z_f)
-    state = ((a[0] * np.exp(-1j * d1_f))[..., None] * psi1_f
-             + (a[1] * np.exp(+1j * d1_f))[..., None] * psi2_f)
-    return state / np.linalg.norm(state, axis=-1, keepdims=True)
+    if rel_tol <= 0 or abs_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    tol = rel_tol + abs_tol
+    psi0 = lz_eigensystem(p.x, p.z_i)[2]
+    # b = hypot(x, z) is largest at an end of the sweep
+    n = int(np.ceil(p.t_f * np.max(np.hypot(p.x, np.maximum(-p.z_i, p.z_f)))))
+    for _ in range(2):
+        coarse, fine = _magnus_state(p, n, psi0), _magnus_state(p, 2 * n, psi0)
+        diff = float(np.max(np.abs(coarse - fine)))
+        if diff <= tol:
+            return fine
+        steps, n = 2 * n, int(np.ceil(n * (2.0 * diff / tol) ** 0.25))  # aim at tol / 2
+    raise IntegrationError(f"integration failed at t={p.t_f:.6g}: {steps} Magnus steps leave "
+                           f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
 
 
 def dynamical_phase_gs(p, t_a, t_b):
@@ -252,7 +282,7 @@ def switching_times(p, scenario):
     upper threshold (scenarios 2-4) the window collapses to the crossing time.
     """
     x, zi, zf, tf, dz = p.x, p.z_i, p.z_f, p.t_f, p.dz
-    center = -zi * tf / dz  # time where z = 0
+    center = -zi / dz * tf  # time where z = 0; -zi / dz <= 1 keeps it <= tf
 
     if scenario == 1:
         thresh = 0.5 * dz / (zf * np.hypot(x, zf))

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive stepping failed (step-size underflow or non-finite rhs)."""
+    """Stepping failed: step-size underflow, non-finite rhs, or the roundoff floor."""
 
 
 @dataclass(frozen=True)

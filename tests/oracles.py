@@ -1,0 +1,79 @@
+"""Independent propagators of the two-level crossing, for the tests only.
+
+Both solve i c' = (x sigma_x + z(t) sigma_z) c, z(t) = z_i + (z_f - z_i) t / t_f,
+from the ground state at t = 0, by methods that share nothing with the
+Magnus propagator of :func:`aia.lz_closed.evolve_schrodinger`:
+
+- :func:`adiabatic_frame_state` integrates the amplitudes in the adiabatic
+  frame with the DOP853 pair of :func:`aia.numkit.integrate_ode`;
+- :func:`parabolic_cylinder_state` is the exact finite-time solution in
+  parabolic-cylinder functions, evaluated with mpmath.
+"""
+
+import numpy as np
+import pytest
+
+from aia import lz_closed as lz
+from aia import numkit
+
+
+def adiabatic_frame_state(p, rel_tol, abs_tol):
+    """Final state from the adiabatic-frame amplitudes of c = a_1 e^{-i d_1} psi_1
+    + a_2 e^{+i d_1} psi_2, with the dynamical phase d_1 in closed form, so the
+    error does not grow with the accumulated phase. Takes a batch of crossings
+    as :func:`aia.lz_closed.evolve_schrodinger` does; each crossing is one
+    block of the stacked system, renormalized at the end."""
+    x, z_i, zdot, scale = p.x, p.z_i, p.zdot, p.t_f / p.dz
+    shape = (2,) + np.shape(z_i)
+    prim_i = numkit.hypot_antiderivative(z_i, x)
+
+    # real-gauge coupling <psi2|d psi1/dt> = zdot x / (2 b^2)
+    def rhs(t, a):
+        a = a.reshape(shape)
+        z = z_i + zdot * t
+        kappa = zdot * x / (2.0 * (x * x + z * z))
+        ph = np.exp(2.0j * (-scale * (numkit.hypot_antiderivative(z, x) - prim_i)))
+        return np.array([kappa * ph * a[1], -kappa * a[0] / ph]).ravel()
+
+    a0 = np.zeros(shape, dtype=complex)
+    a0[0] = 1.0
+    a = numkit.integrate_ode(rhs, a0.ravel(), 0.0, p.t_f, rel_tol, abs_tol).reshape(shape)
+    d1_f = lz.dynamical_phase_gs(p, 0.0, p.t_f)
+    _, _, psi1_f, psi2_f = lz.lz_eigensystem(x, p.z_f)
+    state = ((a[0] * np.exp(-1j * d1_f))[..., None] * psi1_f
+             + (a[1] * np.exp(+1j * d1_f))[..., None] * psi2_f)
+    return state / np.linalg.norm(state, axis=-1, keepdims=True)
+
+
+def parabolic_cylinder_state(x, z_i, z_f, t_f, dps=30):
+    """Exact final state of one crossing (Vitanov & Garraway, PRA 53, 4288, 1996).
+
+    With v = (z_f - z_i) / t_f and tau = t - t_c measured from the crossing,
+    c_1 solves c_1'' + (x^2 + v^2 tau^2 + i v) c_1 = 0, whose solutions are
+    D_nu(+-alpha tau), alpha^2 = 2 i v, nu = -i x^2 / (2 v); then
+    c_2 = (i c_1' - v tau c_1) / x, with D_nu' = (w/2) D_nu - D_{nu+1}. The
+    propagator is F(tau_f) F(tau_i)^-1 for the fundamental matrix F of
+    these two solutions. The ground state at z_i is built here, in dps
+    digits, independently of :func:`aia.lz_closed.lz_eigensystem`.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        x, z_i, z_f, t_f = (mpmath.mpf(float(v)) for v in (x, z_i, z_f, t_f))
+        v = (z_f - z_i) / t_f
+        alpha = mpmath.sqrt(2j * v)
+        nu = -1j * x * x / (2 * v)
+
+        def fundamental(tau):
+            cols = []
+            for sign in (1, -1):
+                w = sign * alpha * tau
+                d = mpmath.pcfd(nu, w)
+                slope = sign * alpha * (w / 2 * d - mpmath.pcfd(nu + 1, w))
+                cols.append((d, (1j * slope - v * tau * d) / x))
+            return mpmath.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+
+        b = mpmath.sqrt(x * x + z_i * z_i)
+        ground = mpmath.matrix([-mpmath.sqrt((b - z_i) / (2 * b)),
+                                mpmath.sqrt((b + z_i) / (2 * b))])
+        final = fundamental(z_f / v) * fundamental(z_i / v) ** -1 * ground
+        return np.array([complex(final[0]), complex(final[1])])

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from aia import lz_closed as lz
 from aia import numkit
+from oracles import parabolic_cylinder_state
 
 P_STD = lz.LzParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=10.0)
 
@@ -24,6 +25,14 @@ def test_params_validation():
                 (0.1, -1.0, 1.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             lz.LzParams(*bad)
+    # outside [1e-30, 1e30] the closed forms overflow or divide by x^2 = 0: at
+    # x = 1e-300 scenarios 2 and 4 raised ZeroDivisionError, and at |z_i| =
+    # t_f = 1e300 scenarios 2-4 returned the window (inf, inf)
+    for bad in ((1e-300, -1.0, 1.0, 10.0), (1.0, -1e300, 1e-16, 1e300),
+                (0.1, -1.0, 1e-31, 10.0), (0.1, -1.0, 1.0, 2e30)):
+        with pytest.raises(ValueError, match=r"\[1e-30, 1e30\]"):
+            lz.LzParams(*bad)
+    lz.LzParams(1e-30, -1e30, 1e-30, 1e30)
 
 
 # ------------------------------------------------------------------ eigensystem
@@ -100,6 +109,37 @@ def test_evolve_half_tolerance_consistency():
 def test_evolve_norm_preserved():
     psi = lz.evolve_schrodinger(P_STD, 1e-10, 1e-12)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
+
+
+def test_evolve_against_parabolic_cylinder_oracle():
+    # the exact solution; the tolerance bounds the step-doubling difference,
+    # and the returned 2n-step state is about a fifteenth of it off
+    for tf in (0.18, 10.0, 1e3):
+        want = parabolic_cylinder_state(0.1, -1.0, 1.0, tf)
+        p = lz.LzParams(0.1, -1.0, 1.0, tf)
+        for rel_tol in (1e-8, 1e-10, 1e-12):
+            abs_tol = 1e-2 * rel_tol
+            err = np.abs(lz.evolve_schrodinger(p, rel_tol, abs_tol) - want).max()
+            assert err <= rel_tol + abs_tol, (tf, rel_tol, err)
+
+
+def test_evolve_below_roundoff_floor_raises_after_two_pairs(monkeypatch):
+    # rounding alone leaves ~1e-16 between two runs: a 2e-17 tolerance is
+    # unreachable, and the step doubling gives up after its second pair
+    # instead of refining forever
+    passes = []
+    real = lz._magnus_state
+
+    def counted(p, n, psi):
+        passes.append(n)
+        return real(p, n, psi)
+
+    monkeypatch.setattr(lz, "_magnus_state", counted)
+    for tf in (10.0, 1e3):
+        passes.clear()
+        with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
+            lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, tf), 1e-17, 1e-17)
+        assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
 
 
 def test_evolve_frames_agree():
@@ -352,9 +392,9 @@ def _decades(lo, hi):
     return hst.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
-# eight decades of x, z_i, z_f and t_f; far from overflow of x^2 or dz / x^2
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_decades(-4, 2), _decades(-4, 2), _decades(-4, 2), _decades(-3, 5))
+# x, |z_i|, z_f and t_f over their whole domain [1e-30, 1e30], edges included
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_decades(-30, 30), _decades(-30, 30), _decades(-30, 30), _decades(-30, 30))
 def test_scenario_windows_ordered_and_contained_at_random_parameters(x, minus_z_i, z_f, tf):
     p = lz.LzParams(x, -minus_z_i, z_f, tf)
     for scenario in (1, 2, 3, 4):

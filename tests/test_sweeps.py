@@ -389,6 +389,21 @@ def test_cli_exit_2_when_every_row_fails(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_cli_exit_2_below_the_roundoff_floor(tmp_path, capsys):
+    # a tolerance no double-precision state reaches: every row's exact
+    # evolution raises IntegrationError, so the sweep exits 2, and so does
+    # the scan
+    cfg_path = tmp_path / "lz.cfg"
+    cfg_path.write_text(LZ_CFG + "rel_tol = 1e-17\nabs_tol = 1e-17\n")
+    out = tmp_path / "floor.csv"
+    assert cli_main(["lz", "--config", str(cfg_path), "--out", str(out)]) == 2
+    errors = sweeps.read_csv(out)["err"]
+    assert len(errors) == 4 and all(e.startswith("IntegrationError") for e in errors)
+    assert cli_main(["dtau-scan", "--config", str(cfg_path), "--tf", "20",
+                     "--out", str(tmp_path / "scan.csv")]) == 2
+    assert "roundoff floor" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ repo configs
 
 def test_shipped_config_files_parse():
