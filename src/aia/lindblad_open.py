@@ -18,7 +18,9 @@ Everything is expressed in the normalized Pauli basis Gamma_i =
 4-vectors c_i = Tr(Gamma_i rho) (c_1 = 1/sqrt(2) fixes the trace), and the
 generator a real 4x4 matrix with an identically zero first row. Its
 spectrum and biorthonormal left/right eigenvectors are known in closed
-form and drive the adiabatic and adiabatic-impulse constructions.
+form and drive the adiabatic and adiabatic-impulse constructions. The exact
+evolution takes batched fourth-order Magnus steps of that matrix, with no ODE
+solver (see :func:`evolve_master`).
 """
 
 import warnings
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import integrate_ode, minimize_symmetric
+from .numkit import minimize_symmetric, step_doubling
 from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, dynamical_phase_gs,
                         switching_times as lz_switching_times)
 
@@ -92,27 +94,31 @@ def lindblad_ops(x, z):
 
 
 def liouvillian_matrix(x, z, beta, g):
-    """Generator as a real 4x4 matrix in the normalized Pauli basis.
+    """Generator as a real 4x4 matrix in the normalized Pauli basis; broadcasts
+    over z, with shape z.shape + (4, 4).
 
     First row identically zero (trace preservation). gp/gm are the emission
     and absorption rates gamma(+Delta), gamma(-Delta) with Delta = 2b.
     """
-    b = np.hypot(x, z)
-    if b == 0.0:
+    if x == 0.0 and (np.asarray(z) == 0.0).any():  # where b = hypot(x, z) vanishes
         raise ValueError("degenerate point x = z = 0")
+    b = np.hypot(x, z)
     delta = 2.0 * b
     gp = spectral_gamma(delta, beta, g)
     gm = spectral_gamma(-delta, beta, g)
     s, d = gm + gp, gm - gp
     d2 = delta * delta
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [2.0 * x * d / delta, -2.0 * (x * x + d2 / 4.0) * s / d2, -2.0 * z,
-         -2.0 * x * z * s / d2],
-        [0.0, 2.0 * z, -0.5 * s, -2.0 * x],
-        [2.0 * z * d / delta, -2.0 * x * z * s / d2, 2.0 * x,
-         -2.0 * (d2 / 4.0 + z * z) * s / d2],
+    zero = 0.0 * b  # every entry takes b's shape
+    m = np.array([  # the 16 entries row by row, then the axes of b
+        zero, zero, zero, zero,
+        2.0 * x * d / delta, -2.0 * (x * x + d2 / 4.0) * s / d2, -2.0 * z, -2.0 * x * z * s / d2,
+        zero, 2.0 * z, -0.5 * s, zero - 2.0 * x,
+        2.0 * z * d / delta, -2.0 * x * z * s / d2, zero + 2.0 * x, -2.0 * (d2 / 4.0 + z * z) * s / d2,
     ])
+    # entries last and contiguous: the Magnus steps' batched products on a
+    # strided view took ~20% longer
+    m = np.ascontiguousarray(m.transpose(tuple(range(1, m.ndim)) + (0,)))
+    return m.reshape(b.shape + (4, 4))
 
 
 def liouvillian_spectrum(x, z, beta, g):
@@ -162,15 +168,62 @@ def density_to_coherence(rho):
     return np.array([np.trace(g @ rho).real for g in PAULI_BASIS])
 
 
-def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
-    """Integrate dc/dt = L(t) c from the Gibbs state at z_i.
+_GAUSS = np.sqrt(3.0) / 6.0  # the Gauss points of a step sit at its middle -/+ this fraction
 
-    The first component is conserved identically (zero first row).
+
+def _magnus_coherence(p, n, c):
+    """c evolved over [0, t_f] by n fourth-order Magnus steps.
+
+    A step is exp(Omega), Omega = (h/2)(A_1 + A_2) + (sqrt3 h^2 / 12)[A_2, A_1],
+    with A_1, A_2 the generator at the step's two Gauss points, to O(h^5). The
+    exponential is a degree-12 Taylor series, kept as its deviation E - 1 from
+    the identity: products (1 + D_1)(1 + D_0) = 1 + D_1 + D_0 + D_1 D_0 then
+    lose no digits to the ones on the diagonal, and the rounding of the whole
+    product does not grow with n. The steps are multiplied as a tree, in
+    chunks of at most 2048, and each chunk's product is applied to c.
     """
-    def rhs(t, c):
-        return liouvillian_matrix(p.x, float(p.z(t)), p.beta, p.g) @ c
+    h = p.t_f / n
+    for start in range(0, n, 2048):  # bounds each step array to 2048 x 4 x 4 doubles
+        mid = np.arange(start, min(start + 2048, n)) + 0.5
+        a_1, a_2 = (liouvillian_matrix(p.x, p.z((mid + s) * h), p.beta, p.g)
+                    for s in (-_GAUSS, _GAUSS))
+        omega = (0.5 * h) * (a_1 + a_2) + (np.sqrt(3.0) / 12.0 * h * h) * (a_2 @ a_1 - a_1 @ a_2)
+        dev = omega / 12.0
+        for j in range(11, 0, -1):  # Horner: dev = exp(omega) - 1
+            dev = (omega + omega @ dev) / j
+        while len(dev) > 1:
+            if len(dev) % 2:  # the identity as the latest step
+                dev = np.append(dev, np.zeros_like(dev[:1]), 0)
+            d_1, d_0 = dev[1::2], dev[::2]
+            dev = d_1 + d_0 + d_1 @ d_0
+        c = c + dev[0] @ c
+    return c
 
-    return integrate_ode(rhs, steady_state(p.x, p.z_i, p.beta), 0.0, p.t_f, rel_tol, abs_tol)
+
+def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
+    """Exact final coherence vector of dc/dt = L(t) c from the Gibbs state at z_i.
+
+    Batched fourth-order Magnus steps of the real 4x4 generator (Blanes et al.,
+    Phys. Rep. 470, 151, 2009), with the step count set by
+    :func:`aia.numkit.step_doubling`: the returned state is within rel_tol +
+    abs_tol of one with half the steps in every component, and its own error
+    is about a fifteenth of that. The first pair starts from
+    n = 2 t_f (2 max b + max |l_2|) + 4 dz / x. The first term keeps each
+    step's Omega at norm <= 1/2, where the Taylor series' truncation stays
+    below the Magnus error. The second keeps the turn per step of the
+    dissipator's eigenbasis, h zdot / x at the crossing, at most 1/4: on
+    coarser steps the error has not settled to its n^-4 fall, and the first
+    pair can mispredict the second. The cost grows like that n. The first
+    component stays exactly 1/sqrt2: the generator's first row is zero, and
+    so is that of every step's deviation from the identity.
+    """
+    # the gap Delta = 2b and |l_2| = gamma(Delta) + gamma(-Delta) are largest at an
+    # end; the eigenbasis turns fastest at the crossing, at zdot / x
+    delta = 2.0 * np.hypot(p.x, max(-p.z_i, p.z_f))
+    rate = spectral_gamma(delta, p.beta, p.g) + spectral_gamma(-delta, p.beta, p.g)
+    n = int(np.ceil(2.0 * p.t_f * (delta + rate) + 4.0 * p.dz / p.x))
+    c0 = steady_state(p.x, p.z_i, p.beta)
+    return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, rel_tol, abs_tol, p.t_f)
 
 
 def adiabatic_state_open(p):

@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numkit import IntegrationError, hypot_antiderivative, minimize_symmetric
+from .numkit import hypot_antiderivative, minimize_symmetric, step_doubling
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -155,28 +155,16 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
     Batched fourth-order Magnus steps in the fixed sigma_z frame (Blanes et al.,
-    Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation. By step
-    doubling, the 2n-step state is returned once it is within rel_tol + abs_tol
-    of the n-step one in every component; its own error, falling like n^-4, is
-    about a fifteenth of that. The first pair, at step angles h max b ~ 1,
-    predicts the n of the second; if that misses too, the roundoff floor is
-    reached and :class:`IntegrationError` is raised. The cost grows like
-    t_f max b. A batch of crossings shares the steps: shape z_i.shape + (2,).
+    Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation, with the step
+    count set by :func:`aia.numkit.step_doubling` (the returned state is within
+    rel_tol + abs_tol of one with half the steps). The first pair is at step
+    angles h max b ~ 1. The cost grows like t_f max b. A batch of crossings
+    shares the steps: shape z_i.shape + (2,).
     """
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    tol = rel_tol + abs_tol
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
     # b = hypot(x, z) is largest at an end of the sweep
     n = int(np.ceil(p.t_f * np.max(np.hypot(p.x, np.maximum(-p.z_i, p.z_f)))))
-    for _ in range(2):
-        coarse, fine = _magnus_state(p, n, psi0), _magnus_state(p, 2 * n, psi0)
-        diff = float(np.max(np.abs(coarse - fine)))
-        if diff <= tol:
-            return fine
-        steps, n = 2 * n, int(np.ceil(n * (2.0 * diff / tol) ** 0.25))  # aim at tol / 2
-    raise IntegrationError(f"integration failed at t={p.t_f:.6g}: {steps} Magnus steps leave "
-                           f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
+    return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f)
 
 
 def dynamical_phase_gs(p, t_a, t_b):

@@ -1,18 +1,24 @@
-"""Independent propagators of the two-level crossing, for the tests only.
+"""Independent propagators of the two-level crossing and the damped qubit, for
+the tests only.
 
-Both solve i c' = (x sigma_x + z(t) sigma_z) c, z(t) = z_i + (z_f - z_i) t / t_f,
-from the ground state at t = 0, by methods that share nothing with the
-Magnus propagator of :func:`aia.lz_closed.evolve_schrodinger`:
+The first two solve i c' = (x sigma_x + z(t) sigma_z) c, z(t) = z_i +
+(z_f - z_i) t / t_f, from the ground state at t = 0, by methods that share
+nothing with the Magnus propagator of :func:`aia.lz_closed.evolve_schrodinger`:
 
 - :func:`adiabatic_frame_state` integrates the amplitudes in the adiabatic
   frame with the DOP853 pair of :func:`aia.numkit.integrate_ode`;
 - :func:`parabolic_cylinder_state` is the exact finite-time solution in
   parabolic-cylinder functions, evaluated with mpmath.
+
+:func:`master_ode_state` integrates the damped qubit's master equation with
+the same DOP853 pair, apart from the Magnus propagator of
+:func:`aia.lindblad_open.evolve_master`.
 """
 
 import numpy as np
 import pytest
 
+from aia import lindblad_open as lo
 from aia import lz_closed as lz
 from aia import numkit
 
@@ -77,3 +83,13 @@ def parabolic_cylinder_state(x, z_i, z_f, t_f, dps=30):
                                 mpmath.sqrt((b + z_i) / (2 * b))])
         final = fundamental(z_f / v) * fundamental(z_i / v) ** -1 * ground
         return np.array([complex(final[0]), complex(final[1])])
+
+
+def master_ode_state(p, rel_tol, abs_tol):
+    """Final coherence vector of dc/dt = L(t) c from the Gibbs state at z_i,
+    with the generator rebuilt at every stage of the DOP853 pair."""
+    def rhs(t, c):
+        return lo.liouvillian_matrix(p.x, float(p.z(t)), p.beta, p.g) @ c
+
+    return numkit.integrate_ode(rhs, lo.steady_state(p.x, p.z_i, p.beta), 0.0, p.t_f,
+                                rel_tol, abs_tol)

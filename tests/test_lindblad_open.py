@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -9,6 +11,7 @@ from aia import lindblad_open as lo
 from aia import intertwiner as itw
 from aia import numkit
 from aia.lz_closed import SwitchingTimes, lz_eigensystem, switching_from_dtau
+from oracles import master_ode_state, parabolic_cylinder_state
 
 P_STD = lo.OpenParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=50.0, T=0.05, g=0.01)
 
@@ -121,6 +124,18 @@ def test_generator_matches_assembly_oracle():
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_generator_broadcasts_like_scalar_calls():
+    # the Magnus steps build the generator at every Gauss point in one call;
+    # the arithmetic is the scalar call's, so the entries agree bitwise
+    zs = np.array([[-1.0, -0.3, 0.0], [1e-9, 0.4, 1.0]])
+    got = lo.liouvillian_matrix(0.1, zs, 20.0, 0.01)
+    assert got.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(zs.shape):
+        assert np.array_equal(got[idx], lo.liouvillian_matrix(0.1, float(zs[idx]), 20.0, 0.01))
+    with pytest.raises(ValueError, match="degenerate"):
+        lo.liouvillian_matrix(0.0, zs, 20.0, 0.01)
+
+
 def test_generator_closed_limit_structure():
     m = lo.liouvillian_matrix(0.1, 0.4, 20.0, 0.0)
     assert np.abs(m[:, 0]).max() == 0.0
@@ -231,6 +246,52 @@ def test_master_positivity_along_path():
         c = numkit.integrate_ode(rhs, c, t0, t1)
         mins.append((c[0] - np.linalg.norm(c[1:])) / np.sqrt(2.0))
     assert min(mins) > -1e-8
+
+
+def test_master_against_dop853_oracle():
+    # the generator integrated by the DOP853 pair at 1e-13/1e-15; the default
+    # tolerance bounds the step-doubling difference, and the returned state
+    # is about a fifteenth of it off (the former DOP853 evolution: 2.6e-10 at t_f = 304)
+    for temp in (0.05, 1.0):
+        for tf in (8.5, 304.0, 1e3):
+            p = lo.OpenParams(0.1, -1.0, 1.0, tf, temp, 0.01)
+            err = np.abs(lo.evolve_master(p) - master_ode_state(p, 1e-13, 1e-15)).max()
+            assert err <= 1e-10 + 1e-12, (temp, tf, err)
+
+
+def test_master_closed_limit_against_parabolic_cylinder_oracle():
+    # at g = 0 the Gibbs state (1 - th) 1/2 + th |psi><psi|, th = tanh(beta b_i),
+    # keeps its mixture while psi follows the exact finite-time solution
+    for temp in (0.05, 1.0):
+        for tf in (8.5, 304.0, 1e3):
+            p = lo.OpenParams(0.1, -1.0, 1.0, tf, temp, 0.0)
+            psi = parabolic_cylinder_state(p.x, p.z_i, p.z_f, p.t_f)
+            th = np.tanh(p.beta * np.hypot(p.x, p.z_i))
+            want = ((1.0 - th) * np.array([1.0 / np.sqrt(2.0), 0.0, 0.0, 0.0])
+                    + th * lo.density_to_coherence(np.outer(psi, psi.conj())))
+            err = np.abs(lo.evolve_master(p) - want).max()
+            assert err <= 1e-10 + 1e-12, (temp, tf, err)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(hst.floats(0.02, 1.0), hst.floats(0.1, 2.0), hst.floats(0.1, 2.0),
+       hst.floats(0.1, 100.0), hst.floats(0.02, 2.0), hst.floats(0.0, 0.3))
+def test_master_properties_at_random_parameters(x, minus_z_i, z_f, tf, temp, g):
+    p = lo.OpenParams(x, -minus_z_i, z_f, tf, temp, g)
+    tol = 1e-10 + 1e-12
+    c = lo.evolve_master(p)
+    # the generator's first row is zero, and so is every step's deviation
+    # from the identity: the trace component is never rounded
+    assert c[0] == 1.0 / np.sqrt(2.0)
+    assert (c[0] - np.linalg.norm(c[1:])) / np.sqrt(2.0) >= -tol
+    assert 0.0 <= lo.trace_distance(c, lo.adiabatic_state_open(p)) <= 1.0 + tol
+    # a trace distance of two states lies in [0, 1]; the AIA vector is not
+    # clamped to a state, and the rows where it is none are only >= 0
+    dtaus = np.linspace(-tf, tf, 41)
+    aia = lo._aia_coherences(p, tf / 2.0 - dtaus / 2.0, tf / 2.0 + dtaus / 2.0)
+    is_state = aia[:, 0] - np.linalg.norm(aia[:, 1:], axis=-1) >= 0.0
+    rows = lo.aia_distance_grid(p, dtaus, c)
+    assert np.all(rows >= 0.0) and np.all(rows[is_state] <= 1.0 + tol)
 
 
 def test_master_approaches_final_gibbs_slowly():

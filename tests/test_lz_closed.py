@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from aia import lz_closed as lz
-from aia import numkit
+from aia import numkit, tfi
 from oracles import parabolic_cylinder_state
 
 P_STD = lz.LzParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=10.0)
@@ -123,10 +123,11 @@ def test_evolve_against_parabolic_cylinder_oracle():
             assert err <= rel_tol + abs_tol, (tf, rel_tol, err)
 
 
-def test_evolve_below_roundoff_floor_raises_after_two_pairs(monkeypatch):
+def test_evolve_below_roundoff_floor_raises_before_stepping(monkeypatch):
     # rounding alone leaves ~1e-16 between two runs: a 2e-17 tolerance is
-    # unreachable, and the step doubling gives up after its second pair
-    # instead of refining forever
+    # unreachable at any step count, so the step doubling raises before its
+    # first pair, for lz and for the L = 150 chain at t_f = 300 (whose second
+    # pair ran 1.58e6 steps x 75 modes when the floor was found only after it)
     passes = []
     real = lz._magnus_state
 
@@ -135,11 +136,12 @@ def test_evolve_below_roundoff_floor_raises_after_two_pairs(monkeypatch):
         return real(p, n, psi)
 
     monkeypatch.setattr(lz, "_magnus_state", counted)
-    for tf in (10.0, 1e3):
-        passes.clear()
+    for evolve in (lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 10.0), 1e-17, 1e-17),
+                   lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 1e3), 1e-17, 1e-17),
+                   lambda: tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 300.0), 1e-17, 1e-17)):
         with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
-            lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, tf), 1e-17, 1e-17)
-        assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
+            evolve()
+        assert passes == []
 
 
 def test_evolve_frames_agree():

@@ -1,6 +1,12 @@
-"""The two-level evolution reaches no ODE integrator: lz_closed and tfi (which
-evolves the chain through lz_closed) import neither numkit.integrate_ode nor
-scipy.integrate."""
+"""The exact evolutions of the three models reach no ODE integrator: lz_closed,
+tfi (which evolves the chain through lz_closed) and lindblad_open import
+neither numkit.integrate_ode nor scipy.integrate.
+
+intertwiner is not on the list: its exact propagator E and transport U stay
+DOP853 solves. The benchmark's transport references carry U's
+finite-difference roundoff and the tight ODE's E, whose errors partly cancel,
+so a Magnus E moves the worst |E - U| deviation from them (9.3e-11 to 1.6e-10)
+until those references are re-based."""
 
 import ast
 from pathlib import Path
@@ -25,7 +31,7 @@ def _imported_and_accessed(path):
     return names
 
 
-@pytest.mark.parametrize("module", ["lz_closed", "tfi"])
+@pytest.mark.parametrize("module", ["lz_closed", "tfi", "lindblad_open"])
 def test_two_level_modules_reach_no_ode_integrator(module):
     names = _imported_and_accessed(SRC / f"{module}.py")
     assert not names & ODE_NAMES, sorted(names & ODE_NAMES)

@@ -106,6 +106,48 @@ def test_ode_non_finite_rhs_at_start_raises_at_once():
         signal.signal(signal.SIGALRM, previous)
 
 
+# --------------------------------------------------------------- step_doubling
+
+def _quartic(passes, floor):
+    """A fourth-order 'propagator': the state after n steps is n^-4 off, plus a
+    rounding error of +-floor that alternates between calls."""
+    def propagate(n):
+        passes.append(n)
+        return np.array([1.0 + n ** -4.0, 1.0 + floor * (-1) ** len(passes)])
+    return propagate
+
+
+def test_step_doubling_returns_the_fine_state_of_the_predicted_pair():
+    # a 1e-12 tolerance: the first pair (10, 20) misses, its difference
+    # predicts the n of the second, aimed at half the tolerance, which meets it
+    passes = []
+    got = numkit.step_doubling(_quartic(passes, 0.0), 10, 1e-12, 1e-14, 1.0)
+    n = int(np.ceil(10 * (2.0 * (10.0 ** -4 - 20.0 ** -4) / 1.01e-12) ** 0.25))
+    assert passes == [10, 20, n, 2 * n]
+    assert got[0] == 1.0 + (2 * n) ** -4.0 and (n ** -4.0 - (2 * n) ** -4.0) <= 1.01e-12
+
+
+def test_step_doubling_raises_after_two_pairs_at_the_roundoff_floor():
+    # a rounding floor of 2e-12 between two runs: a 1e-13 tolerance, above
+    # the machine epsilon, is out of reach, and step_doubling gives up after its
+    # second pair instead of refining forever
+    passes = []
+    with pytest.raises(numkit.IntegrationError, match=r"t=5: \d+ steps .* \(roundoff floor\)"):
+        numkit.step_doubling(_quartic(passes, 1e-12), 10, 1e-13, 1e-15, 5.0)
+    assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
+
+
+def test_step_doubling_below_machine_epsilon_takes_no_step():
+    passes = []
+    with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
+        numkit.step_doubling(_quartic(passes, 0.0), 10, 1e-17, 1e-17, 1.0)
+    assert passes == []
+    for rel_tol, abs_tol in ((0.0, 1e-12), (1e-10, -1e-12)):
+        with pytest.raises(ValueError, match="positive"):
+            numkit.step_doubling(_quartic(passes, 0.0), 10, rel_tol, abs_tol, 1.0)
+    assert passes == []
+
+
 # -------------------------------------------------------- hypot_antiderivative
 
 @pytest.mark.parametrize("a", [1e-12, 1e-8, 0.1, 1.0, 3.0])

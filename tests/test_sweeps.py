@@ -404,6 +404,16 @@ def test_cli_exit_2_below_the_roundoff_floor(tmp_path, capsys):
     assert "roundoff floor" in capsys.readouterr().err
 
 
+def test_cli_exit_2_below_the_roundoff_floor_open(tmp_path):
+    # the damped qubit's evolution shares the step doubling and its floor
+    cfg_path = tmp_path / "open.cfg"
+    cfg_path.write_text(OPEN_CFG + "rel_tol = 1e-17\nabs_tol = 1e-17\n")
+    out = tmp_path / "floor.csv"
+    assert cli_main(["open", "--config", str(cfg_path), "--out", str(out)]) == 2
+    errors = sweeps.read_csv(out)["err"]
+    assert len(errors) == 6 and all(e.startswith("IntegrationError") for e in errors)
+
+
 # ------------------------------------------------------------------ repo configs
 
 def test_shipped_config_files_parse():
