@@ -63,9 +63,9 @@ class LiouvillianSpectrum:
     sum_n R_n L_n^T is the identity.
     """
 
-    eigenvalues: np.ndarray  # (4,) complex
-    right: np.ndarray        # (4, 4) complex, right[:, n]
-    left: np.ndarray         # (4, 4) complex, left[n, :]
+    eigenvalues: np.ndarray  # z.shape + (4,) complex
+    right: np.ndarray        # z.shape + (4, 4) complex, right[..., :, n]
+    left: np.ndarray         # z.shape + (4, 4) complex, left[..., n, :]
 
 
 def spectral_gamma(omega, beta, g):
@@ -121,35 +121,36 @@ def liouvillian_matrix(x, z, beta, g):
     return m.reshape(b.shape + (4, 4))
 
 
+def _eigenvectors(x, z, beta):
+    """(right, left) of :func:`liouvillian_spectrum`, broadcast over z: z.shape + (4, 4)
+    each. The arithmetic is elementwise, so every entry has the scalar call's bits."""
+    delta = 2.0 * np.hypot(x, z)
+    th, sq2 = np.tanh(0.5 * beta * delta), np.sqrt(2.0)
+    right, left = np.zeros((2,) + delta.shape + (4, 4), dtype=complex)
+    right[..., 0, 0], left[..., 0, 0], left[..., 1, 0] = 1 / sq2, sq2, th
+    right[..., 1, 0], right[..., 3, 0] = -sq2 * x * th / delta, -sq2 * z * th / delta
+    right[..., 1, 1] = left[..., 1, 1] = 2 * x / delta
+    right[..., 3, 1] = left[..., 1, 3] = 2 * z / delta
+    right[..., 1, 2] = left[..., 2, 1] = -sq2 * z / delta
+    right[..., 3, 2] = left[..., 2, 3] = sq2 * x / delta
+    right[..., 2, 2], left[..., 2, 2] = -1j / sq2, 1j / sq2
+    right[..., 3], left[..., 3, :] = right[..., 2].conj(), left[..., 2, :].conj()
+    return right, left
+
+
 def liouvillian_spectrum(x, z, beta, g):
-    """Closed-form eigensystem of the generator.
+    """Closed-form eigensystem of the generator; broadcasts over z.
 
     l_1 = 0, l_2 = -[gamma(-D) + gamma(D)] = -2 pi g^2 D coth(beta D / 2),
-    l_{3,4} = l_2 / 2 -/+ i D. The right/left vectors are normalized to a
-    biorthonormal pair; all entries stay finite at z = 0.
+    l_{3,4} = l_2 / 2 -/+ i D. The right/left vectors (:func:`_eigenvectors`)
+    are normalized to a biorthonormal pair; all entries stay finite at z = 0.
     """
     if x == 0.0:
         raise ValueError("require x != 0 (gap must stay open)")
-    b = np.hypot(x, z)
-    delta = 2.0 * b
-    th = np.tanh(0.5 * beta * delta)
+    delta = 2.0 * np.hypot(x, z)
     l2 = -(spectral_gamma(-delta, beta, g) + spectral_gamma(delta, beta, g))
-    eigs = np.array([0.0, l2, 0.5 * l2 - 1j * delta, 0.5 * l2 + 1j * delta],
-                    dtype=complex)
-
-    sq2 = np.sqrt(2.0)
-    r1 = np.array([1 / sq2, -sq2 * x * th / delta, 0.0, -sq2 * z * th / delta])
-    r2 = np.array([0.0, 2 * x / delta, 0.0, 2 * z / delta])
-    r3 = np.array([0.0, -sq2 * z / delta, -1j / sq2, sq2 * x / delta])
-    r4 = r3.conj()
-    l1 = np.array([sq2, 0.0, 0.0, 0.0])
-    l2v = np.array([th, 2 * x / delta, 0.0, 2 * z / delta])
-    l3 = np.array([0.0, -sq2 * z / delta, 1j / sq2, sq2 * x / delta])
-    l4 = l3.conj()
-
-    right = np.stack([r1, r2, r3, r4], axis=1).astype(complex)
-    left = np.stack([l1, l2v, l3, l4], axis=0).astype(complex)
-    return LiouvillianSpectrum(eigs, right, left)
+    eigs = np.stack(np.broadcast_arrays(0.0, l2, 0.5 * l2 - 1j * delta, 0.5 * l2 + 1j * delta), -1)
+    return LiouvillianSpectrum(eigs, *_eigenvectors(x, z, beta))
 
 
 def steady_state(x, z, beta):

@@ -13,6 +13,12 @@ nothing with the Magnus propagator of :func:`aia.lz_closed.evolve_schrodinger`:
 :func:`master_ode_state` integrates the damped qubit's master equation with
 the same DOP853 pair, apart from the Magnus propagator of
 :func:`aia.lindblad_open.evolve_master`.
+
+:func:`spectral_projectors` and :func:`commutator_term` build the transport's
+projectors and its commutator term one scalar spectrum, one ``np.outer`` and
+one sector at a time, apart from the broadcast products of
+:func:`aia.intertwiner.spectral_projectors` and
+:func:`aia.intertwiner._commutator_term`, which must match them bitwise.
 """
 
 import numpy as np
@@ -93,3 +99,22 @@ def master_ode_state(p, rel_tol, abs_tol):
 
     return numkit.integrate_ode(rhs, lo.steady_state(p.x, p.z_i, p.beta), 0.0, p.t_f,
                                 rel_tol, abs_tol)
+
+
+def spectral_projectors(p, s):
+    """The four projectors R_n L_n^T at rescaled time s, as a list over n."""
+    spec = lo.liouvillian_spectrum(p.x, float(p.z(s * p.t_f)), p.beta, p.g)
+    return [np.outer(spec.right[:, n], spec.left[n]) for n in range(4)]
+
+
+def commutator_term(p, s, step):
+    """(1/2) sum_n [dP_n/ds, P_n], dP_n/ds by central differences of step ``step``,
+    summed over n into a zero matrix; real."""
+    pn = spectral_projectors(p, s)
+    pp = spectral_projectors(p, s + step)
+    pm = spectral_projectors(p, s - step)
+    acc = np.zeros((4, 4), dtype=complex)
+    for n in range(4):
+        dp = (pp[n] - pm[n]) / (2.0 * step)
+        acc += dp @ pn[n] - pn[n] @ dp
+    return 0.5 * acc.real

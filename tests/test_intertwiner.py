@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from aia import intertwiner as itw
 from aia import lindblad_open as lo
+import oracles
 
 P_STD = lo.OpenParams(x=0.25, z_i=-1.0, z_f=1.0, t_f=100.0, T=0.3, g=1e-3)
 
@@ -50,6 +51,30 @@ def test_projector_completeness_along_path():
         assert np.abs(sum(ps) - np.eye(4)).max() < 1e-10
         for pn in ps:
             assert np.abs(pn @ pn - pn).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [P_STD, replace(P_STD, x=0.1, T=0.05, g=0.01),
+                               replace(P_STD, x=1.0, T=2.0, g=0.2)])
+def test_projectors_and_commutator_match_loop_oracles_bitwise(p):
+    # the transport references carry the central difference's rounding, amplified
+    # by 1/2h: the broadcast build must reproduce the scalar loop bit for bit
+    ss = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(13).uniform(0.0, 1.0, 200)])
+    batch = itw.spectral_projectors(p, ss)
+    assert batch.shape == (ss.size, 4, 4, 4)
+    for s, got in zip(ss, batch):
+        want = oracles.spectral_projectors(p, s)
+        assert all(np.array_equal(got[n], want[n]) for n in range(4)), s
+        assert np.array_equal(itw.spectral_projectors(p, s), got), s
+        assert np.array_equal(itw._commutator_term(p, s),
+                              oracles.commutator_term(p, s, itw._FD_STEP)), s
+
+
+def test_full_transport_bitwise_with_loop_oracle_rhs(monkeypatch):
+    q = replace(P_STD, t_f=2.0)
+    u = itw.full_intertwiner(q, 1.0)
+    monkeypatch.setattr(itw, "_commutator_term",
+                        lambda p, s: oracles.commutator_term(p, s, itw._FD_STEP))
+    assert np.array_equal(u, itw.full_intertwiner(q, 1.0))
 
 
 def test_commutator_term_traceless():

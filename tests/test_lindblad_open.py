@@ -136,6 +136,25 @@ def test_generator_broadcasts_like_scalar_calls():
         lo.liouvillian_matrix(0.0, zs, 20.0, 0.01)
 
 
+def test_spectrum_broadcasts_like_scalar_calls():
+    # the transport builds its projectors from broadcast eigenvectors; every
+    # entry has the scalar call's bits, eigenvalues included
+    zs = np.array([[-1.0, -0.3, 0.0], [1e-9, 0.4, 1.0]])
+    for g in (0.0, 0.01):
+        got = lo.liouvillian_spectrum(0.1, zs, 20.0, g)
+        right, left = lo._eigenvectors(0.1, zs, 20.0)
+        assert got.eigenvalues.shape == (2, 3, 4) and right.shape == left.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(zs.shape):
+            want = lo.liouvillian_spectrum(0.1, float(zs[idx]), 20.0, g)
+            assert np.array_equal(got.eigenvalues[idx], want.eigenvalues)
+            assert np.array_equal(got.right[idx], want.right)
+            assert np.array_equal(got.left[idx], want.left)
+            assert np.array_equal(right[idx], want.right)
+            assert np.array_equal(left[idx], want.left)
+    with pytest.raises(ValueError, match="gap"):
+        lo.liouvillian_spectrum(0.0, zs, 20.0, 0.01)
+
+
 def test_generator_closed_limit_structure():
     m = lo.liouvillian_matrix(0.1, 0.4, 20.0, 0.0)
     assert np.abs(m[:, 0]).max() == 0.0
