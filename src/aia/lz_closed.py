@@ -99,11 +99,6 @@ class SwitchingTimes:
         return self.tau_plus - self.tau_minus
 
 
-def hamiltonian(x, z):
-    """2x2 matrix x sigma_x + z sigma_z."""
-    return np.array([[z, x], [x, -z]])
-
-
 def lz_eigensystem(x, z):
     """Instantaneous energies and real-gauge eigenvectors at coupling x, detuning z.
 
@@ -347,11 +342,3 @@ def optimize_dtau(p, psi_exact):
     n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / p.x))) + 1
     return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, psi_exact), p.t_f, n, 1e-8)
 
-
-def switching_from_dtau(p, dtau):
-    """Centered SwitchingTimes for a given impulse interval (may be reversed)."""
-    tm = p.t_f / 2.0 - dtau / 2.0
-    tp = p.t_f / 2.0 + dtau / 2.0
-    regime = REGIME_REVERSED if dtau < 0 else (
-        REGIME_COLLAPSED if dtau == 0 else REGIME_INTERIOR)
-    return SwitchingTimes(tm, tp, regime)

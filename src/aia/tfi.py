@@ -111,33 +111,11 @@ def epsilon_k(h, k):
     return 2.0 * np.hypot(np.asarray(h) - np.cos(k), np.sin(k))
 
 
-def mode_hamiltonian(h, k):
-    """Pair-basis 2x2 mode Hamiltonian -2[(h - cos k) sigma_z + sin k sigma_y]."""
-    a = h - np.cos(k)
-    s = np.sin(k)
-    return np.array([[-2.0 * a, 2.0j * s], [-2.0j * s, 2.0 * a]])
-
-
-def _mode_eigenvectors(h, k):
-    """The crossing's real-gauge eigenvectors at field h, in the pair basis."""
-    _, _, psi1, psi2 = lz.lz_eigensystem(2.0 * np.sin(k), 2.0 * (np.asarray(h) - np.cos(k)))
-    return psi1 @ _PAIR.T, psi2 @ _PAIR.T
-
-
 def mode_ground(h, k):
-    """Ground vector (cos(theta/2), i sin(theta/2)), theta = atan2(sin k, h - cos k);
-    broadcasts to (..., 2)."""
-    return _mode_eigenvectors(h, k)[0]
-
-
-def mode_excited(h, k):
-    """Excited vector (i sin(theta/2), cos(theta/2)), orthogonal to the ground one."""
-    return 1j * _mode_eigenvectors(h, k)[1]
-
-
-def ground_register(p):
-    """Product ground register at the initial field."""
-    return mode_ground(p.h_i, momenta(p.L))
+    """Ground vector (cos(theta/2), i sin(theta/2)), theta = atan2(sin k, h - cos k):
+    the crossing's real-gauge ground vector in the pair basis; broadcasts to (..., 2)."""
+    _, _, psi1, _ = lz.lz_eigensystem(2.0 * np.sin(k), 2.0 * (np.asarray(h) - np.cos(k)))
+    return psi1 @ _PAIR.T
 
 
 def _elliptic_term(h):

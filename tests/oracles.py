@@ -19,6 +19,15 @@ projectors and its commutator term one scalar spectrum, one ``np.outer`` and
 one sector at a time, apart from the broadcast products of
 :func:`aia.intertwiner.spectral_projectors` and
 :func:`aia.intertwiner._commutator_term`, which must match them bitwise.
+
+:func:`rate_integral` is the damped qubit's rate integral int |l_2| dt by
+mpmath quadrature in the time variable, apart from the fixed rule of
+:func:`aia.lindblad_open._rate_integrals`.
+
+The rest are definitions that only the tests use: the two-level and mode
+Hamiltonians, the damped qubit's jump operators, the Pauli coefficients of a
+matrix, the chain's excited mode vector and ground register, and the
+centered impulse window of a given interval.
 """
 
 import numpy as np
@@ -26,7 +35,72 @@ import pytest
 
 from aia import lindblad_open as lo
 from aia import lz_closed as lz
-from aia import numkit
+from aia import numkit, tfi
+
+
+def hamiltonian(x, z):
+    """2x2 matrix x sigma_x + z sigma_z."""
+    return np.array([[z, x], [x, -z]])
+
+
+def switching_from_dtau(p, dtau):
+    """Centered SwitchingTimes for a given impulse interval (may be reversed)."""
+    tm = p.t_f / 2.0 - dtau / 2.0
+    tp = p.t_f / 2.0 + dtau / 2.0
+    regime = lz.REGIME_REVERSED if dtau < 0 else (
+        lz.REGIME_COLLAPSED if dtau == 0 else lz.REGIME_INTERIOR)
+    return lz.SwitchingTimes(tm, tp, regime)
+
+
+def lindblad_ops(x, z):
+    """Jump operators (L_0, L_+, L_-) of the damped qubit at the working point (x, z)."""
+    b = np.hypot(x, z)
+    if b == 0.0:
+        raise ValueError("degenerate point x = z = 0")
+    l_plus = (1j * z / (2 * b)) * lz.SIGMA_X + 0.5 * lz.SIGMA_Y - (1j * x / (2 * b)) * lz.SIGMA_Z
+    return np.zeros((2, 2), dtype=complex), l_plus, l_plus.conj().T
+
+
+def density_to_coherence(rho):
+    """Coefficients Tr(Gamma_i rho) of a 2x2 matrix; real for Hermitian rho."""
+    return np.array([np.trace(g @ rho).real for g in lo.PAULI_BASIS])
+
+
+def mode_hamiltonian(h, k):
+    """The chain's pair-basis 2x2 mode Hamiltonian -2[(h - cos k) sigma_z + sin k sigma_y],
+    defined apart from the crossing that :mod:`aia.tfi` maps it to."""
+    a = h - np.cos(k)
+    s = np.sin(k)
+    return np.array([[-2.0 * a, 2.0j * s], [-2.0j * s, 2.0 * a]])
+
+
+def mode_excited(h, k):
+    """Excited mode vector (i sin(theta/2), cos(theta/2)), theta = atan2(sin k, h - cos k)."""
+    half = 0.5 * np.arctan2(np.sin(k), np.asarray(h) - np.cos(k))
+    return np.stack([1j * np.sin(half), np.cos(half) + 0j], axis=-1)
+
+
+def ground_register(p):
+    """Product ground register of the chain at the initial field."""
+    return tfi.mode_ground(p.h_i, tfi.momenta(p.L))
+
+
+def rate_integral(p, t_a, t_b, dps=30):
+    """int_{t_a}^{t_b} 2 pi g^2 Delta coth(beta Delta / 2) dt, Delta = 2 sqrt(x^2 + z(t)^2),
+    by mpmath quadrature in t in dps digits, split at the crossing z = 0, where
+    the rate has its narrowest feature."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        x, z_i, dz, t_f, beta, g = (mpmath.mpf(float(v)) for v in
+                                    (p.x, p.z_i, p.dz, p.t_f, p.beta, p.g))
+
+        def rate(t):
+            delta = 2 * mpmath.sqrt(x * x + (z_i + dz * t / t_f) ** 2)
+            return 2 * mpmath.pi * g * g * delta * mpmath.coth(beta * delta / 2)
+
+        t_a, t_b, t_c = mpmath.mpf(float(t_a)), mpmath.mpf(float(t_b)), -z_i * t_f / dz
+        points = [t_a, t_c, t_b] if min(t_a, t_b) < t_c < max(t_a, t_b) else [t_a, t_b]
+        return float(mpmath.quad(rate, points))
 
 
 def adiabatic_frame_state(p, rel_tol, abs_tol):

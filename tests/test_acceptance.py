@@ -34,6 +34,7 @@ from aia import intertwiner as itw
 from aia import lindblad_open as lo
 from aia import lz_closed as lz
 from aia import numkit, tfi
+from oracles import lindblad_ops, mode_hamiltonian
 
 # the two-level sweep of criteria 1-6 and the chain of criterion 7, as swept
 # by the session fixtures in conftest.py
@@ -417,7 +418,7 @@ def test_criterion_11_oracle_equivalences():
     worst_jump = 0.0
     for _ in range(10):
         x, z = rng.uniform(0.05, 2), rng.uniform(-2, 2)
-        _, lp, _ = lo.lindblad_ops(x, z)
+        _, lp, _ = lindblad_ops(x, z)
         _, _, psi1, psi2 = lz.lz_eigensystem(x, z)
         oracle = np.outer(psi1, psi1) @ lo.SIGMA_Y @ np.outer(psi2, psi2)
         worst_jump = max(worst_jump, np.abs(lp - oracle).max())
@@ -428,7 +429,7 @@ def test_criterion_11_oracle_equivalences():
     k = np.pi / 2
 
     def rhs(t, y):
-        return -1j * (tfi.mode_hamiltonian(float(p.h(t)), k) @ y)
+        return -1j * (mode_hamiltonian(float(p.h(t)), k) @ y)
 
     direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
                                   1e-13, 1e-15, method="RK45")

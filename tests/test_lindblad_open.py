@@ -10,8 +10,9 @@ from scipy.linalg import expm
 from aia import lindblad_open as lo
 from aia import intertwiner as itw
 from aia import numkit
-from aia.lz_closed import SwitchingTimes, lz_eigensystem, switching_from_dtau
-from oracles import master_ode_state, parabolic_cylinder_state
+from aia.lz_closed import SwitchingTimes, lz_eigensystem
+from oracles import (density_to_coherence, lindblad_ops, master_ode_state,
+                     parabolic_cylinder_state, rate_integral, switching_from_dtau)
 
 P_STD = lo.OpenParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=50.0, T=0.05, g=0.01)
 
@@ -64,7 +65,7 @@ def test_lindblad_ops_match_projector_sum_oracle():
     rng = np.random.default_rng(4)
     for _ in range(30):
         x, z = rng.uniform(0.05, 2), rng.uniform(-2, 2)
-        _, lp, lm = lo.lindblad_ops(x, z)
+        _, lp, lm = lindblad_ops(x, z)
         _, _, psi1, psi2 = lz_eigensystem(x, z)
         oracle = np.outer(psi1, psi1) @ lo.SIGMA_Y @ np.outer(psi2, psi2)
         assert np.abs(lp - oracle).max() < 1e-13
@@ -72,7 +73,7 @@ def test_lindblad_ops_match_projector_sum_oracle():
 
 
 def test_lindblad_ops_lower_within_sectors():
-    _, lp, _ = lo.lindblad_ops(0.1, 0.3)
+    _, lp, _ = lindblad_ops(0.1, 0.3)
     _, _, psi1, psi2 = lz_eigensystem(0.1, 0.3)
     assert np.abs(lp @ psi1).max() < 1e-14
     residual = lp @ psi2 - np.vdot(psi1, lp @ psi2) * psi1
@@ -80,7 +81,7 @@ def test_lindblad_ops_lower_within_sectors():
 
 
 def test_lindblad_ops_normalization():
-    _, lp, _ = lo.lindblad_ops(0.7, -0.4)
+    _, lp, _ = lindblad_ops(0.7, -0.4)
     assert abs(np.trace(lp.conj().T @ lp).real - 1.0) < 1e-13
 
 
@@ -89,7 +90,7 @@ def test_lindblad_ops_normalization():
 def _assembled_generator(x, z, beta, g):
     """Independent construction from the abstract Lindblad form."""
     ham = np.array([[z, x], [x, -z]], dtype=complex)
-    _, lp, lm = lo.lindblad_ops(x, z)
+    _, lp, lm = lindblad_ops(x, z)
     delta = 2 * np.hypot(x, z)
     pairs = ((lo.spectral_gamma(delta, beta, g), lp),
              (lo.spectral_gamma(-delta, beta, g), lm))
@@ -287,7 +288,7 @@ def test_master_closed_limit_against_parabolic_cylinder_oracle():
             psi = parabolic_cylinder_state(p.x, p.z_i, p.z_f, p.t_f)
             th = np.tanh(p.beta * np.hypot(p.x, p.z_i))
             want = ((1.0 - th) * np.array([1.0 / np.sqrt(2.0), 0.0, 0.0, 0.0])
-                    + th * lo.density_to_coherence(np.outer(psi, psi.conj())))
+                    + th * density_to_coherence(np.outer(psi, psi.conj())))
             err = np.abs(lo.evolve_master(p) - want).max()
             assert err <= 1e-10 + 1e-12, (temp, tf, err)
 
@@ -408,30 +409,50 @@ def test_rate_integrals_broadcast_like_scalar_calls():
         assert abs(rate_int[i] - r) <= 1e-15 * r and delta_int[i] == d
 
 
-def test_rate_integrals_warn_at_the_panel_cap():
-    # at x = 1e-6, T = 1e-4 the rate has a kink of width ~1e-6 at the
-    # crossing, and 64 panels leave the quadrature 1.6e-8 off
-    p = lo.OpenParams(1e-6, -1, 1, 1e3, 1e-4, 0.3)
-    with pytest.warns(RuntimeWarning, match=r"over \[0, 1000\] stopped at 64 panels, "
-                                            r"last difference \d"):
-        rate_int, _ = lo._rate_integrals(p, 0.0, p.t_f)
-    assert np.isfinite(rate_int)
+def test_rate_integrals_match_mpmath_at_kink_and_corner():
+    # x = 1e-6, T = 1e-4: a kink of width ~1e-6 at the crossing; x = 1e-3,
+    # z in [-50, 30], T = 0.05: theta = asinh(z / x) spans 23 units, 23 panels
+    for p in (lo.OpenParams(1e-6, -1, 1, 1e3, 1e-4, 0.3),
+              lo.OpenParams(1e-3, -50, 30, 1e3, 0.05, 0.01),
+              lo.OpenParams(1e-3, -50, 30, 1e5, 0.05, 0.01)):
+        for t_a, t_b in ((0.0, p.t_f), (0.3 * p.t_f, 0.9 * p.t_f), (0.7 * p.t_f, p.t_f)):
+            want = rate_integral(p, t_a, t_b)
+            got, _ = lo._rate_integrals(p, t_a, t_b)
+            assert abs(got - want) <= 1e-14 * want, (p, t_a, t_b)
 
 
-def test_rate_integrals_open_sweep_converge_within_four_panels(monkeypatch, recwarn):
-    # the open-sweep parameters: T = 0.05, t_f 8.5..304; every window of the
-    # optimizer's grid converges at 4 panels or fewer (1 + 2 + 4 panel passes,
-    # two rate evaluations each), and nothing warns
-    calls = []
-    gamma = lo.spectral_gamma
-    monkeypatch.setattr(lo, "spectral_gamma", lambda *a: calls.append(1) or gamma(*a))
+def test_rate_integrals_open_sweep_use_at_most_six_panels(monkeypatch):
+    # the open-sweep parameters: T = 0.05, t_f 8.5..304; theta = asinh(z / x)
+    # spans 2 asinh(10) = 6.0 over the sweep, so no window of the optimizer's
+    # grid takes more than 6 panels of 12 nodes, and each result matches the oracle
+    shapes = []
+    rate = lo._damping_rate
+    monkeypatch.setattr(lo, "_damping_rate", lambda delta, *a: shapes.append(delta.shape)
+                        or rate(delta, *a))
     for tf in np.geomspace(1.0, 1000.0, 30)[9:25:5]:
         p = lo.OpenParams(0.1, -1, 1, tf, 0.05, 0.01)
-        dtaus = np.linspace(-tf, tf, 601)
-        calls.clear()
-        lo._rate_integrals(p, tf / 2 + dtaus / 2, tf)
-        assert len(calls) <= 2 * (1 + 2 + 4)
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        t_a = tf / 2 + np.linspace(-tf, tf, 601) / 2
+        shapes.clear()
+        got, _ = lo._rate_integrals(p, t_a, tf)
+        assert shapes == [(601, 6, 12)]
+        for i in (0, 150, 300, 451, 600):
+            want = rate_integral(p, t_a[i], tf)
+            assert abs(got[i] - want) <= 1e-14 * want, (tf, i)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(hst.floats(-3, 1), hst.floats(-2, 1.7), hst.floats(-2, 1.7), hst.floats(-1, 5),
+       hst.floats(-3, 1), hst.floats(0, 0.5),
+       hst.lists(hst.floats(0, 1), min_size=3, max_size=3))
+def test_rate_integrals_add_over_adjacent_intervals(log_x, log_zi, log_zf, log_tf, log_t, g,
+                                                    cuts):
+    # x, |z_i|, z_f, t_f and T over decades around the shipped sweeps, g up to 0.5
+    p = lo.OpenParams(10.0 ** log_x, -10.0 ** log_zi, 10.0 ** log_zf, 10.0 ** log_tf,
+                      10.0 ** log_t, g)
+    t_a, t_b, t_c = np.sort(cuts) * p.t_f
+    (ab, bc, ac), _ = lo._rate_integrals(p, np.array([t_a, t_b, t_a]), np.array([t_b, t_c, t_c]))
+    assert np.isfinite([ab, bc, ac]).all() and min(ab, bc, ac) >= 0.0
+    assert abs(ab + bc - ac) <= 1e-14 * ac
 
 
 # ----------------------------------------------------------- gap, trace distance
@@ -475,9 +496,9 @@ def test_liouvillian_gap_positive_everywhere():
 
 
 def test_trace_distance_cases():
-    up = lo.density_to_coherence(np.diag([1.0, 0.0]).astype(complex))
-    down = lo.density_to_coherence(np.diag([0.0, 1.0]).astype(complex))
-    mixed = lo.density_to_coherence(np.eye(2) / 2)
+    up = density_to_coherence(np.diag([1.0, 0.0]).astype(complex))
+    down = density_to_coherence(np.diag([0.0, 1.0]).astype(complex))
+    mixed = density_to_coherence(np.eye(2) / 2)
     assert lo.trace_distance(up, up) == 0.0
     assert abs(lo.trace_distance(up, down) - 1.0) < 1e-14
     assert abs(lo.trace_distance(up, mixed) - 0.5) < 1e-14

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from aia import lz_closed as lz
 from aia import numkit, tfi
-from oracles import parabolic_cylinder_state
+from oracles import hamiltonian, parabolic_cylinder_state, switching_from_dtau
 
 P_STD = lz.LzParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=10.0)
 
@@ -54,7 +54,7 @@ def test_eigensystem_residual_and_orthonormality():
     for _ in range(50):
         x, z = rng.uniform(0.01, 2), rng.uniform(-3, 3)
         e1, e2, psi1, psi2 = lz.lz_eigensystem(x, z)
-        h = lz.hamiltonian(x, z)
+        h = hamiltonian(x, z)
         assert np.abs(h @ psi1 - e1 * psi1).max() < 1e-13
         assert np.abs(h @ psi2 - e2 * psi2).max() < 1e-13
         assert abs(np.dot(psi1, psi2)) < 1e-14
@@ -308,7 +308,7 @@ def test_aia_scenario1_beats_adiabatic_at_small_tf():
 
 
 def test_aia_reversed_window_accepted():
-    st = lz.switching_from_dtau(P_STD, -4.0)
+    st = switching_from_dtau(P_STD, -4.0)
     assert st.regime == lz.REGIME_REVERSED
     psi = lz.aia_state(P_STD, st)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
@@ -319,7 +319,7 @@ def test_aia_grid_matches_scalar_path():
     dtaus = np.array([-5.0, -1.0, 0.0, 2.0, 7.5])
     grid = lz.aia_distance_grid(P_STD, dtaus, psi)
     for dt, dg in zip(dtaus, grid):
-        st = lz.switching_from_dtau(P_STD, dt)
+        st = switching_from_dtau(P_STD, dt)
         assert abs(lz.state_distance(psi, lz.aia_state(P_STD, st)) - dg) < 1e-12
 
 
@@ -414,6 +414,21 @@ def test_scenario1_interior_values_solve_condition():
 
 
 # ------------------------------------------------------------------- optimizer
+
+# x, |z_i| and z_f over decades around the shipped sweeps, t_f up to 1e2
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_decades(-2, 1), _decades(-2, 2), _decades(-2, 2), _decades(-2, 2))
+def test_norm_distances_and_optimizer_at_random_parameters(x, minus_z_i, z_f, tf):
+    p = lz.LzParams(x, -minus_z_i, z_f, tf)
+    psi = lz.evolve_schrodinger(p)
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+    d_adi = lz.state_distance(psi, lz.adiabatic_state(p))
+    dists = [d_adi, lz.state_distance(psi, lz.adiabatic_first_order(p))]
+    for scenario in (1, 2, 3, 4):
+        dists.append(lz.state_distance(psi, lz.aia_state(p, lz.switching_times(p, scenario))))
+    assert all(0.0 <= d <= 1.0 for d in dists), dists
+    _, d_opt = lz.optimize_dtau(p, psi)
+    assert d_opt <= d_adi
 
 def test_optimizer_never_beats_nothing():
     p = lz.LzParams(0.1, -1.0, 1.0, 60.0)

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from aia import lz_closed as lz
 from aia import numkit, tfi
 from aia.lz_closed import SwitchingTimes
-from oracles import adiabatic_frame_state, parabolic_cylinder_state
+from oracles import (adiabatic_frame_state, ground_register, mode_excited, mode_hamiltonian,
+                     parabolic_cylinder_state)
 
 
 def test_params_validation():
@@ -42,14 +43,14 @@ def test_momenta_large_chain():
 
 
 def test_mode_hamiltonian_critical_edge():
-    h = tfi.mode_hamiltonian(1.0, np.pi)
+    h = mode_hamiltonian(1.0, np.pi)
     assert np.allclose(h, np.diag([-4.0, 4.0]))
     assert abs(tfi.epsilon_k(1.0, np.pi) - 4.0) < 1e-14
 
 
 def test_mode_hamiltonian_zero_field():
     for k in (0.3, 1.1, 2.9):
-        m = tfi.mode_hamiltonian(0.0, k)
+        m = mode_hamiltonian(0.0, k)
         assert np.array_equal(m, m.conj().T)
         w, _ = np.linalg.eigh(m)
         assert np.allclose(w, [-2.0, 2.0])
@@ -59,7 +60,7 @@ def test_mode_ground_matches_eigensolver_oracle():
     rng = np.random.default_rng(17)
     for _ in range(40):
         h, k = rng.uniform(0, 3), rng.uniform(0.02, np.pi - 0.02)
-        m = tfi.mode_hamiltonian(h, k)
+        m = mode_hamiltonian(h, k)
         assert np.array_equal(m, m.conj().T)
         w, v = np.linalg.eigh(m)
         g = tfi.mode_ground(h, k)
@@ -82,7 +83,7 @@ def test_mode_ground_against_mpmath_oracle():
 
 def test_mode_vectors_orthonormal():
     g = tfi.mode_ground(0.7, 1.3)
-    e = tfi.mode_excited(0.7, 1.3)
+    e = mode_excited(0.7, 1.3)
     assert abs(np.vdot(g, g) - 1.0) < 1e-14
     assert abs(np.vdot(g, e)) < 1e-14
 
@@ -94,7 +95,7 @@ def test_ground_register_limits():
     assert np.abs(reg[:, 0] - 1.0).max() < 1e-7  # strong-field polarization
     # zero field: theta = atan2(sin k, -cos k) = pi - k
     half = (np.pi - tfi.momenta(8)) / 2
-    reg = tfi.ground_register(tfi.TfiParams(8, 0.0, 1.5, 1.0))
+    reg = ground_register(tfi.TfiParams(8, 0.0, 1.5, 1.0))
     assert np.abs(reg - np.stack([np.cos(half), 1j * np.sin(half)], axis=-1)).max() < 1e-14
     mode = tfi.mode_ground(0.0, np.pi / 2)
     assert np.abs(mode - np.array([np.cos(np.pi / 4), 1j * np.sin(np.pi / 4)])).max() < 1e-14
@@ -103,9 +104,9 @@ def test_ground_register_limits():
 def test_register_energy_identity():
     h0 = 0.85
     p = tfi.TfiParams(50, h0, 1.5, 1.0)
-    reg = tfi.ground_register(p)
+    reg = ground_register(p)
     ks = tfi.momenta(p.L)
-    e = sum(np.vdot(reg[i], tfi.mode_hamiltonian(h0, ks[i]) @ reg[i]).real
+    e = sum(np.vdot(reg[i], mode_hamiltonian(h0, ks[i]) @ reg[i]).real
             for i in range(ks.size))
     assert abs(e + tfi.epsilon_k(h0, ks).sum()) < 1e-10
 
@@ -149,7 +150,7 @@ def test_gap_lower_bound_property():
 def test_evolve_sudden_limit():
     p = tfi.TfiParams(150, 0.5, 1.5, 1e-8)
     reg = tfi.evolve_register(p)
-    assert tfi.register_distance(reg, tfi.ground_register(p)) < 1e-6
+    assert tfi.register_distance(reg, ground_register(p)) < 1e-6
 
 
 def test_evolve_mode_norms():
@@ -200,7 +201,7 @@ def test_aia_collapse_equals_adiabatic():
 def test_aia_whole_interval_is_frozen():
     p = tfi.TfiParams(150, 0.5, 1.5, 10.0)
     st = SwitchingTimes(0.0, p.t_f, "whole-interval-impulse")
-    d = tfi.register_distance(tfi.aia_register(p, st), tfi.ground_register(p))
+    d = tfi.register_distance(tfi.aia_register(p, st), ground_register(p))
     assert d < 1e-12
 
 
@@ -233,7 +234,7 @@ def test_aia_grid_normalizes_each_mode():
 
 def test_register_distance_cases():
     p = tfi.TfiParams(6, 0.5, 1.5, 1.0)
-    reg = tfi.ground_register(p)
+    reg = ground_register(p)
     assert tfi.register_distance(reg, reg) == 0.0
     flipped = reg.copy()
     flipped[1] = np.array([-np.conj(reg[1, 1]), np.conj(reg[1, 0])])
@@ -257,7 +258,7 @@ def test_register_distance_two_partial_modes():
 
 def test_register_distance_normalizes_each_mode():
     p = tfi.TfiParams(150, 0.5, 1.5, 20.0)
-    reg = tfi.ground_register(p)
+    reg = ground_register(p)
     scaled = (1.0 - 1e-6) * reg
     # a norm error is not a distance: without normalization this reads 0.012247
     assert tfi.register_distance(reg, scaled) < 1e-7
@@ -268,8 +269,8 @@ def test_register_distance_normalizes_each_mode():
 
 
 def test_register_distance_rejects_mismatched_lengths():
-    a = tfi.ground_register(tfi.TfiParams(4, 0.5, 1.5, 1.0))
-    b = tfi.ground_register(tfi.TfiParams(6, 0.5, 1.5, 1.0))
+    a = ground_register(tfi.TfiParams(4, 0.5, 1.5, 1.0))
+    b = ground_register(tfi.TfiParams(6, 0.5, 1.5, 1.0))
     with pytest.raises(ValueError):
         tfi.register_distance(a, b)
 
@@ -446,7 +447,7 @@ def test_l2_register_pipeline_equals_direct_two_level():
     k = np.pi / 2
 
     def rhs(t, y):
-        return -1j * (tfi.mode_hamiltonian(float(p.h(t)), k) @ y)
+        return -1j * (mode_hamiltonian(float(p.h(t)), k) @ y)
 
     direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
                                   1e-13, 1e-15, method="RK45")
