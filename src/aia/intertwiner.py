@@ -78,17 +78,11 @@ def exact_propagator(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12):
     return e.reshape(4, 4)
 
 
-def apply_superoperator(superop, rho):
-    """Apply a Pauli-basis superoperator to a 2x2 matrix."""
-    coeff = np.array([np.trace(g @ rho) for g in PAULI_BASIS])
-    out_coeff = superop @ coeff
-    return sum(c * g for c, g in zip(out_coeff, PAULI_BASIS))
-
-
 def choi_matrix(superop):
-    """Choi matrix sum_ij S(|i><j|) (x) |i><j| (output factor first)."""
-    return sum(np.kron(apply_superoperator(superop, e_ij), e_ij)
-               for e_ij in np.eye(4, dtype=complex).reshape(4, 2, 2))
+    """Choi matrix sum_ij S(|i><j|) (x) |i><j| (output factor first); in the Pauli
+    basis it is sum_mk S_mk Gamma_m (x) conj(Gamma_k)."""
+    return np.einsum("mk,mab,kcd->acbd", superop, PAULI_BASIS,
+                     np.conj(PAULI_BASIS)).reshape(4, 4)
 
 
 def cptp_diagnostics(superop):

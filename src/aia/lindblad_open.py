@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import minimize_symmetric, step_doubling
+from .numkit import minimize_scalar, step_doubling
 from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, dynamical_phase_gs,
                         switching_times as lz_switching_times)
 
@@ -325,4 +325,4 @@ def aia_distance_grid(p, dtaus, c_exact):
 
 def optimize_dtau_open(p, c_exact):
     """Impulse interval minimizing the trace distance over [-t_f, t_f]."""
-    return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, c_exact), p.t_f, 601, 1e-6)
+    return minimize_scalar(lambda d: aia_distance_grid(p, d, c_exact), -p.t_f, p.t_f, 1e-6, 601)

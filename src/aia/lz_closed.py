@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numkit import hypot_antiderivative, minimize_symmetric, step_doubling
+from .numkit import hypot_antiderivative, minimize_scalar, step_doubling
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -336,9 +336,9 @@ def optimize_dtau(p, psi_exact):
     The scan grid always contains dtau = 0 (which reproduces the adiabatic
     state), so the returned distance never exceeds the adiabatic one. The
     grid is fine enough to resolve the phase oscillations of the distance;
-    a golden-section pass refines the best grid point.
+    zooms on the best grid point refine it to 1e-8.
     """
     # grid step ~ a tenth of the local phase-oscillation period 2 pi / x
     n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / p.x))) + 1
-    return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, psi_exact), p.t_f, n, 1e-8)
+    return minimize_scalar(lambda d: aia_distance_grid(p, d, psi_exact), -p.t_f, p.t_f, 1e-8, n)
 

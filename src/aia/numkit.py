@@ -100,56 +100,36 @@ def find_root_bracketed(g, a, b, tol=1e-12):
     return brentq(g, a, b, xtol=tol, rtol=4 * np.finfo(float).eps)
 
 
-def minimize_scalar(f, a, b, tol=1e-10, n_grid=201, f_grid=None):
-    """Global-ish scalar minimization: coarse grid scan plus golden-section refine.
+def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):
+    """Minimum of ``f`` on [a, b] by a grid scan, then zooms; ``f`` evaluates a numpy array.
 
-    The scan uses ``n_grid`` (>= 201) equally spaced points; the returned value
-    never exceeds the scan minimum. ``f_grid``, when given, evaluates f on a
-    whole numpy array at once and is used only for the scan.
+    The scan has an odd count of at least ``n_grid`` and 201 points, so on a symmetric
+    interval it holds 0 (to one rounding) and the result never exceeds f(0). Each zoom
+    is one call of f on 33 points across the two cells around the best point,
+    until that bracket is narrower than ``tol`` or stops shrinking (``tol``
+    below the spacing of doubles). The best value seen is kept, so the result
+    never exceeds the scan minimum.
     """
     if not a < b:
         raise ValueError(f"require a < b, got [{a}, {b}]")
-    n_grid = max(int(n_grid), 201)
-    xs = np.linspace(a, b, n_grid)
-    fs = f_grid(xs) if f_grid is not None else np.array([f(x) for x in xs])
-    if not np.all(np.isfinite(fs)):
-        raise ValueError("objective returned non-finite values on the scan grid")
-    i = int(np.argmin(fs))
-    x_best, f_best = float(xs[i]), float(fs[i])
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"require a finite tol > 0, got {tol}")
 
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, n_grid - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    for x, fx in ((x1, f1), (x2, f2)):
+    def argmin(xs):
+        fs = np.asarray(f(xs), dtype=float)
+        if not np.all(np.isfinite(fs)):
+            raise ValueError("objective returned non-finite values on the search grid")
+        i = int(np.argmin(fs))
+        return xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], float(xs[i]), float(fs[i])
+
+    lo, hi, x_best, f_best = argmin(np.linspace(a, b, max(int(n_grid) | 1, 201)))
+    width = np.inf
+    while tol < hi - lo < width:
+        width = hi - lo
+        lo, hi, x, fx = argmin(np.linspace(lo, hi, 33))
         if fx < f_best:
-            x_best, f_best = float(x), float(fx)
+            x_best, f_best = x, fx
     return x_best, f_best
-
-
-def minimize_symmetric(f_grid, half_width, n_grid, tol):
-    """:func:`minimize_scalar` over [-half_width, half_width] with an odd scan grid.
-
-    The grid has at least 201 points and an odd count, so it contains 0 and
-    the returned value never exceeds f(0). ``f_grid`` evaluates f on an
-    array; the golden-section step calls it on one point at a time.
-    """
-    def f(x):
-        return float(f_grid(np.array([x]))[0])
-
-    n_grid = max(n_grid + 1 - n_grid % 2, 201)
-    return minimize_scalar(f, -half_width, half_width, tol=tol, n_grid=n_grid, f_grid=f_grid)
 
 
 def fit_power_law(t, d):

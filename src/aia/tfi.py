@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ellipe
 
 from . import lz_closed as lz
-from .numkit import find_root_bracketed, minimize_symmetric
+from .numkit import find_root_bracketed, minimize_scalar
 from .lz_closed import REGIME_INTERIOR, REGIME_WHOLE, SwitchingTimes
 
 # the two-level basis of aia.lz_closed -> the pair basis
@@ -244,4 +244,4 @@ def optimize_dtau_tfi(p, exact_reg):
     The scan grid contains dtau = 0, so the result never exceeds the
     adiabatic distance.
     """
-    return minimize_symmetric(lambda dts: aia_distance_grid(p, dts, exact_reg), p.t_f, 801, 1e-6)
+    return minimize_scalar(lambda d: aia_distance_grid(p, d, exact_reg), -p.t_f, p.t_f, 1e-6, 801)

@@ -24,6 +24,13 @@ one sector at a time, apart from the broadcast products of
 mpmath quadrature in the time variable, apart from the fixed rule of
 :func:`aia.lindblad_open._rate_integrals`.
 
+:func:`golden_section_minimize` refines the best scan point by golden
+section, one point at a time, apart from the array zooms of
+:func:`aia.numkit.minimize_scalar`. :func:`choi_matrix` builds the Choi
+matrix from the images of the 16 matrix units under
+:func:`apply_superoperator`, apart from the one ``einsum`` of
+:func:`aia.intertwiner.choi_matrix`.
+
 The rest are definitions that only the tests use: the two-level and mode
 Hamiltonians, the damped qubit's jump operators, the Pauli coefficients of a
 matrix, the chain's excited mode vector and ground register, and the
@@ -192,3 +199,52 @@ def commutator_term(p, s, step):
         dp = (pp[n] - pm[n]) / (2.0 * step)
         acc += dp @ pn[n] - pn[n] @ dp
     return 0.5 * acc.real
+
+
+def golden_section_minimize(f_grid, half_width, n_grid, tol):
+    """(x, f(x)) minimizing f on [-half_width, half_width]: a scan of an odd count of at
+    least ``n_grid`` and 201 points with the array objective ``f_grid``, then golden
+    section on one point at a time down to a bracket of width ``tol`` around the best
+    scan point. Returns the best of the scan minimum and the two final probes."""
+    def f(x):
+        return float(f_grid(np.array([x]))[0])
+
+    n_grid = max(n_grid + 1 - n_grid % 2, 201)
+    xs = np.linspace(-half_width, half_width, n_grid)
+    fs = f_grid(xs)
+    i = int(np.argmin(fs))
+    x_best, f_best = float(xs[i]), float(fs[i])
+
+    lo = xs[max(i - 1, 0)]
+    hi = xs[min(i + 1, n_grid - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    for x, fx in ((x1, f1), (x2, f2)):
+        if fx < f_best:
+            x_best, f_best = float(x), float(fx)
+    return x_best, f_best
+
+
+def apply_superoperator(superop, rho):
+    """Apply a Pauli-basis superoperator to a 2x2 matrix."""
+    coeff = np.array([np.trace(g @ rho) for g in lo.PAULI_BASIS])
+    out_coeff = superop @ coeff
+    return sum(c * g for c, g in zip(out_coeff, lo.PAULI_BASIS))
+
+
+def choi_matrix(superop):
+    """Choi matrix sum_ij S(|i><j|) (x) |i><j| (output factor first), one matrix unit
+    at a time."""
+    return sum(np.kron(apply_superoperator(superop, e_ij), e_ij)
+               for e_ij in np.eye(4, dtype=complex).reshape(4, 2, 2))

@@ -240,6 +240,13 @@ def test_choi_identity_map():
     assert np.allclose(sorted(w), [0, 0, 0, 2], atol=1e-14)
 
 
+def test_choi_einsum_matches_matrix_unit_loop_on_transports():
+    # the transport workload's sweep at its three t_f
+    for tf in (10.0, 17.3, 30.0):
+        u = itw.full_intertwiner(replace(P_STD, t_f=tf), 1.0)
+        assert np.abs(itw.choi_matrix(u) - oracles.choi_matrix(u)).max() <= 1e-15, tf
+
+
 def test_choi_diagnostics_of_depolarizing_maps():
     # S = diag(1, lam, lam, lam) keeps the trace and shrinks the Bloch vector
     # by lam; its Choi matrix has eigenvalues (1 + 3 lam)/2 once and
@@ -288,7 +295,7 @@ def test_superop_distance_against_eigvalsh_oracle():
         s_a, s_b = rng.standard_normal((2, 4, 4))
         want = 0.0
         for g in lo.PAULI_BASIS:
-            diff = itw.apply_superoperator(s_a, g) - itw.apply_superoperator(s_b, g)
+            diff = oracles.apply_superoperator(s_a, g) - oracles.apply_superoperator(s_b, g)
             want = max(want, np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
         assert abs(itw.superop_trace_norm_distance(s_a, s_b) - want) < 1e-14 * max(1.0, want)
 

@@ -37,4 +37,4 @@ def test_two_level_modules_reach_no_ode_integrator(module):
     assert not names & ODE_NAMES, sorted(names & ODE_NAMES)
     assert not [n for n in names if n.startswith("scipy.integrate")]
     # the reader sees the modules' own imports, so the checks above are not vacuous
-    assert {"numkit", "minimize_symmetric"} <= names
+    assert {"numkit", "minimize_scalar"} <= names

@@ -193,6 +193,72 @@ def test_minimize_beats_scan_grid():
     assert fx <= np.min([f(v) for v in xs]) + 1e-15
 
 
+def test_minimize_calls_f_on_arrays():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return (x - 0.3) ** 2
+
+    numkit.minimize_scalar(f, -1.0, 1.0, tol=1e-8, n_grid=400)
+    # an even n_grid scans one point more; every zoom is one call on 33 points
+    assert sizes[0] == 401 and sizes[1:] and set(sizes[1:]) == {33}
+
+
+def test_minimize_keeps_the_best_value_seen():
+    # zooms that find nothing lower than the scan leave its best point
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return (x - 0.3) ** 2 + (len(calls) > 1)
+
+    xs = np.linspace(-1.0, 1.0, 201)
+    i = int(np.argmin((xs - 0.3) ** 2))
+    assert numkit.minimize_scalar(f, -1.0, 1.0) == (xs[i], (xs[i] - 0.3) ** 2)
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+def test_minimize_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        numkit.minimize_scalar(np.cos, 0.0, 1.0, tol=tol)
+
+
+def test_minimize_rejects_non_finite_values_on_scan_and_zoom_grids():
+    with pytest.raises(ValueError, match="non-finite") as on_scan:
+        numkit.minimize_scalar(lambda x: np.where(x > 0.5, np.nan, x * x), -1.0, 1.0)
+    calls = []
+
+    def nan_after_scan(x):
+        calls.append(x.size)
+        return (x - 0.3) ** 2 if len(calls) == 1 else np.full(x.shape, np.inf)
+
+    with pytest.raises(ValueError, match="non-finite") as on_zoom:
+        numkit.minimize_scalar(nan_after_scan, -1.0, 1.0)
+    assert calls == [201, 33]
+    assert str(on_zoom.value) == str(on_scan.value)
+
+
+def test_minimize_stops_when_the_bracket_stops_shrinking():
+    # tol = 1e-6 is below the spacing of doubles at 1e11 (1.5e-5), so the bracket
+    # can never get that narrow; a golden-section loop on this tol never ends
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        if len(calls) > 50:
+            raise RuntimeError("the zooms do not end")
+        return (x - 1e11 - 0.3) ** 2
+
+    x, fx = numkit.minimize_scalar(f, 1e11 - 1.0, 1e11 + 1.0, tol=1e-6)
+    # the scan's best bracket is 0.02 wide and each zoom narrows it 16-fold, so
+    # three zooms reach the spacing of doubles; one more finds no progress
+    assert len(calls) <= 6, calls
+    assert abs(x - (1e11 + 0.3)) <= np.spacing(1e11)
+    assert fx == f(np.array([x]))[0]
+
+
 # ---------------------------------------------------------------- fit_power_law
 
 def test_fit_exact_power_law():
