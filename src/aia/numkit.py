@@ -3,14 +3,14 @@ finding, scalar minimization, power-law fitting and the antiderivative of a gap.
 
 Everything here is dimension-agnostic but tuned for the tiny systems used in
 the rest of the package (state vectors of length 2, superoperators of size 4).
-All functions are pure; none keeps internal state.
+All functions are pure; none keeps internal state. The module needs only
+numpy: scipy's ODE solver, which only the intertwiner's transport uses, is
+imported on the first call of :func:`solve_ivp`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 
 _EPS = np.finfo(float).eps
@@ -31,6 +31,14 @@ class FitResult:
     amplitude: float
     exponent: float
     residual: float
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call, so that importing
+    the package loads no scipy module."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"):
@@ -89,15 +97,35 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end):
 
 
 def find_root_bracketed(g, a, b, tol=1e-12):
-    """Root of g on [a, b] given a sign change; Brent's method (bisection-safe)."""
+    """Root of a scalar ``g`` on [a, b], a < b, given a sign change; bisection.
+
+    The bracket halves until it is narrower than ``tol`` or its midpoint no
+    longer splits it (``tol`` below the spacing of doubles); its midpoint is
+    returned, within ``tol`` of the root. An exact zero met on the way is
+    returned at once. ``g`` is called at most ceil(log2((b - a) / tol)) + 3 times
+    (two ends, then one per halving; rounding may add a halving).
+    """
+    if not a < b:
+        raise ValueError(f"require a < b, got [{a}, {b}]")
     ga, gb = g(a), g(b)
     if ga == 0.0:
         return a
     if gb == 0.0:
         return b
-    if ga * gb > 0:
+    if not (ga < 0.0 < gb or gb < 0.0 < ga):
         raise ValueError(f"no sign change on [{a}, {b}]: g(a)={ga:.3g}, g(b)={gb:.3g}")
-    return brentq(g, a, b, xtol=tol, rtol=4 * np.finfo(float).eps)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm < 0.0) == (ga < 0.0):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):

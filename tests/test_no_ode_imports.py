@@ -1,6 +1,7 @@
 """The exact evolutions of the three models reach no ODE integrator: lz_closed,
 tfi (which evolves the chain through lz_closed) and lindblad_open import
-neither numkit.integrate_ode nor scipy.integrate.
+neither numkit.integrate_ode nor scipy.integrate. (No module of src/ imports
+scipy when it is loaded; test_dependencies checks that.)
 
 intertwiner is not on the list: its exact propagator E and transport U stay
 DOP853 solves. The benchmark's transport references carry U's

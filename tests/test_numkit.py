@@ -1,10 +1,12 @@
 """Numerical kernel: oracle-backed checks for every operation."""
 
+import math
 import signal
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe
 
 from aia import numkit, tfi
 
@@ -174,6 +176,49 @@ def test_root_requires_sign_change():
         numkit.find_root_bracketed(lambda x: 1.0 + x * x, -1, 1)
 
 
+def _counted(g, limit=200):
+    """g, taking one float only, with its calls counted in ``calls``; raises past
+    ``limit`` calls, so a root finder that never stops fails instead of hanging."""
+    calls = []
+
+    def wrapped(x):
+        assert isinstance(x, float), type(x)
+        calls.append(x)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} calls")
+        return g(x)
+    return wrapped, calls
+
+
+def test_root_within_tol_on_wide_bracket():
+    # a scalar-only g (math.log rejects arrays) with its root far from both ends
+    root = 12345.678
+    for tol in (1e-6, 1e-9):
+        g, _ = _counted(lambda t: math.log(t) - math.log(root))
+        assert abs(numkit.find_root_bracketed(g, 1e2, 1e6, tol=tol) - root) <= tol
+
+
+def test_root_exact_zero_at_either_end_is_returned():
+    assert numkit.find_root_bracketed(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert numkit.find_root_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
+def test_root_call_count_bound():
+    for a, b, tol in ((1.0, 2.0, 1e-12), (0.0, 3.0, 1e-3), (1e2, 1e6, 1e-6), (-5.0, 7.0, 0.3)):
+        root = a + (b - a) / math.pi
+        g, calls = _counted(lambda x: math.atan(x - root) + 1e-3 * (x - root))
+        numkit.find_root_bracketed(g, a, b, tol=tol)
+        assert len(calls) <= math.ceil(math.log2((b - a) / tol)) + 3, (a, b, tol)
+
+
+def test_root_tol_below_double_spacing_stops():
+    # the bracket cannot shrink below adjacent doubles; the root is still resolved
+    g, calls = _counted(lambda x: x * x - 2.0)
+    x = numkit.find_root_bracketed(g, 1.0, 2.0, tol=1e-30)
+    assert abs(x - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+    assert len(calls) <= 60
+
+
 # -------------------------------------------------------------- minimize_scalar
 
 def test_minimize_parabola():
@@ -292,7 +337,31 @@ def test_fit_rejects_degenerate_input():
 
 
 # ------------------------------------------------- complete elliptic integral E(m)
-# The chain's scenario-2 condition is the only user of E(m) (scipy's ellipe).
+
+def test_agm_ellipe_against_scipy_on_dense_grid():
+    m = np.linspace(0.0, 1.0, 100_001)
+    assert np.max(np.abs(tfi._ellipe(m) / ellipe(m) - 1.0)) <= 1e-14
+
+
+def test_agm_ellipe_against_scipy_toward_one():
+    m = np.concatenate([1.0 - np.geomspace(1e-1, 1e-16, 400), [1.0 - 2.0 ** -53, 1.0]])
+    assert np.max(np.abs(tfi._ellipe(m) / ellipe(m) - 1.0)) <= 1e-14
+    assert tfi._ellipe(1.0) == 1.0
+
+
+def test_agm_ellipe_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ms = [0.0, 1e-9, 0.1, 0.5, 0.75, 0.9, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0]
+    got = tfi._ellipe(np.array(ms))
+    with mpmath.workdps(30):
+        for m, e in zip(ms, got):
+            oracle = mpmath.ellipe(mpmath.mpf(m))
+            assert abs(e - oracle) <= 1e-14 * oracle, m
+            # the batch and a single point agree to the bit
+            assert tfi._ellipe(m) == e
+
+
+# The chain's scenario-2 condition is the only user of E(m) (tfi._ellipe).
 # These oracles read E back out of it at the field h < 1 where
 # m = 4h/(1+h)^2; a long sweep (hdot = 1e-12) makes the elliptic rate term
 # dominate 1/|h - 1|, so the read-back loses nothing to cancellation.
