@@ -205,7 +205,9 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
     below the Magnus error. The second keeps the turn per step of the
     dissipator's eigenbasis, h zdot / x at the crossing, at most 1/4: on
     coarser steps the error has not settled to its n^-4 fall, and the first
-    pair can mispredict the second. The cost grows like that n. The first
+    pair can mispredict the second. The cost grows like that n; a pair whose
+    3n steps, counted as 16 two-level steps each, exceed
+    :data:`aia.numkit.STEP_BUDGET` raises before it runs. The first
     component stays exactly 1/sqrt2: the generator's first row is zero, and
     so is that of every step's deviation from the identity.
     """
@@ -215,7 +217,9 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
     rate = _damping_rate(delta, p.beta, p.g)
     n = int(np.ceil(2.0 * p.t_f * (delta + rate) + 4.0 * p.dz / p.x))
     c0 = steady_state(p.x, p.z_i, p.beta)
-    return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, rel_tol, abs_tol, p.t_f)
+    # a 4x4 step, its Taylor series included, costs about 20 two-level steps
+    return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, rel_tol, abs_tol, p.t_f,
+                         order=4, batch=16)
 
 
 def adiabatic_state_open(p):

@@ -226,14 +226,17 @@ def switching_times_tfi(p, scenario):
     eps = 1e-9 * dh
 
     def locate(h_lo, h_hi, pick_last):
-        grid = np.linspace(h_lo, h_hi, 513)
-        vals = _kz_condition_scenario2(p, grid)
-        flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-        if flips.size == 0:
-            return None
-        i = flips[-1] if pick_last else flips[0]
-        return find_root_bracketed(lambda h: _kz_condition_scenario2(p, h),
-                                   grid[i], grid[i + 1], tol=1e-13)
+        # the sign-flip cell of a 513-point grid, then of a second grid across
+        # that cell: one array call in place of ~9 scalar bisection steps
+        for _ in range(2):
+            grid = np.linspace(h_lo, h_hi, 513)
+            vals = _kz_condition_scenario2(p, grid)
+            flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+            if flips.size == 0:
+                return None
+            i = flips[-1] if pick_last else flips[0]
+            h_lo, h_hi = grid[i], grid[i + 1]
+        return find_root_bracketed(lambda h: _kz_condition_scenario2(p, h), h_lo, h_hi, tol=1e-13)
 
     h_minus = locate(p.h_i, 1.0 - eps, pick_last=True)
     h_plus = locate(1.0 + eps, p.h_f, pick_last=False)

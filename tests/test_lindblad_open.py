@@ -279,6 +279,19 @@ def test_master_against_dop853_oracle():
             assert err <= 1e-10 + 1e-12, (temp, tf, err)
 
 
+def test_master_beyond_the_step_budget_raises_before_stepping(monkeypatch):
+    # each 4x4 step counts as 16 two-level steps: at t_f = 1e6 the first pair's
+    # 3n steps (n = 4.0e6) fit the budget, but not 16 times over
+    passes = []
+    real = lo._magnus_coherence
+    monkeypatch.setattr(lo, "_magnus_coherence",
+                        lambda p, n, c: (passes.append(n), real(p, n, c))[1])
+    for tf in (1e30, 1e6):
+        with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
+            lo.evolve_master(lo.OpenParams(0.1, -1.0, 1.0, tf, 0.5, 0.01))
+    assert passes == []
+
+
 def test_master_closed_limit_against_parabolic_cylinder_oracle():
     # at g = 0 the Gibbs state (1 - th) 1/2 + th |psi><psi|, th = tanh(beta b_i),
     # keeps its mixture while psi follows the exact finite-time solution

@@ -113,7 +113,8 @@ def test_evolve_norm_preserved():
 
 def test_evolve_against_parabolic_cylinder_oracle():
     # the exact solution; the tolerance bounds the step-doubling difference,
-    # and the returned 2n-step state is about a fifteenth of it off
+    # and the returned 2n-step state of the sixth-order steps is about a
+    # sixty-third of it off
     for tf in (0.18, 10.0, 1e3):
         want = parabolic_cylinder_state(0.1, -1.0, 1.0, tf)
         p = lz.LzParams(0.1, -1.0, 1.0, tf)
@@ -142,6 +143,46 @@ def test_evolve_below_roundoff_floor_raises_before_stepping(monkeypatch):
         with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
             evolve()
         assert passes == []
+
+
+def test_magnus_steps_are_sixth_order_against_parabolic_cylinder_oracle():
+    # fixed step counts, no step doubling: each halving of the step divides the
+    # error against the exact solution by about 2^6 (by 2^4 at fourth order)
+    for (x, z_i, z_f, tf), ns in (((0.1, -1.0, 1.0, 10.0), (50, 100, 200)),
+                                  ((0.5, -2.0, 1.5, 30.0), (100, 200, 400)),
+                                  ((1.0, -0.5, 3.0, 5.0), (50, 100, 200))):
+        p = lz.LzParams(x, z_i, z_f, tf)
+        want = parabolic_cylinder_state(x, z_i, z_f, tf)
+        psi0 = lz.lz_eigensystem(x, z_i)[2]
+        errs = [np.abs(lz._magnus_state(p, n, psi0) - want).max() for n in ns]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 58.0 < coarse / fine < 72.0, (p, errs)
+
+
+def _counting_magnus(mp, passes):
+    """Record the step count of every Magnus product that :mod:`aia.lz_closed` runs."""
+    real = lz._magnus_state
+
+    def counted(p, n, psi):
+        passes.append((n, np.size(p.z_i)))
+        return real(p, n, psi)
+
+    mp.setattr(lz, "_magnus_state", counted)
+
+
+def test_evolve_beyond_the_step_budget_raises_before_stepping(monkeypatch):
+    # t_f max b = 1e30 steps never returned; now the first pair is refused
+    # before its first step. The chain's pair counts each of its 75 modes: at
+    # t_f = 2e5 one crossing's pair would fit the budget, the register's does not
+    passes = []
+    _counting_magnus(monkeypatch, passes)
+    for evolve in (lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 1e30)),
+                   lambda: lz.evolve_schrodinger(lz.LzParams(1e-30, -1e30, 1e-30, 1e30)),
+                   lambda: tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 2e5))):
+        with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
+            evolve()
+        assert passes == []
+    assert 3 * 2e5 * 5.0 < numkit.STEP_BUDGET < 3 * 2e5 * 5.0 * 75
 
 
 def test_evolve_frames_agree():
@@ -411,6 +452,47 @@ def test_scenario1_interior_values_solve_condition():
     for tau in (st.tau_minus, st.tau_plus):
         z = float(p.z(tau))
         assert abs(1.0 / (2 * np.hypot(p.x, z)) - abs(z) * p.t_f / p.dz) < 1e-9
+
+
+# x, |z_i|, z_f over decades, and the phase t_f b_max up to 3e3 (b_max the largest
+# gap), where the parabolic-cylinder oracle stays fast
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_decades(-2, 1), _decades(-2, 1), _decades(-2, 1), _decades(-2, 3.5),
+       hst.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_evolve_within_tolerance_of_oracle_or_raises_at_random_parameters(
+        x, minus_z_i, z_f, phase, rel_tol):
+    b_max = np.hypot(x, max(minus_z_i, z_f))
+    p = lz.LzParams(x, -minus_z_i, z_f, phase / b_max)
+    abs_tol, passes = 1e-2 * rel_tol, []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_magnus(mp, passes)
+        try:
+            got = lz.evolve_schrodinger(p, rel_tol, abs_tol)
+        except numkit.IntegrationError:
+            got = None
+    assert all(3 * n * batch <= numkit.STEP_BUDGET for n, batch in passes[::2]), passes
+    if got is not None:
+        want = parabolic_cylinder_state(p.x, p.z_i, p.z_f, p.t_f)
+        assert np.abs(got - want).max() <= rel_tol + abs_tol, (p, rel_tol)
+
+
+# x, |z_i|, z_f and t_f over the whole LzParams domain, under a budget small
+# enough that every evolution is cheap: each returns a normalized state after
+# pairs within the budget, or raises IntegrationError
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_decades(-30, 30), _decades(-30, 30), _decades(-30, 30), _decades(-30, 30))
+def test_evolve_stays_within_the_step_budget_at_random_parameters(x, minus_z_i, z_f, tf):
+    p, passes = lz.LzParams(x, -minus_z_i, z_f, tf), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkit, "STEP_BUDGET", 3 * 10 ** 5)
+        _counting_magnus(mp, passes)
+        try:
+            got = lz.evolve_schrodinger(p)
+        except numkit.IntegrationError:
+            got = None
+    assert all(3 * n <= 3 * 10 ** 5 for n, _ in passes[::2]), passes
+    if got is not None:
+        assert np.all(np.isfinite(got)) and abs(np.linalg.norm(got) - 1.0) <= 1e-14
 
 
 # ------------------------------------------------------------------- optimizer

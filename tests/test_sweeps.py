@@ -414,6 +414,23 @@ def test_cli_exit_2_below_the_roundoff_floor_open(tmp_path):
     assert len(errors) == 6 and all(e.startswith("IntegrationError") for e in errors)
 
 
+def test_cli_exit_2_beyond_the_step_budget(tmp_path, monkeypatch):
+    # t_f up to 1e30 used to run forever; every row's first step-doubling pair
+    # is now refused before its first step, and the sweep exits 2
+    passes = []
+    real = lz._magnus_state
+    monkeypatch.setattr(lz, "_magnus_state",
+                        lambda p, n, psi: (passes.append(n), real(p, n, psi))[1])
+    cfg_path = tmp_path / "lz.cfg"
+    cfg_path.write_text(LZ_CFG.replace("tf_min = 10", "tf_min = 1e28")
+                        .replace("tf_max = 60", "tf_max = 1e30"))
+    out = tmp_path / "budget.csv"
+    assert cli_main(["lz", "--config", str(cfg_path), "--out", str(out)]) == 2
+    errors = sweeps.read_csv(out)["err"]
+    assert len(errors) == 4 and all("exceeds the budget" in e for e in errors)
+    assert passes == []
+
+
 # ------------------------------------------------------------------ repo configs
 
 def test_shipped_config_files_parse():

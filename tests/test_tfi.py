@@ -400,6 +400,24 @@ def test_scenario2_window_shrinks_to_constant():
     assert abs(d1 - d2) < 0.5
 
 
+def test_scenario2_narrows_each_bracket_with_an_array_call(monkeypatch):
+    # a second 513-point grid across the sign-flip cell narrows each side's
+    # bracket 512-fold before the scalar bisection to tol = 1e-13: 27 scalar
+    # calls a side where the 513-point grid alone left 36
+    calls = {"array": 0, "scalar": 0}
+    real = tfi._kz_condition_scenario2
+
+    def counted(p, h):
+        calls["array" if np.ndim(h) else "scalar"] += 1
+        return real(p, h)
+
+    monkeypatch.setattr(tfi, "_kz_condition_scenario2", counted)
+    for tf in (5.0, 300.0, 1e5):
+        calls.update(array=0, scalar=0)
+        assert tfi.switching_times_tfi(tfi.TfiParams(150, 0.5, 1.5, tf), 2).regime == "interior"
+        assert calls == {"array": 4, "scalar": 54}, (tf, calls)
+
+
 def test_scenario_windows_contained():
     for scenario in (1, 2):
         for tf in np.geomspace(0.1, 1e4, 25):
@@ -490,12 +508,43 @@ def test_chain_modes_are_two_level_crossings():
 def test_chain_modes_against_parabolic_cylinder_oracle():
     # the smallest, middle and largest k of the L = 150 chain at t_f = 300
     # (|nu| = x^2 / (2 zdot) up to 300); only the first of them crosses. The
-    # states are within the tolerance of the exact ones (see the lz test)
+    # states are within the tolerance of the exact ones, about a sixty-third of
+    # the last step-doubling difference off (see the lz test)
     p = tfi.TfiParams(150, 0.5, 1.5, 300.0)
     got = lz.evolve_schrodinger(p)
     for i in (0, 37, 74):
         want = parabolic_cylinder_state(p.x[i], p.z_i[i], p.z_f[i], p.t_f)
         assert np.abs(got[i] - want).max() <= 1e-10 + 1e-12, i
+
+
+# chains of 2 to 40 sites, h_i in [0, 0.95], h_f in [1.05, 3], and the phase
+# t_f b_max up to 3e3 (b_max the largest mode gap), where the parabolic-cylinder
+# oracle of every mode stays fast
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(hst.integers(1, 20), hst.floats(0.0, 0.95), hst.floats(1.05, 3.0),
+       hst.floats(-1, 3.5).map(lambda e: 10.0 ** e), hst.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_evolve_register_within_tolerance_of_oracle_or_raises_at_random_parameters(
+        half_l, h_i, h_f, phase, rel_tol):
+    q = tfi.TfiParams(2 * half_l, h_i, h_f, 1.0)
+    p = tfi.TfiParams(q.L, h_i, h_f, phase / np.max(np.hypot(q.x, np.maximum(-q.z_i, q.z_f))))
+    abs_tol, passes = 1e-2 * rel_tol, []
+    real = lz._magnus_state
+
+    def counted(q, n, psi):
+        passes.append(n)
+        return real(q, n, psi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lz, "_magnus_state", counted)
+        try:
+            got = lz.evolve_schrodinger(p, rel_tol, abs_tol)
+        except numkit.IntegrationError:
+            got = None
+    assert all(3 * n * half_l <= numkit.STEP_BUDGET for n in passes[::2]), passes
+    if got is not None:
+        for i in range(half_l):
+            want = parabolic_cylinder_state(p.x[i], p.z_i[i], p.z_f[i], p.t_f)
+            assert np.abs(got[i] - want).max() <= rel_tol + abs_tol, (p, rel_tol, i)
 
 
 # L = 150 distances (d_adi, d_aia1, d_aia2) from an independent propagator:
