@@ -16,8 +16,8 @@ import numpy as np
 _EPS = np.finfo(float).eps
 
 # The most steps x batch that one pair of :func:`step_doubling` (n + 2n steps) may
-# take: about 10 s of two-level steps on a 2-core host, and over 4x the largest pair
-# that a shipped config or test runs (the L = 150 chain at t_f = 1.6e4: 2.9e7).
+# take: about 10 s of two-level steps on a 2-core host, and over 3x the largest pair
+# that a shipped config or test runs (the open model at t_f = 1e5: 3 x 402328 x 35 = 4.2e7).
 STEP_BUDGET = 2 ** 27
 
 
@@ -74,7 +74,7 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"
     return sol.y[:, -1]
 
 
-def step_doubling(propagate, n, rel_tol, abs_tol, t_end, order=4, batch=1):
+def step_doubling(propagate, n, rel_tol, abs_tol, t_end, order, batch=1):
     """Final state of a propagator of the given ``order``, its step count chosen by
     step doubling.
 

@@ -271,7 +271,7 @@ def test_master_positivity_along_path():
 def test_master_against_dop853_oracle():
     # the generator integrated by the DOP853 pair at 1e-13/1e-15; the default
     # tolerance bounds the step-doubling difference, and the returned state
-    # is about a fifteenth of it off (the former DOP853 evolution: 2.6e-10 at t_f = 304)
+    # is about a sixty-third of it off (the former DOP853 evolution: 2.6e-10 at t_f = 304)
     for temp in (0.05, 1.0):
         for tf in (8.5, 304.0, 1e3):
             p = lo.OpenParams(0.1, -1.0, 1.0, tf, temp, 0.01)
@@ -279,9 +279,23 @@ def test_master_against_dop853_oracle():
             assert err <= 1e-10 + 1e-12, (temp, tf, err)
 
 
+def test_magnus_coherence_is_sixth_order_against_dop853_oracle():
+    # fixed step counts, no step doubling: each halving of the step divides the
+    # error against the oracle by about 2^6 (by 2^4 at fourth order); the n's keep
+    # the finest error, ~4e-12, above the oracle's own
+    for args, ns in (((0.25, -1.0, 1.0, 30.0, 0.3, 1e-3), (100, 200, 400)),
+                     ((0.5, -2.0, 1.5, 20.0, 1.0, 0.1), (100, 200, 400))):
+        p = lo.OpenParams(*args)
+        want = master_ode_state(p, 1e-13, 1e-15)
+        c0 = lo.steady_state(p.x, p.z_i, p.beta)
+        errs = [np.abs(lo._magnus_coherence(p, n, c0) - want).max() for n in ns]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 58.0 < coarse / fine < 72.0, (p, errs)
+
+
 def test_master_beyond_the_step_budget_raises_before_stepping(monkeypatch):
-    # each 4x4 step counts as 16 two-level steps: at t_f = 1e6 the first pair's
-    # 3n steps (n = 4.0e6) fit the budget, but not 16 times over
+    # each 4x4 step counts as 35 two-level steps: at t_f = 1e6 the first pair's
+    # 3n steps (n = 4.0e6) fit the budget, but not 35 times over
     passes = []
     real = lo._magnus_coherence
     monkeypatch.setattr(lo, "_magnus_coherence",
@@ -290,6 +304,48 @@ def test_master_beyond_the_step_budget_raises_before_stepping(monkeypatch):
         with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
             lo.evolve_master(lo.OpenParams(0.1, -1.0, 1.0, tf, 0.5, 0.01))
     assert passes == []
+
+
+def test_steady_state_dz_against_central_differences():
+    for x, z, temp in ((0.1, -1.0, 0.05), (0.1, 0.3, 1.0), (0.5, 1.5, 0.3), (1e-3, -50.0, 0.05)):
+        beta, dz = 1.0 / temp, 1e-5 * max(1.0, abs(z))
+        want = (lo.steady_state(x, z + dz, beta) - lo.steady_state(x, z - dz, beta)) / (2.0 * dz)
+        got = lo._steady_state_dz(x, np.array([z, z]), beta)
+        assert got.shape == (2, 4)
+        assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max()), (x, z, got, want)
+
+
+def _pairs(p, rel_tol):
+    """The step counts of evolve_master's Magnus runs."""
+    passes = []
+    real = lo._magnus_coherence
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lo, "_magnus_coherence", lambda q, n, c: (passes.append(n), real(q, n, c))[1])
+        lo.evolve_master(p, rel_tol, rel_tol / 100.0)
+    return passes
+
+
+def test_master_takes_one_pair_across_a_per_cent_of_t_f():
+    # the error bound sets the first pair, so it meets the tolerance whatever the
+    # phase of the oscillating error; with the first pair set by the step norm
+    # alone, t_f = 306.43 took a second pair and t_f = 303.92 did not
+    for tf in (92.37, 303.92):
+        counts = []
+        for scale in np.linspace(1.0, 1.01, 6):
+            passes = _pairs(lo.OpenParams(0.1, -1.0, 1.0, tf * scale, 0.05, 0.01), 1e-10)
+            assert len(passes) == 2 and passes[1] == 2 * passes[0], (tf * scale, passes)
+            counts.append(passes[0])
+        assert counts[-1] / counts[0] < 1.01, counts
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(hst.floats(0.03, 1.0), hst.floats(0.1, 2.0), hst.floats(0.1, 2.0),
+       hst.floats(1.0, 300.0), hst.floats(0.02, 2.0), hst.floats(0.0, 0.3),
+       hst.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_master_first_pair_meets_the_tolerance_at_random_parameters(x, minus_z_i, z_f, tf,
+                                                                    temp, g, rel_tol):
+    passes = _pairs(lo.OpenParams(x, -minus_z_i, z_f, tf, temp, g), rel_tol)
+    assert len(passes) == 2, passes
 
 
 def test_master_closed_limit_against_parabolic_cylinder_oracle():

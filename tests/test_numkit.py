@@ -123,7 +123,7 @@ def test_step_doubling_returns_the_fine_state_of_the_predicted_pair():
     # a 1e-12 tolerance: the first pair (10, 20) misses, its difference
     # predicts the n of the second, aimed at half the tolerance, which meets it
     passes = []
-    got = numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-12, 1e-14, 1.0)
+    got = numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-12, 1e-14, 1.0, order=4)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -4 - 20.0 ** -4) / 1.01e-12) ** 0.25))
     assert passes == [10, 20, n, 2 * n]
     assert got[0] == 1.0 + (2 * n) ** -4.0 and (n ** -4.0 - (2 * n) ** -4.0) <= 1.01e-12
@@ -156,11 +156,14 @@ def test_step_doubling_raises_after_two_pairs_at_the_roundoff_floor():
 def test_step_doubling_below_machine_epsilon_takes_no_step():
     passes = []
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
-        numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-17, 1e-17, 1.0)
+        numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-17, 1e-17, 1.0, order=4)
     assert passes == []
     for rel_tol, abs_tol in ((0.0, 1e-12), (1e-10, -1e-12)):
         with pytest.raises(ValueError, match="positive"):
-            numkit.step_doubling(_power_law(passes, 0.0), 10, rel_tol, abs_tol, 1.0)
+            numkit.step_doubling(_power_law(passes, 0.0), 10, rel_tol, abs_tol, 1.0, order=4)
+    # the order has no default: a propagator's order is never assumed
+    with pytest.raises(TypeError, match="order"):
+        numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-10, 1e-12, 1.0)
     assert passes == []
 
 
@@ -170,14 +173,15 @@ def test_step_doubling_refuses_a_pair_above_the_step_budget():
     budget, passes = numkit.STEP_BUDGET, []
     for n, batch in ((budget // 3 + 1, 1), (budget // 300 + 1, 100), (10 ** 30, 1)):
         with pytest.raises(numkit.IntegrationError, match=r"t=2: a pair .* exceeds the budget"):
-            numkit.step_doubling(_power_law(passes, 0.0), n, 1e-10, 1e-12, 2.0, batch=batch)
+            numkit.step_doubling(_power_law(passes, 0.0), n, 1e-10, 1e-12, 2.0, order=4,
+                                 batch=batch)
     assert passes == []
 
     def cheap(n):  # the state of a propagator converged at any n, without its steps
         passes.append(n)
         return np.ones(2)
 
-    numkit.step_doubling(cheap, budget // 300, 1e-10, 1e-12, 2.0, batch=100)
+    numkit.step_doubling(cheap, budget // 300, 1e-10, 1e-12, 2.0, order=4, batch=100)
     assert passes == [budget // 300, 2 * (budget // 300)]
 
 
