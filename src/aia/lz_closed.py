@@ -265,6 +265,18 @@ def _aia_states(p, tm, tp):
     return states / np.linalg.norm(states, axis=-1, keepdims=True)
 
 
+def _window(center, tf, lower, upper, half):
+    """A prescription's window: (0, t_f) if t_f < lower, the crossing time ``center`` if
+    t_f >= upper (np.inf: never), else center -/+ half() clamped to [0, t_f]."""
+    if tf < lower:
+        return SwitchingTimes(0.0, tf, REGIME_WHOLE)
+    if tf >= upper:
+        return SwitchingTimes(center, center, REGIME_COLLAPSED)
+    half = half()
+    return SwitchingTimes(min(max(center - half, 0.0), tf), min(max(center + half, 0.0), tf),
+                          REGIME_INTERIOR)
+
+
 def switching_times(p, scenario):
     """Closed-form impulse window for prescriptions 1-4.
 
@@ -280,42 +292,20 @@ def switching_times(p, scenario):
     center = -zi / dz * tf  # time where z = 0; -zi / dz <= 1 keeps it <= tf
 
     if scenario == 1:
-        thresh = 0.5 * dz / (zf * np.hypot(x, zf))
-        if tf < thresh:
-            return SwitchingTimes(0.0, tf, REGIME_WHOLE)
-        half = (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(
-            -1.0 + np.sqrt(1.0 + (dz / (x * x * tf)) ** 2))
-    elif scenario == 2:
-        lower = 0.5 * dz / (x * x + zi * zi)
-        upper = 0.5 * dz / (x * x)
-        if tf < lower:
-            return SwitchingTimes(0.0, tf, REGIME_WHOLE)
-        if tf >= upper:
-            return SwitchingTimes(center, center, REGIME_COLLAPSED)
-        half = (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(-2.0 + dz / (x * x * tf))
-    elif scenario == 3:
-        lower = 0.5 / np.hypot(x, zf)
-        upper = 0.5 / x
-        if tf < lower:
-            return SwitchingTimes(0.0, tf, REGIME_WHOLE)
-        if tf >= upper:
-            return SwitchingTimes(center, center, REGIME_COLLAPSED)
-        half = (x / dz) * tf * np.sqrt(-1.0 + (1.0 / (2.0 * x * tf)) ** 2)
-    elif scenario == 4:
-        lower = 0.25 * x * dz / (x * x + zi * zi)
-        upper = 0.25 * dz / (x * x)
-        if tf < lower:
-            return SwitchingTimes(0.0, tf, REGIME_WHOLE)
-        if tf >= upper:
-            return SwitchingTimes(center, center, REGIME_COLLAPSED)
-        half = (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(
-            -2.0 + (dz / (np.sqrt(2.0) * x * x * tf)) ** (2.0 / 3.0))
-    else:
-        raise ValueError(f"scenario must be 1..4, got {scenario}")
-
-    tau_m = min(max(center - half, 0.0), tf)
-    tau_p = min(max(center + half, 0.0), tf)
-    return SwitchingTimes(tau_m, tau_p, REGIME_INTERIOR)
+        return _window(center, tf, 0.5 * dz / (zf * np.hypot(x, zf)), np.inf,
+                       lambda: (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(
+                           -1.0 + np.sqrt(1.0 + (dz / (x * x * tf)) ** 2)))
+    if scenario == 2:
+        return _window(center, tf, 0.5 * dz / (x * x + zi * zi), 0.5 * dz / (x * x),
+                       lambda: (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(-2.0 + dz / (x * x * tf)))
+    if scenario == 3:
+        return _window(center, tf, 0.5 / np.hypot(x, zf), 0.5 / x,
+                       lambda: (x / dz) * tf * np.sqrt(-1.0 + (1.0 / (2.0 * x * tf)) ** 2))
+    if scenario == 4:
+        return _window(center, tf, 0.25 * x * dz / (x * x + zi * zi), 0.25 * dz / (x * x),
+                       lambda: (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(
+                           -2.0 + (dz / (np.sqrt(2.0) * x * x * tf)) ** (2.0 / 3.0)))
+    raise ValueError(f"scenario must be 1..4, got {scenario}")
 
 
 def state_distance(psi, phi):

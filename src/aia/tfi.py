@@ -210,15 +210,9 @@ def switching_times_tfi(p, scenario):
     elliptic integral and is solved numerically on each side of h = 1.
     """
     tf, dh = p.t_f, p.dh
-    center = -(p.h_i - 1.0) * tf / dh  # time where h = 1
-
-    if scenario == 1:
-        if tf < 0.5 * dh / (p.h_f - 1.0) ** 2:
-            return SwitchingTimes(0.0, tf, REGIME_WHOLE)
-        half = np.sqrt(tf) / (np.sqrt(2.0) * np.sqrt(dh))
-        tau_m = min(max(center - half, 0.0), tf)
-        tau_p = min(max(center + half, 0.0), tf)
-        return SwitchingTimes(tau_m, tau_p, REGIME_INTERIOR)
+    if scenario == 1:  # h = 1 is crossed at t = -(h_i - 1) t_f / dh
+        return lz._window(-(p.h_i - 1.0) * tf / dh, tf, 0.5 * dh / (p.h_f - 1.0) ** 2, np.inf,
+                          lambda: np.sqrt(tf) / (np.sqrt(2.0) * np.sqrt(dh)))
 
     if scenario != 2:
         raise ValueError(f"scenario must be 1 or 2 for the chain, got {scenario}")
