@@ -454,6 +454,31 @@ def test_scenario1_interior_values_solve_condition():
         assert abs(1.0 / (2 * np.hypot(p.x, z)) - abs(z) * p.t_f / p.dz) < 1e-9
 
 
+def test_scenario1_half_width_against_mpmath(monkeypatch):
+    # the half-width handed to the window rule, against the root of the condition
+    # 1/(2b) = |z| t_f / dz, i.e. 4 z^2 (x^2 + z^2) = (dz / t_f)^2, at 40 digits;
+    # the form (x t_f / (sqrt2 dz)) sqrt(-1 + sqrt(1 + r^2)) lost 1.1e-5 of it at
+    # t_f = 1e8 and all of it at 1e12, where its window had width 0
+    mpmath = pytest.importorskip("mpmath")
+    halves, window = [], lz._window
+
+    def spy(center, tf, lower, upper, half):
+        halves.append(half())
+        return window(center, tf, lower, upper, lambda: halves[-1])
+
+    monkeypatch.setattr(lz, "_window", spy)
+    with mpmath.workdps(40):
+        for tf in 10.0 ** np.arange(2, 13):
+            p = lz.LzParams(0.1, -1.0, 1.0, tf)
+            st = lz.switching_times(p, 1)
+            x, dz, t = mpmath.mpf(p.x), mpmath.mpf(p.dz), mpmath.mpf(tf)
+            want = mpmath.sqrt((mpmath.sqrt(x**4 + (dz / t) ** 2) - x**2) / 2) * t / dz
+            assert abs(halves[-1] - want) <= 1e-15 * want, tf
+            # the window is the crossing t_f / 2 -/+ that, to the rounding of t_f / 2
+            assert st.regime == lz.REGIME_INTERIOR
+            assert abs(st.dtau - 2 * float(want)) <= 2 * np.spacing(tf / 2), tf
+
+
 # x, |z_i|, z_f over decades, and the phase t_f b_max up to 3e3 (b_max the largest
 # gap), where the parabolic-cylinder oracle stays fast
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
