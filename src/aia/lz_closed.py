@@ -40,7 +40,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 REGIME_WHOLE = "whole-interval-impulse"
 REGIME_INTERIOR = "interior"
 REGIME_COLLAPSED = "collapsed"
-REGIME_REVERSED = "reversed"
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class LzParams:
 class SwitchingTimes:
     """Impulse window (tau_minus, tau_plus) with a tag for the formula branch.
 
-    Scenario outputs always satisfy 0 <= tau_minus <= tau_plus <= t_f; only
-    the optimizer may return tau_plus < tau_minus (regime "reversed").
+    Scenario outputs always satisfy 0 <= tau_minus <= tau_plus <= t_f. A window
+    with tau_plus < tau_minus is a caller's input, which :func:`aia_state` accepts.
     """
 
     tau_minus: float
@@ -171,7 +170,7 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     # b = hypot(x, z) is largest at an end of the sweep
     n = int(np.ceil(p.t_f * np.max(np.hypot(p.x, np.maximum(-p.z_i, p.z_f)))))
     return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f,
-                         order=6, batch=np.size(p.z_i))
+                         batch=np.size(p.z_i))
 
 
 def dynamical_phase_gs(p, t_a, t_b):

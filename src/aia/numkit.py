@@ -74,20 +74,19 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"
     return sol.y[:, -1]
 
 
-def step_doubling(propagate, n, rel_tol, abs_tol, t_end, order, batch=1):
-    """Final state of a propagator of the given ``order``, its step count chosen by
-    step doubling.
+def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1):
+    """Final state of a sixth-order propagator, its step count chosen by step doubling.
 
     ``propagate(m)`` returns the state after m equal steps, each of which costs
     ``batch`` two-level steps (one per crossing of a batch). The 2n-step state
     is returned once it is within rel_tol + abs_tol of the n-step one in every
-    component; its own error, falling like n^-order, is about 1 / (2^order - 1)
-    of that: a fifteenth at order 4, a sixty-third at the sixth. Otherwise the
-    difference predicts the n of a second pair; if that misses too, the
-    roundoff floor is reached and :class:`IntegrationError` names it, with the
-    end time ``t_end``. Neither a tolerance below the machine epsilon, which no
-    state of unit size resolves, nor a pair whose 3n steps x ``batch`` exceed
-    :data:`STEP_BUDGET` is run: both raise before any step of theirs is taken.
+    component; its own error, falling like n^-6, is about a sixty-third
+    (1 / (2^6 - 1)) of that. Otherwise the difference predicts the n of a
+    second pair; if that misses too, the roundoff floor is reached and
+    :class:`IntegrationError` names it, with the end time ``t_end``. Neither a
+    tolerance below the machine epsilon, which no state of unit size resolves,
+    nor a pair whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` is run:
+    both raise before any step of theirs is taken.
     """
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
@@ -105,7 +104,7 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, order, batch=1):
         if diff <= tol:
             return fine
         # aim at tol / 2
-        steps, n = 2 * n, int(np.ceil(n * (2.0 * diff / tol) ** (1.0 / order)))
+        steps, n = 2 * n, int(np.ceil(n * (2.0 * diff / tol) ** (1.0 / 6.0)))
     raise IntegrationError(f"integration failed at t={t_end:.6g}: {steps} steps leave "
                            f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
 

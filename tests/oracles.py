@@ -50,11 +50,15 @@ def hamiltonian(x, z):
     return np.array([[z, x], [x, -z]])
 
 
+# the tag of a window with tau_plus < tau_minus, which no prescription returns
+REGIME_REVERSED = "reversed"
+
+
 def switching_from_dtau(p, dtau):
     """Centered SwitchingTimes for a given impulse interval (may be reversed)."""
     tm = p.t_f / 2.0 - dtau / 2.0
     tp = p.t_f / 2.0 + dtau / 2.0
-    regime = lz.REGIME_REVERSED if dtau < 0 else (
+    regime = REGIME_REVERSED if dtau < 0 else (
         lz.REGIME_COLLAPSED if dtau == 0 else lz.REGIME_INTERIOR)
     return lz.SwitchingTimes(tm, tp, regime)
 

@@ -233,6 +233,16 @@ def test_steady_state_infinite_temperature():
     assert np.abs(c[1:]).max() < 1e-9
 
 
+def test_steady_state_of_an_array_z_is_the_scalar_calls():
+    # each row is the Gibbs vector at its own z, bit for bit; reading the
+    # kernel vector as right[:, 0] gave rows (1/sqrt2, 0, 0, 0) for any z array
+    zs = np.array([-0.5, 0.3, 0.0, 2.0])
+    got = lo.steady_state(0.1, zs, 5.0)
+    assert got.shape == (4, 4)
+    for z, row in zip(zs, got):
+        assert np.array_equal(row, lo.steady_state(0.1, float(z), 5.0)), z
+
+
 def test_steady_state_in_kernel_on_grid():
     for z in np.linspace(-1, 1, 9):
         for temp in (0.05, 0.1, 0.5, 1.0):

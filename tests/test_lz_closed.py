@@ -1,5 +1,7 @@
 """Two-level sweep: eigensystem gauge, phases, approximations, switching times."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from scipy.integrate import quad
 
 from aia import lz_closed as lz
 from aia import numkit, tfi
-from oracles import hamiltonian, parabolic_cylinder_state, switching_from_dtau
+from oracles import REGIME_REVERSED, hamiltonian, parabolic_cylinder_state, switching_from_dtau
 
 P_STD = lz.LzParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=10.0)
 
@@ -350,7 +352,7 @@ def test_aia_scenario1_beats_adiabatic_at_small_tf():
 
 def test_aia_reversed_window_accepted():
     st = switching_from_dtau(P_STD, -4.0)
-    assert st.regime == lz.REGIME_REVERSED
+    assert st.regime == REGIME_REVERSED
     psi = lz.aia_state(P_STD, st)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
@@ -410,6 +412,20 @@ def test_scenario_collapse_thresholds():
         above = lz.switching_times(lz.LzParams(0.1, -1, 1, thresh * 1.02), scenario)
         assert below.dtau > 0
         assert above.dtau == 0.0
+    # the window is the whole sweep iff t_f is below each prescription's lower
+    # threshold, computed here as the model computes it; at it the window is interior
+    x, dz, chain = 0.1, 2.0, lambda tf: tfi.switching_times_tfi(tfi.TfiParams(150, 0.5, 1.5, tf), 1)
+    for window, lower in (
+            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 1),
+             0.5 * dz / (1.0 * np.hypot(x, 1.0))),
+            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 2), 0.5 * dz / (x * x + 1.0)),
+            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 3), 0.5 / np.hypot(x, 1.0)),
+            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 4),
+             0.25 * x * dz / (x * x + 1.0)),
+            (chain, 0.5 * (1.5 - 0.5) / (1.5 - 1.0) ** 2)):
+        below, at = np.nextafter(lower, 0.0), window(lower)
+        assert astuple(window(below)) == (0.0, below, lz.REGIME_WHOLE), lower
+        assert at.regime == lz.REGIME_INTERIOR and 0.0 <= at.tau_minus < at.tau_plus <= lower
 
 
 def test_scenario_window_continuous_across_collapse_threshold():

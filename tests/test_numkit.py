@@ -110,30 +110,22 @@ def test_ode_non_finite_rhs_at_start_raises_at_once():
 
 # --------------------------------------------------------------- step_doubling
 
-def _power_law(passes, floor, order=4):
-    """A 'propagator' of the given order: the state after n steps is n^-order off,
-    plus a rounding error of +-floor that alternates between calls."""
+def _sextic(passes, floor):
+    """A sixth-order 'propagator': the state after n steps is n^-6 off, plus a
+    rounding error of +-floor that alternates between calls."""
     def propagate(n):
         passes.append(n)
-        return np.array([1.0 + float(n) ** -order, 1.0 + floor * (-1) ** len(passes)])
+        return np.array([1.0 + float(n) ** -6, 1.0 + floor * (-1) ** len(passes)])
     return propagate
 
 
 def test_step_doubling_returns_the_fine_state_of_the_predicted_pair():
-    # a 1e-12 tolerance: the first pair (10, 20) misses, its difference
-    # predicts the n of the second, aimed at half the tolerance, which meets it
+    # a 1e-12 tolerance: the first pair (10, 20) misses, and its difference
+    # predicts the n of the second, aimed at half the tolerance, which meets it.
+    # The prediction takes the sixth root of the miss, where the fourth root
+    # would overshoot n by (2 diff / tol)^(1/12) ~ 3.3
     passes = []
-    got = numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-12, 1e-14, 1.0, order=4)
-    n = int(np.ceil(10 * (2.0 * (10.0 ** -4 - 20.0 ** -4) / 1.01e-12) ** 0.25))
-    assert passes == [10, 20, n, 2 * n]
-    assert got[0] == 1.0 + (2 * n) ** -4.0 and (n ** -4.0 - (2 * n) ** -4.0) <= 1.01e-12
-
-
-def test_step_doubling_predicts_a_sextic_pair_with_the_sixth_root():
-    # the same at order 6: the prediction takes the sixth root of the miss,
-    # where the fourth root would overshoot n by (2 diff / tol)^(1/12) ~ 3.3
-    passes = []
-    got = numkit.step_doubling(_power_law(passes, 0.0, 6), 10, 1e-12, 1e-14, 1.0, order=6)
+    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-12, 1e-14, 1.0)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-12) ** (1 / 6)))
     assert passes == [10, 20, n, 2 * n] and n == 112
     assert got[0] == 1.0 + float(2 * n) ** -6 and (n ** -6.0 - (2 * n) ** -6.0) <= 1.01e-12
@@ -144,26 +136,21 @@ def test_step_doubling_predicts_a_sextic_pair_with_the_sixth_root():
 def test_step_doubling_raises_after_two_pairs_at_the_roundoff_floor():
     # a rounding floor of 2e-12 between two runs: a 1e-13 tolerance, above
     # the machine epsilon, is out of reach, and step_doubling gives up after its
-    # second pair instead of refining forever, at either order
-    for order in (4, 6):
-        passes = []
-        with pytest.raises(numkit.IntegrationError, match=r"t=5: \d+ steps .* \(roundoff floor\)"):
-            numkit.step_doubling(_power_law(passes, 1e-12, order), 10, 1e-13, 1e-15, 5.0,
-                                 order=order)
-        assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
+    # second pair instead of refining forever
+    passes = []
+    with pytest.raises(numkit.IntegrationError, match=r"t=5: \d+ steps .* \(roundoff floor\)"):
+        numkit.step_doubling(_sextic(passes, 1e-12), 10, 1e-13, 1e-15, 5.0)
+    assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
 
 
 def test_step_doubling_below_machine_epsilon_takes_no_step():
     passes = []
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
-        numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-17, 1e-17, 1.0, order=4)
+        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-17, 1e-17, 1.0)
     assert passes == []
     for rel_tol, abs_tol in ((0.0, 1e-12), (1e-10, -1e-12)):
         with pytest.raises(ValueError, match="positive"):
-            numkit.step_doubling(_power_law(passes, 0.0), 10, rel_tol, abs_tol, 1.0, order=4)
-    # the order has no default: a propagator's order is never assumed
-    with pytest.raises(TypeError, match="order"):
-        numkit.step_doubling(_power_law(passes, 0.0), 10, 1e-10, 1e-12, 1.0)
+            numkit.step_doubling(_sextic(passes, 0.0), 10, rel_tol, abs_tol, 1.0)
     assert passes == []
 
 
@@ -173,15 +160,14 @@ def test_step_doubling_refuses_a_pair_above_the_step_budget():
     budget, passes = numkit.STEP_BUDGET, []
     for n, batch in ((budget // 3 + 1, 1), (budget // 300 + 1, 100), (10 ** 30, 1)):
         with pytest.raises(numkit.IntegrationError, match=r"t=2: a pair .* exceeds the budget"):
-            numkit.step_doubling(_power_law(passes, 0.0), n, 1e-10, 1e-12, 2.0, order=4,
-                                 batch=batch)
+            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10, 1e-12, 2.0, batch=batch)
     assert passes == []
 
     def cheap(n):  # the state of a propagator converged at any n, without its steps
         passes.append(n)
         return np.ones(2)
 
-    numkit.step_doubling(cheap, budget // 300, 1e-10, 1e-12, 2.0, order=4, batch=100)
+    numkit.step_doubling(cheap, budget // 300, 1e-10, 1e-12, 2.0, batch=100)
     assert passes == [budget // 300, 2 * (budget // 300)]
 
 
@@ -192,7 +178,7 @@ def test_step_doubling_refuses_a_predicted_pair_above_the_step_budget():
     n = numkit.STEP_BUDGET // 30
     with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
         numkit.step_doubling(lambda m: (passes.append(m), np.array([1e3 / m]))[1], n,
-                             1e-10, 1e-12, 1.0, order=6, batch=3)
+                             1e-10, 1e-12, 1.0, batch=3)
     assert passes == [n, 2 * n]
 
 
