@@ -152,7 +152,7 @@ def liouvillian_spectrum(x, z, beta, g):
 def steady_state(x, z, beta):
     """Gibbs coherence vector, the kernel vector R_1 of the spectrum at any g;
     broadcasts over z, with shape z.shape + (4,)."""
-    return _eigenvectors(x, np.asarray(z, dtype=float), beta)[0][..., :, 0].real
+    return _eigenvectors(x, z, beta)[0][..., :, 0].real
 
 
 def _steady_state_dz(x, z, beta):

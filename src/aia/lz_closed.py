@@ -291,7 +291,7 @@ def switching_times(p, scenario):
     center = -zi / dz * tf  # time where z = 0; -zi / dz <= 1 keeps it <= tf
 
     if scenario == 1:
-        # (x t_f / (sqrt2 dz)) sqrt(-1 + hypot(1, r)), r = dz / (x^2 t_f), free of its cancellation
+        # = (x t_f / (sqrt2 dz)) sqrt(hypot(1, r) - 1), r = dz / (x^2 t_f), without the cancellation
         return _window(center, tf, 0.5 * dz / (zf * np.hypot(x, zf)), np.inf,
                        lambda: 1.0 / (x * np.sqrt(2.0 + 2.0 * np.hypot(1.0, dz / (x * x * tf)))))
     if scenario == 2:

@@ -414,18 +414,20 @@ def test_scenario_collapse_thresholds():
         assert above.dtau == 0.0
     # the window is the whole sweep iff t_f is below each prescription's lower
     # threshold, computed here as the model computes it; at it the window is interior
-    x, dz, chain = 0.1, 2.0, lambda tf: tfi.switching_times_tfi(tfi.TfiParams(150, 0.5, 1.5, tf), 1)
-    for window, lower in (
-            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 1),
-             0.5 * dz / (1.0 * np.hypot(x, 1.0))),
-            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 2), 0.5 * dz / (x * x + 1.0)),
-            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 3), 0.5 / np.hypot(x, 1.0)),
-            (lambda tf: lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), 4),
-             0.25 * x * dz / (x * x + 1.0)),
-            (chain, 0.5 * (1.5 - 0.5) / (1.5 - 1.0) ** 2)):
-        below, at = np.nextafter(lower, 0.0), window(lower)
-        assert astuple(window(below)) == (0.0, below, lz.REGIME_WHOLE), lower
-        assert at.regime == lz.REGIME_INTERIOR and 0.0 <= at.tau_minus < at.tau_plus <= lower
+    x, dz = 0.1, 2.0
+
+    def window(scenario, tf):
+        if scenario == "chain":
+            return tfi.switching_times_tfi(tfi.TfiParams(150, 0.5, 1.5, tf), 1)
+        return lz.switching_times(lz.LzParams(x, -1.0, 1.0, tf), scenario)
+
+    for scenario, lower in ((1, 0.5 * dz / (1.0 * np.hypot(x, 1.0))), (2, 0.5 * dz / (x * x + 1.0)),
+                            (3, 0.5 / np.hypot(x, 1.0)), (4, 0.25 * x * dz / (x * x + 1.0)),
+                            ("chain", 0.5 * (1.5 - 0.5) / (1.5 - 1.0) ** 2)):
+        below, at = np.nextafter(lower, 0.0), window(scenario, lower)
+        assert astuple(window(scenario, below)) == (0.0, below, lz.REGIME_WHOLE), scenario
+        assert at.regime == lz.REGIME_INTERIOR, scenario
+        assert 0.0 <= at.tau_minus < at.tau_plus <= lower, scenario
 
 
 def test_scenario_window_continuous_across_collapse_threshold():
