@@ -120,10 +120,19 @@ def _sextic(passes, floor):
 
 
 def test_step_doubling_returns_the_fine_state_of_the_predicted_pair():
-    # a 1e-12 tolerance: the first pair (10, 20) misses, and its difference
-    # predicts the n of the second, aimed at half the tolerance, which meets it.
-    # The prediction takes the sixth root of the miss, where the fourth root
-    # would overshoot n by (2 diff / tol)^(1/12) ~ 3.3
+    # a 1e-10 tolerance: the first pair (10, 20) misses, and its difference
+    # predicts the n of the second, aimed at half the tolerance, which meets it;
+    # the state handed back is that pair's 2n-step one
+    passes = []
+    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10, 1e-12, 1.0)
+    n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-10) ** (1 / 6)))
+    assert passes == [10, 20, n, 2 * n]
+    assert got[0] == 1.0 + float(2 * n) ** -6 and (n ** -6.0 - (2 * n) ** -6.0) <= 1.01e-10
+
+
+def test_step_doubling_predicts_a_sextic_pair_with_the_sixth_root():
+    # at a 1e-12 tolerance the prediction takes the sixth root of the miss,
+    # where the fourth root would overshoot n by (2 diff / tol)^(1/12) ~ 3.3
     passes = []
     got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-12, 1e-14, 1.0)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-12) ** (1 / 6)))
