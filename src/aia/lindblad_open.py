@@ -265,7 +265,6 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
             @ _steady_state_dz(p.x, ends, p.beta)[:, :, None]
         k = p.dz * np.linalg.norm(drift, axis=(1, 2)).sum() / 30240.0
         n = max(n, p.t_f * (2.0 * k / (p.t_f * tol)) ** (1.0 / 6.0))
-    n = int(np.ceil(n))
     c0 = steady_state(p.x, p.z_i, p.beta)
     # a 4x4 step, its three generators and Taylor series included, costs about 35
     # two-level steps: 2.75 us against 0.078 us, medians of 40 alternating runs of

@@ -168,7 +168,7 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
     # b = hypot(x, z) is largest at an end of the sweep
-    n = int(np.ceil(p.t_f * np.max(np.hypot(p.x, np.maximum(-p.z_i, p.z_f)))))
+    n = p.t_f * np.max(np.hypot(p.x, np.maximum(-p.z_i, p.z_f)))
     return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f,
                          batch=np.size(p.z_i))
 

@@ -46,15 +46,14 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"):
-    """Propagate y' = rhs(t, y) from t0 to t1 with an embedded adaptive RK pair.
+def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
+    """Propagate y' = rhs(t, y) from t0 to t1 with the embedded 8th-order pair DOP853.
 
-    The default is the 8th-order pair, which accumulates far less global
-    error on the very long sweeps (t1 up to 1e4 oscillation periods) than
-    the 5(4) pair ``method="RK45"``. Real and complex state vectors are
-    both supported; the result has the dtype of ``y0``. Raises
-    :class:`IntegrationError` with the failing time if the step size
-    underflows or the rhs is not finite at the start (on a non-finite
+    The 8th-order pair accumulates far less global error on very long sweeps
+    (t1 up to 1e4 oscillation periods) than the 5(4) pair RK45. Real and
+    complex state vectors are both supported; the result has the dtype of
+    ``y0``. Raises :class:`IntegrationError` with the failing time if the step
+    size underflows or the rhs is not finite at the start (on a non-finite
     first slope the solver would never pick a usable step).
     """
     if t1 < t0:
@@ -66,7 +65,7 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, method="DOP853"
         return y0.copy()
     if not np.all(np.isfinite(rhs(t0, y0))):
         raise IntegrationError(f"integration failed at t={t0:.6g}: non-finite rhs")
-    sol = solve_ivp(rhs, (t0, t1), y0, method=method,
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
                     rtol=rel_tol, atol=abs_tol, dense_output=False)
     if not sol.success:
         t_fail = sol.t[-1] if sol.t.size else t0
@@ -78,15 +77,16 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1):
     """Final state of a sixth-order propagator, its step count chosen by step doubling.
 
     ``propagate(m)`` returns the state after m equal steps, each of which costs
-    ``batch`` two-level steps (one per crossing of a batch). The 2n-step state
+    ``batch`` two-level steps (one per crossing of a batch); the first pair
+    takes ceil(n) and twice that many steps, n a float. The 2n-step state
     is returned once it is within rel_tol + abs_tol of the n-step one in every
     component; its own error, falling like n^-6, is about a sixty-third
     (1 / (2^6 - 1)) of that. Otherwise the difference predicts the n of a
     second pair; if that misses too, the roundoff floor is reached and
     :class:`IntegrationError` names it, with the end time ``t_end``. Neither a
     tolerance below the machine epsilon, which no state of unit size resolves,
-    nor a pair whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` is run:
-    both raise before any step of theirs is taken.
+    nor a pair whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose
+    n is infinite or NaN) is run: both raise before any step of theirs is taken.
     """
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
@@ -95,16 +95,18 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1):
         raise IntegrationError(f"integration failed at t={t_end:.6g}: the tolerance {tol:.3g} "
                                f"is below the roundoff floor {_EPS:.3g}")
     for _ in range(2):
-        if 3 * n * batch > STEP_BUDGET:
+        n = np.ceil(n)
+        if not 3 * n * batch <= STEP_BUDGET:  # also refuses an infinite or NaN n
             raise IntegrationError(f"integration failed at t={t_end:.6g}: a pair of {n:.3g} "
                                    f"and {2 * n:.3g} steps x {batch} exceeds the budget "
                                    f"{STEP_BUDGET:.3g}")
+        n = int(n)
         coarse, fine = propagate(n), propagate(2 * n)
         diff = float(np.max(np.abs(coarse - fine)))
         if diff <= tol:
             return fine
         # aim at tol / 2
-        steps, n = 2 * n, int(np.ceil(n * (2.0 * diff / tol) ** (1.0 / 6.0)))
+        steps, n = 2 * n, n * (2.0 * diff / tol) ** (1.0 / 6.0)
     raise IntegrationError(f"integration failed at t={t_end:.6g}: {steps} steps leave "
                            f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
 
@@ -116,7 +118,8 @@ def find_root_bracketed(g, a, b, tol=1e-12):
     longer splits it (``tol`` below the spacing of doubles); its midpoint is
     returned, within ``tol`` of the root. An exact zero met on the way is
     returned at once. ``g`` is called at most ceil(log2((b - a) / tol)) + 3 times
-    (two ends, then one per halving; rounding may add a halving).
+    (two ends, then one per halving; rounding may add a halving), where a
+    ``tol`` below the spacing u of doubles at the root, 0 included, counts as u.
     """
     if not a < b:
         raise ValueError(f"require a < b, got [{a}, {b}]")

@@ -110,13 +110,6 @@ def epsilon_k(h, k):
     return 2.0 * np.hypot(np.asarray(h) - np.cos(k), np.sin(k))
 
 
-def mode_ground(h, k):
-    """Ground vector (cos(theta/2), i sin(theta/2)), theta = atan2(sin k, h - cos k):
-    the crossing's real-gauge ground vector in the pair basis; broadcasts to (..., 2)."""
-    _, _, psi1, _ = lz.lz_eigensystem(2.0 * np.sin(k), 2.0 * (np.asarray(h) - np.cos(k)))
-    return psi1 @ _PAIR.T
-
-
 def _ellipe(m):
     """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2 x) dx, m in [0, 1],
     by the arithmetic-geometric mean; broadcasts. Eight steps converge every
@@ -189,14 +182,14 @@ def register_distance(reg_a, reg_b):
 
 
 def _kz_condition_scenario2(p, h):
-    """Signed mismatch of the modified freeze-out condition at field h.
+    """Modified freeze-out condition |h - 1| (h + 1) E(4h/(1+h)^2) - pi hdot; broadcasts.
 
-    Positive where the inverse infinite-chain gap 1/|h - 1| exceeds the
-    chain's inverse rate of change (h + 1) E(4h/(1+h)^2) / (pi hdot), i.e.
-    inside the frozen region around h = 1. Broadcasts over an array of
-    fields h.
+    Zero where the inverse infinite-chain gap 1/|h - 1| equals the chain's
+    inverse rate of change (h + 1) E / (pi hdot), negative between those fields
+    (the frozen region; -pi hdot at h = 1). |h - 1| (h + 1) E strictly falls on
+    [0, 1) and rises on (1, inf), so each side of h = 1 holds at most one zero.
     """
-    return 1.0 / np.abs(np.asarray(h) - 1.0) - _elliptic_term(h) / (np.pi * p.hdot)
+    return np.abs(np.asarray(h) - 1.0) * _elliptic_term(h) - np.pi * p.hdot
 
 
 def switching_times_tfi(p, scenario):
@@ -207,7 +200,10 @@ def switching_times_tfi(p, scenario):
     sqrt(t_f) / sqrt(2 dh) above the threshold t_f = dh / (2 (h_f - 1)^2);
     below it the whole sweep is impulse. Scenario 2 equates the inverse gap
     with the chain's inverse rate of change, which involves the complete
-    elliptic integral and is solved numerically on each side of h = 1.
+    elliptic integral: a side of h = 1 holds a root of the condition exactly
+    when it is positive at the side's end, and the root is bisected between
+    that end and h = 1 to the spacing of doubles. A side without one keeps
+    its end (tau_- = 0, tau_+ = t_f); with neither, the whole sweep is impulse.
     """
     tf, dh = p.t_f, p.dh
     if scenario == 1:  # h = 1 is crossed at t = -(h_i - 1) t_f / dh
@@ -217,23 +213,13 @@ def switching_times_tfi(p, scenario):
     if scenario != 2:
         raise ValueError(f"scenario must be 1 or 2 for the chain, got {scenario}")
 
-    eps = 1e-9 * dh
+    def root(end):  # the condition is -pi hdot < 0 at h = 1
+        if not _kz_condition_scenario2(p, end) > 0.0:
+            return None
+        return find_root_bracketed(lambda h: _kz_condition_scenario2(p, h),
+                                   min(end, 1.0), max(end, 1.0), tol=0.0)
 
-    def locate(h_lo, h_hi, pick_last):
-        # the sign-flip cell of a 513-point grid, then of a second grid across
-        # that cell: one array call in place of ~9 scalar bisection steps
-        for _ in range(2):
-            grid = np.linspace(h_lo, h_hi, 513)
-            vals = _kz_condition_scenario2(p, grid)
-            flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-            if flips.size == 0:
-                return None
-            i = flips[-1] if pick_last else flips[0]
-            h_lo, h_hi = grid[i], grid[i + 1]
-        return find_root_bracketed(lambda h: _kz_condition_scenario2(p, h), h_lo, h_hi, tol=1e-13)
-
-    h_minus = locate(p.h_i, 1.0 - eps, pick_last=True)
-    h_plus = locate(1.0 + eps, p.h_f, pick_last=False)
+    h_minus, h_plus = root(p.h_i), root(p.h_f)
     tau_m = 0.0 if h_minus is None else (h_minus - p.h_i) * tf / dh
     tau_p = tf if h_plus is None else (h_plus - p.h_i) * tf / dh
     regime = REGIME_WHOLE if (h_minus is None and h_plus is None) else REGIME_INTERIOR

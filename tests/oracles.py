@@ -33,8 +33,8 @@ matrix from the images of the 16 matrix units under
 
 The rest are definitions that only the tests use: the two-level and mode
 Hamiltonians, the damped qubit's jump operators, the Pauli coefficients of a
-matrix, the chain's excited mode vector and ground register, and the
-centered impulse window of a given interval.
+matrix, the chain's ground and excited mode vectors and ground register, and
+the centered impulse window of a given interval.
 """
 
 import numpy as np
@@ -85,6 +85,13 @@ def mode_hamiltonian(h, k):
     return np.array([[-2.0 * a, 2.0j * s], [-2.0j * s, 2.0 * a]])
 
 
+def mode_ground(h, k):
+    """Ground vector (cos(theta/2), i sin(theta/2)), theta = atan2(sin k, h - cos k):
+    the crossing's real-gauge ground vector in the pair basis; broadcasts to (..., 2)."""
+    _, _, psi1, _ = lz.lz_eigensystem(2.0 * np.sin(k), 2.0 * (np.asarray(h) - np.cos(k)))
+    return psi1 @ tfi._PAIR.T
+
+
 def mode_excited(h, k):
     """Excited mode vector (i sin(theta/2), cos(theta/2)), theta = atan2(sin k, h - cos k)."""
     half = 0.5 * np.arctan2(np.sin(k), np.asarray(h) - np.cos(k))
@@ -93,7 +100,7 @@ def mode_excited(h, k):
 
 def ground_register(p):
     """Product ground register of the chain at the initial field."""
-    return tfi.mode_ground(p.h_i, tfi.momenta(p.L))
+    return mode_ground(p.h_i, tfi.momenta(p.L))
 
 
 def rate_integral(p, t_a, t_b, dps=30):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from aia import lz_closed as lz
 from aia import numkit, tfi
@@ -198,8 +198,10 @@ def test_evolve_frames_agree():
             return -1j * np.array([z * c[0] + p.x * c[1], p.x * c[0] - z * c[1]])
 
         _, _, psi1_0, _ = lz.lz_eigensystem(p.x, p.z_i)
-        fixed = numkit.integrate_ode(rhs, psi1_0.astype(complex), 0.0, tf, 1e-12, 1e-14,
-                                     method="RK45")
+        sol = solve_ivp(rhs, (0.0, tf), psi1_0.astype(complex), method="RK45",
+                        rtol=1e-12, atol=1e-14)
+        assert sol.success
+        fixed = sol.y[:, -1]
         got = lz.evolve_schrodinger(p, 1e-12, 1e-14)
         assert lz.state_distance(fixed, got) < 1e-10, tf
 

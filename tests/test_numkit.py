@@ -180,6 +180,18 @@ def test_step_doubling_refuses_a_pair_above_the_step_budget():
     assert passes == [budget // 300, 2 * (budget // 300)]
 
 
+def test_step_doubling_refuses_an_infinite_or_nan_step_count():
+    # an overflowing first-pair estimate raises before any step, and a finite
+    # float n is rounded up to the first pair's step count
+    passes = []
+    for n in (np.inf, np.nan):
+        with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
+            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10, 1e-12, 1.0)
+    assert passes == []
+    numkit.step_doubling(_sextic(passes, 0.0), 9.2, 1e-10, 1e-12, 1.0)
+    assert passes[:2] == [10, 20] and all(type(m) is int for m in passes), passes
+
+
 def test_step_doubling_refuses_a_predicted_pair_above_the_step_budget():
     # the first pair runs; the second, predicted from its miss, would exceed
     # the budget, and raises before its first step
@@ -258,6 +270,17 @@ def test_root_tol_below_double_spacing_stops():
     x = numkit.find_root_bracketed(g, 1.0, 2.0, tol=1e-30)
     assert abs(x - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
     assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("a, b, root", [(1.0, 2.0, math.sqrt(2.0)), (0.5, 11.0, 1.7),
+                                        (0.0, 1.0, 3e-300)])
+def test_root_tol_zero_bisects_to_adjacent_doubles(a, b, root):
+    # tol = 0 counts as the spacing u of doubles at the root in the call bound
+    u = np.spacing(root)
+    g, calls = _counted(lambda x: x - root, limit=1100)
+    x = numkit.find_root_bracketed(g, a, b, tol=0.0)
+    assert abs(x - root) <= u
+    assert len(calls) <= math.ceil(math.log2(b - a) - math.log2(u)) + 3, len(calls)
 
 
 # -------------------------------------------------------------- minimize_scalar
@@ -402,23 +425,17 @@ def test_agm_ellipe_against_mpmath():
             assert tfi._ellipe(m) == e
 
 
-# The chain's scenario-2 condition is the only user of E(m) (tfi._ellipe).
-# These oracles read E back out of it at the field h < 1 where
-# m = 4h/(1+h)^2; a long sweep (hdot = 1e-12) makes the elliptic rate term
-# dominate 1/|h - 1|, so the read-back loses nothing to cancellation.
-
-_KZ_SWEEP = tfi.TfiParams(2, 0.0, 2.0, 2e12)
-
+# The chain reads E(m) (tfi._ellipe) through tfi._elliptic_term(h) = (1 + h) E(4h/(1+h)^2),
+# in its scenario-2 condition and in gs_energy_thermo. These oracles read E
+# back out of it at the field h < 1 where m = 4h/(1+h)^2.
 
 def _elliptic_e_at_field(h):
-    """E(4h/(1+h)^2) recovered from tfi._kz_condition_scenario2 at field h."""
-    p = _KZ_SWEEP
-    cond = tfi._kz_condition_scenario2(p, h)
-    return float((1.0 / abs(h - 1.0) - cond) * np.pi * p.hdot / (h + 1.0))
+    """E(4h/(1+h)^2) recovered from tfi._elliptic_term at field h."""
+    return float(tfi._elliptic_term(h) / (h + 1.0))
 
 
 def _elliptic_e(m):
-    """E(m) through the condition at h = m / (2 - m + 2 sqrt(1 - m)), m < 1."""
+    """E(m) through the chain's field at h = m / (2 - m + 2 sqrt(1 - m)), m < 1."""
     return _elliptic_e_at_field(m / (2.0 - m + 2.0 * np.sqrt(1.0 - m)))
 
 

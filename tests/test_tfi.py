@@ -1,18 +1,22 @@
 """Ising chain in momentum modes: spectra, registers, windows, factorization."""
 
+import os
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.special import ellipe
 
 from aia import lz_closed as lz
-from aia import numkit, tfi
+from aia import numkit, sweeps, tfi
 from aia.lz_closed import SwitchingTimes
-from oracles import (adiabatic_frame_state, ground_register, mode_excited, mode_hamiltonian,
-                     parabolic_cylinder_state)
+from oracles import (adiabatic_frame_state, ground_register, mode_excited, mode_ground,
+                     mode_hamiltonian, parabolic_cylinder_state)
+
+_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_params_validation():
@@ -63,7 +67,7 @@ def test_mode_ground_matches_eigensolver_oracle():
         m = mode_hamiltonian(h, k)
         assert np.array_equal(m, m.conj().T)
         w, v = np.linalg.eigh(m)
-        g = tfi.mode_ground(h, k)
+        g = mode_ground(h, k)
         assert abs(w[0] + tfi.epsilon_k(h, k)) < 1e-12
         assert abs(abs(np.vdot(v[:, 0], g)) - 1.0) < 1e-12
 
@@ -73,7 +77,7 @@ def test_mode_ground_against_mpmath_oracle():
     # eigenvector component, which sqrt((b - |z|)/2b) gets 3.9e-8 wrong
     mpmath = pytest.importorskip("mpmath")
     h, k = 1e4, 0.5
-    g = tfi.mode_ground(h, k)
+    g = mode_ground(h, k)
     with mpmath.workdps(40):
         half = mpmath.atan2(mpmath.sin(k), h - mpmath.cos(k)) / 2
         want = (mpmath.cos(half), 1j * mpmath.sin(half))
@@ -82,7 +86,7 @@ def test_mode_ground_against_mpmath_oracle():
 
 
 def test_mode_vectors_orthonormal():
-    g = tfi.mode_ground(0.7, 1.3)
+    g = mode_ground(0.7, 1.3)
     e = mode_excited(0.7, 1.3)
     assert abs(np.vdot(g, g) - 1.0) < 1e-14
     assert abs(np.vdot(g, e)) < 1e-14
@@ -91,13 +95,13 @@ def test_mode_vectors_orthonormal():
 # -------------------------------------------------------------------- register
 
 def test_ground_register_limits():
-    reg = tfi.mode_ground(1e8, tfi.momenta(8))
+    reg = mode_ground(1e8, tfi.momenta(8))
     assert np.abs(reg[:, 0] - 1.0).max() < 1e-7  # strong-field polarization
     # zero field: theta = atan2(sin k, -cos k) = pi - k
     half = (np.pi - tfi.momenta(8)) / 2
     reg = ground_register(tfi.TfiParams(8, 0.0, 1.5, 1.0))
     assert np.abs(reg - np.stack([np.cos(half), 1j * np.sin(half)], axis=-1)).max() < 1e-14
-    mode = tfi.mode_ground(0.0, np.pi / 2)
+    mode = mode_ground(0.0, np.pi / 2)
     assert np.abs(mode - np.array([np.cos(np.pi / 4), 1j * np.sin(np.pi / 4)])).max() < 1e-14
 
 
@@ -381,15 +385,63 @@ def test_scenario1_below_threshold_whole_interval():
 def test_scenario2_matches_dense_scan_oracle():
     p = tfi.TfiParams(150, 0.5, 1.5, 100.0)
     st = tfi.switching_times_tfi(p, 2)
-    # oracle: sign-change scan of the freeze-out condition at step 1e-6
+    # oracle: sign changes at step 1e-6 of the condition's pole form
+    # 1/|h - 1| - (h + 1) E(m) / (pi hdot), E from scipy, one array call a side
     for lo, hi, tau in ((0.5, 1.0 - 1e-9, st.tau_minus),
                         (1.0 + 1e-9, 1.5, st.tau_plus)):
         hs = np.arange(lo, hi, 1e-6)
-        vals = np.array([tfi._kz_condition_scenario2(p, h) for h in hs])
+        m = 1.0 - ((1.0 - hs) / (1.0 + hs)) ** 2  # = 4h/(1+h)^2, never above 1
+        vals = 1.0 / np.abs(hs - 1.0) - (hs + 1.0) * ellipe(m) / (np.pi * p.hdot)
         flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-        assert flips.size >= 1
-        h_root = hs[flips[0]] if lo > 1.0 else hs[flips[-1]]
-        assert abs((h_root - 0.5) * p.t_f / p.dh - tau) < 1e-4 * p.t_f
+        assert flips.size == 1
+        assert abs((hs[flips[0]] - 0.5) * p.t_f / p.dh - tau) < 1e-4 * p.t_f
+
+
+def test_scenario2_roots_against_mpmath_oracle(monkeypatch):
+    # every root of the shipped chain configs, against a 40-digit root of
+    # |h - 1| (h + 1) E(4h/(1+h)^2) = pi (h_f - h_i) / t_f
+    mpmath = pytest.importorskip("mpmath")
+    found = []
+
+    def recorded(*args, **kwargs):
+        found.append((p, numkit.find_root_bracketed(*args, **kwargs)))
+        return found[-1][1]
+
+    monkeypatch.setattr(tfi, "find_root_bracketed", recorded)
+    for name in ("tfi_distance_scaling", "tfi_switching_windows"):
+        cfg = sweeps.load_config(os.path.join(_CONFIGS, f"{name}.cfg"))
+        for tf in cfg.tf_grid():
+            p = tfi.TfiParams(t_f=float(tf), **cfg.params)
+            tfi.switching_times_tfi(p, 2)
+    # 64 sweeps, two sides each; the shortest hold no root on a side
+    assert len(found) == 112
+    worst = 0.0
+    with mpmath.workdps(40):
+        for p, h in found:
+            rate = mpmath.pi * (mpmath.mpf(p.h_f) - p.h_i) / p.t_f
+
+            def cond(x):
+                return abs(x - 1) * (x + 1) * mpmath.ellipe(4 * x / (x + 1) ** 2) - rate
+
+            worst = max(worst, abs(float(mpmath.findroot(cond, mpmath.mpf(h))) - h))
+    assert worst <= 1e-15, worst
+
+
+def test_scenario2_condition_is_monotone_on_each_side():
+    # the rule rests on |h - 1| (h + 1) E(4h/(1+h)^2) strictly falling on
+    # [0, 1] and strictly rising on [1, inf): checked on 1e6-point grids
+    below = np.linspace(0.0, 1.0, 1000001)
+    above = np.linspace(1.0, 12.0, 1000001)
+    assert np.all(np.diff((1.0 - below) * tfi._elliptic_term(below)) < 0)
+    assert np.all(np.diff((above - 1.0) * tfi._elliptic_term(above)) > 0)
+
+
+@pytest.mark.parametrize("tf", [2e9, 1e12])
+def test_scenario2_window_stays_interior_on_very_long_sweeps(tf):
+    st = tfi.switching_times_tfi(tfi.TfiParams(150, 0.5, 1.5, tf), 2)
+    assert st.regime == "interior"
+    assert 0.0 < st.tau_minus < st.tau_plus < tf
+    assert abs(st.dtau - np.pi) < 1e-3
 
 
 def test_scenario2_window_shrinks_to_constant():
@@ -400,10 +452,9 @@ def test_scenario2_window_shrinks_to_constant():
     assert abs(d1 - d2) < 0.5
 
 
-def test_scenario2_narrows_each_bracket_with_an_array_call(monkeypatch):
-    # a second 513-point grid across the sign-flip cell narrows each side's
-    # bracket 512-fold before the scalar bisection to tol = 1e-13: 27 scalar
-    # calls a side where the 513-point grid alone left 36
+def test_scenario2_costs_two_bisections_and_no_array_call(monkeypatch):
+    # each side is one bisection from its end to h = 1, down to the spacing
+    # of doubles: about 55 scalar calls a side, and no array call
     calls = {"array": 0, "scalar": 0}
     real = tfi._kz_condition_scenario2
 
@@ -415,7 +466,7 @@ def test_scenario2_narrows_each_bracket_with_an_array_call(monkeypatch):
     for tf in (5.0, 300.0, 1e5):
         calls.update(array=0, scalar=0)
         assert tfi.switching_times_tfi(tfi.TfiParams(150, 0.5, 1.5, tf), 2).regime == "interior"
-        assert calls == {"array": 4, "scalar": 54}, (tf, calls)
+        assert calls["array"] == 0 and calls["scalar"] <= 120, (tf, calls)
 
 
 def test_scenario_windows_contained():
@@ -443,9 +494,9 @@ def test_zero_berry_connection_by_finite_differences():
     ks = tfi.momenta(150)
     for h0 in (0.3, 0.8, 1.0, 1.4):
         step = 1e-6
-        gp = tfi.mode_ground(h0 + step, ks)
-        gm = tfi.mode_ground(h0 - step, ks)
-        conn = np.einsum("ki,ki->k", tfi.mode_ground(h0, ks).conj(),
+        gp = mode_ground(h0 + step, ks)
+        gm = mode_ground(h0 - step, ks)
+        conn = np.einsum("ki,ki->k", mode_ground(h0, ks).conj(),
                          (gp - gm) / (2 * step))
         assert np.abs(conn).max() < 1e-8
 
@@ -467,8 +518,10 @@ def test_l2_register_pipeline_equals_direct_two_level():
     def rhs(t, y):
         return -1j * (mode_hamiltonian(float(p.h(t)), k) @ y)
 
-    direct = numkit.integrate_ode(rhs, tfi.mode_ground(0.5, k), 0.0, p.t_f,
-                                  1e-13, 1e-15, method="RK45")
+    sol = solve_ivp(rhs, (0.0, p.t_f), mode_ground(0.5, k), method="RK45",
+                    rtol=1e-13, atol=1e-15)
+    assert sol.success
+    direct = sol.y[:, -1]
     assert np.abs(reg[0] - direct).max() < 1e-12
     # distance through the register machinery equals the direct two-level one
     adi = tfi.adiabatic_register(p)
@@ -484,7 +537,9 @@ def test_chain_modes_are_two_level_crossings():
     ks = tfi.momenta(p.L)
     for h in (0.2, 1.0, 2.7):
         _, _, psi1, _ = lz.lz_eigensystem(2 * np.sin(ks), 2 * (h - np.cos(ks)))
-        assert np.abs(psi1 @ tfi._PAIR.T - tfi.mode_ground(h, ks)).max() < 1e-15
+        half = 0.5 * np.arctan2(np.sin(ks), h - np.cos(ks))
+        ground = np.stack([np.cos(half), 1j * np.sin(half)], axis=-1)
+        assert np.abs(psi1 @ tfi._PAIR.T - ground).max() < 1e-15
 
     windows = [SwitchingTimes(4.0, 7.5, "interior"), SwitchingTimes(8.0, 3.0, "reversed")]
     exact = tfi.evolve_register(p, 1e-12, 1e-14)
