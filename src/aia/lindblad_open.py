@@ -48,6 +48,10 @@ class OpenParams(LzParams):
             raise ValueError(f"require T > 0, got {self.T}")
         if self.g < 0:
             raise ValueError(f"require g >= 0, got {self.g}")
+        # every rate, and the first pair's bound on L^5, stays finite here; at g = 1
+        # the damping 2 pi g^2 Delta coth(beta Delta / 2) is already past weak coupling
+        if not (self.g <= 1.0 and 1e-30 <= self.T <= 1e30):
+            raise ValueError(f"require g <= 1 and T in [1e-30, 1e30], got {self}")
 
     @property
     def beta(self):

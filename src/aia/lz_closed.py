@@ -41,6 +41,11 @@ REGIME_WHOLE = "whole-interval-impulse"
 REGIME_INTERIOR = "interior"
 REGIME_COLLAPSED = "collapsed"
 
+# the rounding floor of an exact state per unit of its phase int b dt: converged
+# states were up to 0.39 eps int b dt off the exact ones, and the L = 150 chain at
+# t_f = 8000 stops at pair differences of 0.18-0.27 eps int b dt (1.3-1.9e-12)
+_FLOOR_PER_PHASE = np.finfo(float).eps / 8.0
+
 
 @dataclass(frozen=True)
 class LzParams:
@@ -154,6 +159,47 @@ def _magnus_state(p, n, psi):
     return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
+def _first_pair_n(p, phase, tol):
+    """The n of :func:`evolve_schrodinger`'s first pair at tolerance tol; ``phase``
+    holds int b dt of each crossing.
+
+    The steps keep the exact step exponent through h^5. The first dropped term,
+    read off exact one-step exponents (every coefficient a simple fraction), is
+    h^7 times
+
+        (x b^4 zdot / 945 - x zdot^3 / 840) along y, and an x-z part of zdot^2 x b
+        times 2 x / 945 along the field and z / 630 across it.
+
+    Adiabatic estimate: to leading order in 1/t_f the state follows the
+    eigenvector of the perturbed Hamiltonian. The y part tilts it out of the
+    x-z plane by h^6 x b^3 zdot / 945, so the end state is off by the mean of
+    the tilts at z_i and z_f; the part along the field shifts the gap and
+    leaves the phase error h^6 2 x^2 zdot^2 int b dt / 945. The two are
+    orthogonal, and together they are K h^6 / t_f with K the larger over the
+    crossings of hypot(dz x (b_i^3 + b_f^3) / 1890, 2 x^2 zdot dz int b dt / 945).
+    n = t_f^(5/6) (2 K / tol)^(1/6) takes that to tol / 2, the aim of a second pair.
+
+    The estimate needs the error to have settled to its n^-6 fall, which is
+    not so while the eigenbasis turns by more than 1/4 in a step; at most
+    4 dz max x / (x^2 + z^2) steps, z the detuning nearest 0, prevent that (as
+    in :func:`aia.lindblad_open.evolve_master`). Neither needs to exceed the n
+    of a bound without cancellation: the term above is at most x zdot (b_max^2 +
+    zdot)^2 / 840, and n of them sum to at most t_f h^6 times that (to leading
+    order in h), which stays small in the sudden limit. The step angle h max b
+    never exceeds 1.
+    """
+    b_i, b_f = np.hypot(p.x, p.z_i), np.hypot(p.x, p.z_f)
+    b_max = np.maximum(b_i, b_f)
+    tilt = p.dz * p.x * (b_i ** 3 + b_f ** 3) / 1890.0
+    gap = 2.0 * p.x * p.x * p.zdot * p.dz * phase / 945.0
+    n_adiabatic = p.t_f * (2.0 * np.max(np.hypot(tilt, gap)) / (p.t_f * tol)) ** (1.0 / 6.0)
+    z_near = np.clip(0.0, p.z_i, p.z_f)
+    n_turn = 4.0 * p.dz * np.max(p.x / (p.x * p.x + z_near * z_near))
+    remainder = np.max(p.x * p.zdot * (b_max * b_max + p.zdot) ** 2) / 840.0
+    n_sum = p.t_f * (2.0 * p.t_f * remainder / tol) ** (1.0 / 6.0)
+    return max(p.t_f * np.max(b_max), min(n_sum, max(n_turn, n_adiabatic)))
+
+
 def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
@@ -161,16 +207,23 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation, with the step
     count set by :func:`aia.numkit.step_doubling` (the returned state is within
     rel_tol + abs_tol of one with half the steps, and about a sixty-third of that
-    off). The first pair is at step angles h max b ~ 1. The cost grows like
-    t_f max b, up to the budget of :data:`aia.numkit.STEP_BUDGET` steps x
-    crossings per pair; beyond it :class:`aia.numkit.IntegrationError` is raised.
+    off). The first pair's n comes from a closed-form estimate of the Magnus
+    remainder (:func:`_first_pair_n`), so wherever the sweep is adiabatic at
+    its ends the first pair meets the tolerance and a run takes one pair. The
+    cost grows like t_f^(5/6) tol^(-1/6), and like t_f max b at the largest
+    t_f, up to the budget of :data:`aia.numkit.STEP_BUDGET` steps x crossings
+    per pair; beyond it :class:`aia.numkit.IntegrationError` is raised, as it
+    is, before any step, for a tolerance below the rounding floor eps int b dt / 8
+    (the n- and 2n-step states share the rounding of h = t_f / n, which turns
+    every phase by up to eps int b dt, and step doubling cannot see it).
     A batch of crossings shares the steps: shape z_i.shape + (2,).
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
-    # b = hypot(x, z) is largest at an end of the sweep
-    n = p.t_f * np.max(np.hypot(p.x, np.maximum(-p.z_i, p.z_f)))
+    phase = -dynamical_phase_gs(p, 0.0, p.t_f)  # int b dt, per crossing
+    tol = rel_tol + abs_tol
+    n = _first_pair_n(p, phase, tol) if tol > 0 else 1  # step_doubling refuses the rest
     return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f,
-                         batch=np.size(p.z_i))
+                         batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase))
 
 
 def dynamical_phase_gs(p, t_a, t_b):

@@ -73,7 +73,7 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     return sol.y[:, -1]
 
 
-def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1):
+def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1, floor=_EPS):
     """Final state of a sixth-order propagator, its step count chosen by step doubling.
 
     ``propagate(m)`` returns the state after m equal steps, each of which costs
@@ -84,22 +84,24 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1):
     (1 / (2^6 - 1)) of that. Otherwise the difference predicts the n of a
     second pair; if that misses too, the roundoff floor is reached and
     :class:`IntegrationError` names it, with the end time ``t_end``. Neither a
-    tolerance below the machine epsilon, which no state of unit size resolves,
-    nor a pair whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose
-    n is infinite or NaN) is run: both raise before any step of theirs is taken.
+    tolerance below ``floor``, the rounding floor of the states (at least the
+    machine epsilon, which no state of unit size resolves), nor a pair whose 3n
+    steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose n is infinite or NaN)
+    is run: both raise before any step of theirs is taken, the budget first.
     """
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
     tol = rel_tol + abs_tol
-    if tol < _EPS:
-        raise IntegrationError(f"integration failed at t={t_end:.6g}: the tolerance {tol:.3g} "
-                               f"is below the roundoff floor {_EPS:.3g}")
+    floor = max(floor, _EPS)
     for _ in range(2):
         n = np.ceil(n)
         if not 3 * n * batch <= STEP_BUDGET:  # also refuses an infinite or NaN n
             raise IntegrationError(f"integration failed at t={t_end:.6g}: a pair of {n:.3g} "
                                    f"and {2 * n:.3g} steps x {batch} exceeds the budget "
                                    f"{STEP_BUDGET:.3g}")
+        if tol < floor:  # only on the first pass
+            raise IntegrationError(f"integration failed at t={t_end:.6g}: the tolerance "
+                                   f"{tol:.3g} is below the roundoff floor {floor:.3g}")
         n = int(n)
         coarse, fine = propagate(n), propagate(2 * n)
         diff = float(np.max(np.abs(coarse - fine)))

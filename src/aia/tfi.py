@@ -56,6 +56,9 @@ class TfiParams:
             raise ValueError(f"require 0 <= h_i < 1 < h_f, got h_i={self.h_i}, h_f={self.h_f}")
         if self.t_f <= 0:
             raise ValueError(f"require t_f > 0, got {self.t_f}")
+        # the modes' x, z_i, z_f and dz then lie within LzParams' scales
+        if not (self.h_f <= 1e30 and 1e-30 <= self.t_f <= 1e30):
+            raise ValueError(f"require h_f <= 1e30 and t_f in [1e-30, 1e30], got {self}")
 
     @property
     def dh(self):

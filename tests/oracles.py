@@ -22,7 +22,10 @@ one sector at a time, apart from the broadcast products of
 
 :func:`rate_integral` is the damped qubit's rate integral int |l_2| dt by
 mpmath quadrature in the time variable, apart from the fixed rule of
-:func:`aia.lindblad_open._rate_integrals`.
+:func:`aia.lindblad_open._rate_integrals`. :func:`closed_form_transport` is
+the transport superoperator as a sum over the spectral sectors, with that
+integral and the gap's by mpmath, apart from the ODE and the finite-difference
+commutator of :func:`aia.intertwiner.full_intertwiner`.
 
 :func:`golden_section_minimize` refines the best scan point by golden
 section, one point at a time, apart from the array zooms of
@@ -119,6 +122,27 @@ def rate_integral(p, t_a, t_b, dps=30):
         t_a, t_b, t_c = mpmath.mpf(float(t_a)), mpmath.mpf(float(t_b)), -z_i * t_f / dz
         points = [t_a, t_c, t_b] if min(t_a, t_b) < t_c < max(t_a, t_b) else [t_a, t_b]
         return float(mpmath.quad(rate, points))
+
+
+def closed_form_transport(p, dps=30):
+    """Transport superoperator U = sum_n exp(int_0^t_f l_n dt) R_n(t_f) L_n(0)^T.
+
+    Every spectral sector is rank one and all four connections L_n . R_n'
+    vanish in the real gauge of the closed-form eigenvectors, so this is exact.
+    int |l_2| dt is :func:`rate_integral` and int Delta dt an mpmath quadrature
+    in t, both split at the crossing; l_1 = 0, l_2 = -|l_2| and
+    l_{3,4} = l_2 / 2 -/+ i Delta.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    damping = rate_integral(p, 0.0, p.t_f, dps)
+    with mpmath.workdps(dps):
+        x, z_i, dz, t_f = (mpmath.mpf(float(v)) for v in (p.x, p.z_i, p.dz, p.t_f))
+        gap = float(mpmath.quad(lambda t: 2 * mpmath.sqrt(x * x + (z_i + dz * t / t_f) ** 2),
+                                [0, -z_i * t_f / dz, t_f]))
+    factors = np.exp([0.0, -damping, -0.5 * damping - 1j * gap, -0.5 * damping + 1j * gap])
+    right_f = lo._eigenvectors(p.x, p.z_f, p.beta)[0]
+    left_0 = lo._eigenvectors(p.x, p.z_i, p.beta)[1]
+    return np.einsum("n,in,nj->ij", factors, right_f, left_0).real
 
 
 def adiabatic_frame_state(p, rel_tol, abs_tol):

@@ -316,3 +316,25 @@ def test_closed_limit_transport_error_still_inverse_time():
     fit, norms = itw.closeness_bound_check(p0, [100.0, 300.0, 1000.0])
     assert -1.35 < fit.exponent < -0.65
     assert norms[-1] < 0.05
+
+
+# ------------------------------------------------------- closed-form transport
+
+@pytest.mark.parametrize("tf", [10.0, 17.3, 30.0, 100.0])
+def test_full_transport_against_closed_form_oracle(tf):
+    # the transport workload's parameters; what is left is the rounding of the
+    # finite-difference commutator, lifted to ~1e-10 by dividing by 2 _FD_STEP
+    p = replace(P_STD, t_f=tf)
+    assert np.abs(itw.full_intertwiner(p) - oracles.closed_form_transport(p)).max() <= 2e-9
+
+
+def test_full_transport_against_closed_form_oracle_at_random_parameters():
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        p = lo.OpenParams(10 ** rng.uniform(-1.5, 0.0), -10 ** rng.uniform(-1.0, 0.5),
+                          10 ** rng.uniform(-1.0, 0.5), 10 ** rng.uniform(0.5, 1.5),
+                          10 ** rng.uniform(-1.5, 0.3), rng.uniform(0.0, 0.1))
+        want = oracles.closed_form_transport(p)
+        assert np.abs(itw.full_intertwiner(p) - want).max() <= 2e-9, p
+        # the oracle preserves the trace: its first row is (1, 0, 0, 0)
+        assert np.abs(want[0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-14, p

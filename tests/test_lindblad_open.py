@@ -30,6 +30,10 @@ def test_params_validation():
             args[i] = bad
             with pytest.raises(ValueError, match="finite"):
                 lo.OpenParams(*args)
+    # finite, but the damping rate ~ g^2 and the first pair's L^5 would overflow
+    for temp, g in ((0.05, 1e200), (0.05, 1.5), (1e31, 0.01), (1e-31, 0.01)):
+        with pytest.raises(ValueError, match=r"g <= 1 and T in \[1e-30, 1e30\]"):
+            lo.OpenParams(0.1, -1.0, 1.0, 10.0, temp, g)
 
 
 # ------------------------------------------------------------- bath spectral fn

@@ -1,15 +1,18 @@
 """Two-level sweep: eigensystem gauge, phases, approximations, switching times."""
 
+import itertools
+import os
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import quad, solve_ivp
 
 from aia import lz_closed as lz
-from aia import numkit, tfi
+from aia import numkit, sweeps, tfi
 from oracles import REGIME_REVERSED, hamiltonian, parabolic_cylinder_state, switching_from_dtau
 
 P_STD = lz.LzParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=10.0)
@@ -161,6 +164,10 @@ def test_magnus_steps_are_sixth_order_against_parabolic_cylinder_oracle():
             assert 58.0 < coarse / fine < 72.0, (p, errs)
 
 
+def _decades(lo, hi):
+    return hst.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
 def _counting_magnus(mp, passes):
     """Record the step count of every Magnus product that :mod:`aia.lz_closed` runs."""
     real = lz._magnus_state
@@ -185,6 +192,68 @@ def test_evolve_beyond_the_step_budget_raises_before_stepping(monkeypatch):
             evolve()
         assert passes == []
     assert 3 * 2e5 * 5.0 < numkit.STEP_BUDGET < 3 * 2e5 * 5.0 * 75
+
+
+def test_evolve_below_the_phase_rounding_floor_raises_before_stepping(monkeypatch):
+    # the n- and 2n-step states share the rounding of h = t_f / n, which turns
+    # each phase by up to eps int b dt; the L = 150 chain at t_f = 8000 (int b dt
+    # = 3.2e4) stops at pair differences of 1.3-1.9e-12, and a 1e-13 tolerance is
+    # refused before its first step, where it ran two pairs of up to 3.2e5 steps
+    passes = []
+    _counting_magnus(monkeypatch, passes)
+    with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
+        tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 8000.0), 1e-13, 1e-15)
+    assert passes == []
+
+
+def _pair_counts(p, rel_tol, abs_tol):
+    """The step counts of the Magnus runs of one evolution of p."""
+    passes = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_magnus(mp, passes)
+        lz.evolve_schrodinger(p, rel_tol, abs_tol)
+    return [n for n, _ in passes]
+
+
+def test_evolve_takes_one_pair_on_every_shipped_row():
+    # the first pair comes from the Magnus remainder, so every row of the five lz
+    # and the two chain configs meets its tolerance with it
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(f for f in os.listdir(root) if f.startswith(("lz_", "tfi_")))
+    assert len(names) == 7
+    for name in names:
+        cfg = sweeps.load_config(os.path.join(root, name))
+        params = sweeps.pipeline(cfg).params
+        for tf in cfg.tf_grid():
+            passes = _pair_counts(params(float(tf), None), cfg.rel_tol, cfg.abs_tol)
+            assert len(passes) == 2 and passes[1] == 2 * passes[0], (name, tf, passes)
+
+
+def _ends_adiabatic(p):
+    """Whether the eigenbasis turns by at most half a radian per unit of phase at
+    either end of every crossing: x zdot / b^3 <= 1/2 there."""
+    b_end = np.minimum(np.hypot(p.x, p.z_i), np.hypot(p.x, p.z_f))
+    return np.max(p.x * p.zdot / b_end ** 3) <= 0.5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(hst.floats(0.03, 3.0), hst.floats(0.1, 5.0), hst.floats(0.1, 5.0), _decades(0, 3),
+       hst.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_evolve_first_pair_meets_the_tolerance_at_random_parameters(x, minus_z_i, z_f, tf,
+                                                                    rel_tol):
+    p = lz.LzParams(x, -minus_z_i, z_f, tf)
+    assume(_ends_adiabatic(p))
+    assert len(_pair_counts(p, rel_tol, 1e-2 * rel_tol)) == 2, p
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(hst.integers(1, 75), hst.floats(0.0, 0.99), hst.floats(1.01, 3.0), _decades(0, 3),
+       hst.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_register_first_pair_meets_the_tolerance_at_random_parameters(half_l, h_i, h_f, tf,
+                                                                      rel_tol):
+    p = tfi.TfiParams(2 * half_l, h_i, h_f, tf)
+    assume(_ends_adiabatic(p))
+    assert len(_pair_counts(p, rel_tol, 1e-2 * rel_tol)) == 2, p
 
 
 def test_evolve_frames_agree():
@@ -451,10 +520,6 @@ def test_scenario_windows_ordered_and_contained():
             assert 0.0 <= st.tau_minus <= st.tau_plus <= tf
 
 
-def _decades(lo, hi):
-    return hst.floats(lo, hi).map(lambda e: 10.0 ** e)
-
-
 # x, |z_i|, z_f and t_f over their whole domain [1e-30, 1e30], edges included
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_decades(-30, 30), _decades(-30, 30), _decades(-30, 30), _decades(-30, 30))
@@ -538,6 +603,25 @@ def test_evolve_stays_within_the_step_budget_at_random_parameters(x, minus_z_i, 
     assert all(3 * n <= 3 * 10 ** 5 for n, _ in passes[::2]), passes
     if got is not None:
         assert np.all(np.isfinite(got)) and abs(np.linalg.norm(got) - 1.0) <= 1e-14
+
+
+def test_evolve_at_the_corners_of_the_domain_warns_nothing(monkeypatch):
+    # the first pair's closed forms (b^3, zdot^3, int b dt) stay finite over the
+    # whole LzParams domain and the TfiParams one: a state or a clean error
+    monkeypatch.setattr(numkit, "STEP_BUDGET", 3 * 10 ** 4)
+    scales = (1e-30, 1.0, 1e30)
+    cases = [lz.LzParams(x, -zi, zf, tf) for x, zi, zf, tf in itertools.product(scales, repeat=4)]
+    cases += [tfi.TfiParams(n, h_i, h_f, tf) for n, h_i, h_f, tf in
+              itertools.product((2, 150), (0.0, 0.999), (1.0 + 1e-7, 1e30), scales)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in cases:
+            for rel_tol in (1e-8, 1e-12):
+                try:
+                    got = lz.evolve_schrodinger(p, rel_tol, rel_tol / 100.0)
+                except numkit.IntegrationError:
+                    continue
+                assert np.all(np.abs(np.linalg.norm(got, axis=-1) - 1.0) <= 1e-14), p
 
 
 # ------------------------------------------------------------------- optimizer

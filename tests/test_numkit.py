@@ -463,3 +463,17 @@ def test_elliptic_monotone_decreasing():
     vals = [_elliptic_e(m) for m in np.linspace(0, 1, 101)[:-1]] + [
         _elliptic_e_at_field(1.0 - 1e-9)]
     assert np.all(np.diff(vals) < 0)
+
+
+def test_step_doubling_below_a_given_floor_takes_no_step():
+    # a caller's floor above the tolerance refuses it before the first pair, as
+    # the machine epsilon does; a floor below the epsilon counts as the epsilon
+    passes = []
+    with pytest.raises(numkit.IntegrationError, match="t=2: the tolerance 1.01e-13 is below "
+                                                      "the roundoff floor 1e-12"):
+        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-13, 1e-15, 2.0, floor=1e-12)
+    with pytest.raises(numkit.IntegrationError, match="below the roundoff floor 2.22e-16"):
+        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-16, 1e-18, 2.0, floor=1e-20)
+    assert passes == []
+    numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10, 1e-12, 2.0, floor=1e-12)
+    assert len(passes) == 4

@@ -433,34 +433,32 @@ def test_cli_exit_2_beyond_the_step_budget(tmp_path, monkeypatch):
 
 
 _OVERFLOWING = {
-    # the first pair's step count t_f max b overflows to inf
+    # the modes' detuning 2 (h_f - cos k) ~ 2e300: its cube overflows
     "chain": ("model = tfi\nL = 8\nh_i = 0.5\nh_f = 1e300\ntf_min = 1e9\ntf_max = 1e10\n"
-              "tf_points = 2\nscenarios = 1,2,opt\n", "1e10"),
-    # the damping rate ~ g^2 overflows, and with it the first pair's step count
+              "tf_points = 2\nscenarios = 1,2,opt\n", "1e10", "h_f <= 1e30"),
+    # the damping rate ~ g^2 overflows
     "open": ("model = open\nx = 0.1\nz_i = -1\nz_f = 1\ng = 1e200\ntemperatures = 0.05\n"
-             "tf_min = 1\ntf_max = 1000\ntf_points = 2\n", "10"),
+             "tf_min = 1\ntf_max = 1000\ntf_points = 2\n", "10", "g <= 1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_OVERFLOWING))
-def test_cli_exit_2_on_an_overflowing_step_count(tmp_path, capsys, case):
-    # the scan exits 2 with its message, and every sweep row records the error
-    text, tf = _OVERFLOWING[case]
+def test_cli_rejects_overflowing_parameters_cleanly(tmp_path, capsys, case):
+    # the parameters are refused when the config is read: the scan and the sweep
+    # exit 1 with one config error, before any arithmetic that could warn
+    text, tf, reason = _OVERFLOWING[case]
     cfg_path = tmp_path / f"{case}.cfg"
     cfg_path.write_text(text)
     out = tmp_path / "scan.csv"
+    model = text.split("\n", 1)[0].split(" = ")[1]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        assert cli_main(["dtau-scan", "--config", str(cfg_path), "--tf", tf,
-                         "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "numerical failure: integration failed" in err and "exceeds the budget" in err
-        assert "Traceback" not in err and not out.exists()
-        model = sweeps.load_config(str(cfg_path)).model
-        assert cli_main([model, "--config", str(cfg_path), "--out", str(out)]) == 2
-    errors = sweeps.read_csv(out)["err"]
-    assert errors and all(e.startswith("IntegrationError") and "exceeds the budget" in e
-                          for e in errors), errors
+        warnings.simplefilter("error")  # any warning fails the test
+        for argv in (["dtau-scan", "--config", str(cfg_path), "--tf", tf],
+                     [model, "--config", str(cfg_path)]):
+            assert cli_main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and reason in err, err
+            assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
 
 
 # ------------------------------------------------------------------ repo configs

@@ -30,6 +30,10 @@ def test_params_validation():
                 (150, 0.5, 1.5, np.nan), (150, 0.5, 1.5, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             tfi.TfiParams(*bad)
+    # finite, but the modes' scales would overflow the first pair's closed forms
+    for bad in ((8, 0.5, 1e300, 1e10), (8, 0.5, 1.5, 1e31), (8, 0.5, 1.5, 1e-31)):
+        with pytest.raises(ValueError, match=r"h_f <= 1e30 and t_f in \[1e-30, 1e30\]"):
+            tfi.TfiParams(*bad)
 
 
 # ----------------------------------------------------------------------- modes
