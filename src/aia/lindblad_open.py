@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import minimize_scalar, step_doubling
-from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, dynamical_phase_gs,
-                        switching_times as lz_switching_times)
+from .numkit import check_tolerances, minimize_scalar, step_doubling
+from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, _centered_window, _checked_window,
+                        dynamical_phase_gs, switching_times as lz_switching_times)
 
 PAULI_BASIS = [np.eye(2) / np.sqrt(2.0), SIGMA_X / np.sqrt(2.0),
                SIGMA_Y / np.sqrt(2.0), SIGMA_Z / np.sqrt(2.0)]
@@ -256,19 +256,18 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
     component stays exactly 1/sqrt2: the generator's first row is zero, and
     so is that of every step's deviation from the identity.
     """
+    tol = check_tolerances(rel_tol, abs_tol)
     # the gap Delta = 2b and |l_2| = gamma(Delta) + gamma(-Delta) are largest at an
     # end; the eigenbasis turns fastest at the crossing, at zdot / x
     delta = 2.0 * np.hypot(p.x, max(-p.z_i, p.z_f))
     rate = _damping_rate(delta, p.beta, p.g)
-    n = 2.0 * p.t_f * (delta + rate) + 4.0 * p.dz / p.x
-    tol = rel_tol + abs_tol
-    if tol > 0:  # step_doubling refuses the rest
-        # the n at which the Magnus error bound K h^6 / t_f is tol / 2
-        ends = np.array([p.z_i, p.z_f])
-        drift = np.linalg.matrix_power(liouvillian_matrix(p.x, ends, p.beta, p.g), 5) \
-            @ _steady_state_dz(p.x, ends, p.beta)[:, :, None]
-        k = p.dz * np.linalg.norm(drift, axis=(1, 2)).sum() / 30240.0
-        n = max(n, p.t_f * (2.0 * k / (p.t_f * tol)) ** (1.0 / 6.0))
+    # the n at which the Magnus error bound K h^6 / t_f is tol / 2
+    ends = np.array([p.z_i, p.z_f])
+    drift = np.linalg.matrix_power(liouvillian_matrix(p.x, ends, p.beta, p.g), 5) \
+        @ _steady_state_dz(p.x, ends, p.beta)[:, :, None]
+    k = p.dz * np.linalg.norm(drift, axis=(1, 2)).sum() / 30240.0
+    n = max(2.0 * p.t_f * (delta + rate) + 4.0 * p.dz / p.x,
+            p.t_f * (2.0 * k / (p.t_f * tol)) ** (1.0 / 6.0))
     c0 = steady_state(p.x, p.z_i, p.beta)
     # a 4x4 step, its three generators and Taylor series included, costs about 35
     # two-level steps: 2.75 us against 0.078 us, medians of 40 alternating runs of
@@ -349,10 +348,7 @@ def aia_state_open(p, st):
     symmetric sweeps it stays within 1 + 7e-16 over 2000 random parameter
     sets. Reconstruct rho and inspect its spectrum to diagnose.
     """
-    tm, tp = st.tau_minus, st.tau_plus
-    if not (0.0 <= tm <= p.t_f and 0.0 <= tp <= p.t_f):
-        raise ValueError("switching times must lie in [0, t_f]")
-    return _aia_coherences(p, tm, tp)
+    return _aia_coherences(p, *_checked_window(p, st.tau_minus, st.tau_plus))
 
 
 def liouvillian_gap(x, z, beta, g):
@@ -377,9 +373,8 @@ def switching_times_open(p, scenario):
 
 def aia_distance_grid(p, dtaus, c_exact):
     """Trace distance of the centered-window AIA to c_exact, vectorized over an
-    array of impulse intervals."""
-    half = np.asarray(dtaus, dtype=float) / 2.0
-    return trace_distance(_aia_coherences(p, p.t_f / 2.0 - half, p.t_f / 2.0 + half), c_exact)
+    array of impulse intervals in [-t_f, t_f] (:func:`aia.lz_closed._centered_window`)."""
+    return trace_distance(_aia_coherences(p, *_centered_window(p, dtaus)), c_exact)
 
 
 def optimize_dtau_open(p, c_exact):

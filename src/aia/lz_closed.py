@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numkit import hypot_antiderivative, minimize_scalar, step_doubling
+from .numkit import check_tolerances, hypot_antiderivative, minimize_scalar, step_doubling
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -220,8 +220,7 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
     phase = -dynamical_phase_gs(p, 0.0, p.t_f)  # int b dt, per crossing
-    tol = rel_tol + abs_tol
-    n = _first_pair_n(p, phase, tol) if tol > 0 else 1  # step_doubling refuses the rest
+    n = _first_pair_n(p, phase, check_tolerances(rel_tol, abs_tol))
     return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f,
                          batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase))
 
@@ -231,9 +230,7 @@ def dynamical_phase_gs(p, t_a, t_b):
 
     E_1 = -b < 0 throughout, so the result is negative for t_b > t_a.
     """
-    x = p.x
-    prim_a = hypot_antiderivative(p.z(t_a), x)
-    prim_b = hypot_antiderivative(p.z(t_b), x)
+    prim_a, prim_b = (hypot_antiderivative(p.z(t), p.x) for t in (t_a, t_b))
     return -(p.t_f / p.dz) * (prim_b - prim_a)
 
 
@@ -295,26 +292,35 @@ def aia_state(p, st):
     minimum (jump backwards in time). For a batch of crossings the result
     has shape z_i.shape + (2,).
     """
-    tm, tp = st.tau_minus, st.tau_plus
-    if not (0.0 <= tm <= p.t_f and 0.0 <= tp <= p.t_f):
+    return _aia_states(p, *_checked_window(p, st.tau_minus, st.tau_plus))
+
+
+def _checked_window(p, tm, tp):
+    """(tm, tp), each checked to lie in [0, t_f]; broadcasts."""
+    if not np.all((0.0 <= tm) & (tm <= p.t_f) & (0.0 <= tp) & (tp <= p.t_f)):
         raise ValueError("switching times must lie in [0, t_f]")
-    return _aia_states(p, tm, tp)
+    return tm, tp
+
+
+def _centered_window(p, dtaus):
+    """tau_-/+ = t_f/2 -/+ dtau/2 of an array of impulse intervals, each in [-t_f, t_f]."""
+    half = np.asarray(dtaus, dtype=float) / 2.0
+    return _checked_window(p, p.t_f / 2.0 - half, p.t_f / 2.0 + half)
 
 
 def _aia_states(p, tm, tp):
-    """The AIA state of :func:`aia_state`, broadcast over arrays of windows
-    (tm, tp); shape tm.shape + z_i.shape + (2,)."""
-    x = p.x
-    _, _, psi1_m, _ = lz_eigensystem(x, p.z(tm))
-    _, _, psi1_p, psi2_p = lz_eigensystem(x, p.z(tp))
-    _, _, psi1_f, psi2_f = lz_eigensystem(x, p.z_f)
-
-    d1_tail = dynamical_phase_gs(p, tp, p.t_f)
+    """The AIA state of :func:`aia_state` for arrays of windows (tm, tp), shape tm.shape
+    + z_i.shape + (2,). In the fixed gauge <psi_1(tau_+)|psi_1(tau_-)> = cos(dtheta/2) and
+    <psi_2(tau_+)|psi_1(tau_-)> = sin(dtheta/2), dtheta = atan2(x (z_- - z_+), x^2 + z_+ z_-)
+    the turn of the eigenbasis, free of cancellation."""
+    z_m, z_p = p.z(tm), p.z(tp)
+    half_turn = 0.5 * np.arctan2(p.x * (z_m - z_p), p.x * p.x + z_p * z_m)
+    _, _, psi1_f, psi2_f = lz_eigensystem(p.x, p.z_f)
+    tail = np.exp(-1j * dynamical_phase_gs(p, tp, p.t_f))  # conjugate: exp(-i delta_2)
     pre = np.exp(-1j * dynamical_phase_gs(p, 0.0, tm))
-    c1 = np.exp(-1j * d1_tail) * pre * np.einsum("...i,...i->...", psi1_p, psi1_m)
-    c2 = np.exp(+1j * d1_tail) * pre * np.einsum("...i,...i->...", psi2_p, psi1_m)
-    states = c1[..., None] * psi1_f + c2[..., None] * psi2_f
-    return states / np.linalg.norm(states, axis=-1, keepdims=True)
+    c1 = tail * pre * np.cos(half_turn)
+    c2 = tail.conj() * pre * np.sin(half_turn)
+    return c1[..., None] * psi1_f + c2[..., None] * psi2_f
 
 
 def _window(center, tf, lower, upper, half):
@@ -375,24 +381,19 @@ def state_distance(psi, phi):
 
 
 def aia_distance_grid(p, dtaus, psi_exact):
-    """Distance of the AIA state to psi_exact for an array of impulse intervals.
-
-    The window is centered, tau_± = t_f/2 ± dtau/2. Fully vectorized; used by
-    the impulse-interval optimizer and the scan command.
-    """
-    half = np.asarray(dtaus, dtype=float) / 2.0
-    return state_distance(_aia_states(p, p.t_f / 2.0 - half, p.t_f / 2.0 + half), psi_exact)
+    """Distance of the AIA state to psi_exact for an array of impulse intervals, in
+    centered windows (:func:`_centered_window`); used by the optimizer and the scan."""
+    return state_distance(_aia_states(p, *_centered_window(p, dtaus)), psi_exact)
 
 
 def optimize_dtau(p, psi_exact):
     """Impulse interval minimizing the AIA distance, searched over [-t_f, t_f].
 
     The scan grid always contains dtau = 0 (which reproduces the adiabatic
-    state), so the returned distance never exceeds the adiabatic one. The
-    grid is fine enough to resolve the phase oscillations of the distance;
-    zooms on the best grid point refine it to 1e-8.
+    state), so the returned distance never exceeds the adiabatic one. The grid
+    step min(2, 0.5 / b_max), b_max = hypot(x, max(-z_i, z_f)), resolves the
+    distance's oscillation in dtau at up to b_max; zooms refine to 1e-8.
     """
-    # grid step ~ a tenth of the local phase-oscillation period 2 pi / x
-    n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / p.x))) + 1
+    n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / np.hypot(p.x, max(-p.z_i, p.z_f))))) + 1
     return minimize_scalar(lambda d: aia_distance_grid(p, d, psi_exact), -p.t_f, p.t_f, 1e-8, n)
 

@@ -46,6 +46,14 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
+def check_tolerances(rel_tol, abs_tol):
+    """rel_tol + abs_tol, once both are checked to be finite and positive."""
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be finite and positive, got {tol}")
+    return rel_tol + abs_tol
+
+
 def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     """Propagate y' = rhs(t, y) from t0 to t1 with the embedded 8th-order pair DOP853.
 
@@ -58,8 +66,7 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     """
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got [{t0}, {t1}]")
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    check_tolerances(rel_tol, abs_tol)
     y0 = np.atleast_1d(np.asarray(y0))
     if t1 == t0:
         return y0.copy()
@@ -87,11 +94,10 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1, floor=_EPS):
     tolerance below ``floor``, the rounding floor of the states (at least the
     machine epsilon, which no state of unit size resolves), nor a pair whose 3n
     steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose n is infinite or NaN)
-    is run: both raise before any step of theirs is taken, the budget first.
+    is run: both raise before any step of theirs is taken, the budget first (a
+    tolerance that is not finite and positive raises ValueError before either).
     """
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    tol = rel_tol + abs_tol
+    tol = check_tolerances(rel_tol, abs_tol)
     floor = max(floor, _EPS)
     for _ in range(2):
         n = np.ceil(n)

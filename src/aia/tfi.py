@@ -231,16 +231,13 @@ def switching_times_tfi(p, scenario):
 
 def aia_distance_grid(p, dtaus, exact_reg):
     """Register distance of the centered-window AIA to the exact register,
-    vectorized over an array of impulse intervals."""
+    vectorized over an array of impulse intervals in [-t_f, t_f]."""
     # _PAIR^dagger maps the pair basis back to the basis of lz_closed
     exact = _normalized(exact_reg) @ _PAIR.conj()
     return _product_distance(lz.aia_distance_grid(p, dtaus, exact))
 
 
 def optimize_dtau_tfi(p, exact_reg):
-    """Impulse interval minimizing the register distance over [-t_f, t_f].
-
-    The scan grid contains dtau = 0, so the result never exceeds the
-    adiabatic distance.
-    """
+    """Impulse interval minimizing the register distance over [-t_f, t_f], from a scan
+    of 801 points that holds dtau = 0, so the result never exceeds the adiabatic distance."""
     return minimize_scalar(lambda d: aia_distance_grid(p, d, exact_reg), -p.t_f, p.t_f, 1e-6, 801)

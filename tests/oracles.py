@@ -27,6 +27,11 @@ the transport superoperator as a sum over the spectral sectors, with that
 integral and the gap's by mpmath, apart from the ODE and the finite-difference
 commutator of :func:`aia.intertwiner.full_intertwiner`.
 
+:func:`aia_state_oracle` is the adiabatic-impulse state as the sum over the
+eigenstates, with eigenvectors from ``numpy.linalg.eigh`` and phases by mpmath
+quadrature, apart from the turn angle and closed-form phases of
+:func:`aia.lz_closed._aia_states`.
+
 :func:`golden_section_minimize` refines the best scan point by golden
 section, one point at a time, apart from the array zooms of
 :func:`aia.numkit.minimize_scalar`. :func:`choi_matrix` builds the Choi
@@ -64,6 +69,49 @@ def switching_from_dtau(p, dtau):
     regime = REGIME_REVERSED if dtau < 0 else (
         lz.REGIME_COLLAPSED if dtau == 0 else lz.REGIME_INTERIOR)
     return lz.SwitchingTimes(tm, tp, regime)
+
+
+def real_gauge_eigenvectors(x, z):
+    """(psi_1, psi_2) of :func:`hamiltonian` from ``numpy.linalg.eigh``, signed into the
+    real gauge psi_1 = (-sin(theta/2), cos(theta/2)), psi_2 = (cos(theta/2), sin(theta/2)),
+    theta = atan2(x, z) in (0, pi): psi_1's second and psi_2's first component positive."""
+    vecs = np.linalg.eigh(hamiltonian(x, z))[1]
+    return vecs[:, 0] * np.sign(vecs[1, 0]), vecs[:, 1] * np.sign(vecs[0, 1])
+
+
+def aia_state_oracle(p, tm, tp, dps=30):
+    """The AIA state of every crossing of p (one crossing, or the chain's modes) for
+    the window (tm, tp), by the sum over the eigenstates j of
+
+        exp(-i delta_j(tau_+, t_f)) exp(-i delta_1(0, tau_-)) <psi_j(tau_+)|psi_1(tau_-)> psi_j(t_f),
+
+    with the eigenvectors of :func:`real_gauge_eigenvectors` and the phases
+    delta_1 = -delta_2 = -int b dt by mpmath quadrature in t, split at the
+    crossing; shape z_i.shape + (2,)."""
+    mpmath = pytest.importorskip("mpmath")
+    x, z_i, z_f = np.broadcast_arrays(p.x, p.z_i, p.z_f)
+    out = np.empty(x.shape + (2,), dtype=complex)
+    for k in np.ndindex(x.shape):
+        xk, z_ik, dz = float(x[k]), float(z_i[k]), float(z_f[k] - z_i[k])
+
+        def z(t):
+            return z_ik + dz * t / p.t_f
+
+        def gap_integral(t_a, t_b):
+            with mpmath.workdps(dps):
+                xm, z_im, dzm, t_f = (mpmath.mpf(v) for v in (xk, z_ik, dz, float(p.t_f)))
+                t_a, t_b, t_c = mpmath.mpf(float(t_a)), mpmath.mpf(float(t_b)), -z_im * t_f / dzm
+                points = [t_a, t_c, t_b] if min(t_a, t_b) < t_c < max(t_a, t_b) else [t_a, t_b]
+                return float(mpmath.quad(
+                    lambda t: mpmath.sqrt(xm * xm + (z_im + dzm * t / t_f) ** 2), points))
+
+        psi1_m, _ = real_gauge_eigenvectors(xk, z(tm))
+        frame_p = real_gauge_eigenvectors(xk, z(tp))
+        frame_f = real_gauge_eigenvectors(xk, float(z_f[k]))
+        head, tail = gap_integral(0.0, tm), gap_integral(tp, p.t_f)
+        out[k] = sum(np.exp(1j * (head + sign * tail)) * (psi_p @ psi1_m) * psi_f
+                     for sign, psi_p, psi_f in zip((1, -1), frame_p, frame_f))
+    return out
 
 
 def lindblad_ops(x, z):

@@ -320,6 +320,18 @@ def test_master_beyond_the_step_budget_raises_before_stepping(monkeypatch):
     assert passes == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+def test_master_rejects_a_non_finite_tolerance_before_stepping(monkeypatch, name, bad):
+    passes = []
+    real = lo._magnus_coherence
+    monkeypatch.setattr(lo, "_magnus_coherence",
+                        lambda p, n, c: (passes.append(n), real(p, n, c))[1])
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
+        lo.evolve_master(P_STD, **{name: bad})
+    assert passes == []
+
+
 def test_steady_state_dz_against_central_differences():
     for x, z, temp in ((0.1, -1.0, 0.05), (0.1, 0.3, 1.0), (0.5, 1.5, 0.3), (1e-3, -50.0, 0.05)):
         beta, dz = 1.0 / temp, 1e-5 * max(1.0, abs(z))

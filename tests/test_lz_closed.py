@@ -11,9 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import quad, solve_ivp
 
+from aia import lindblad_open as lo
 from aia import lz_closed as lz
 from aia import numkit, sweeps, tfi
-from oracles import REGIME_REVERSED, hamiltonian, parabolic_cylinder_state, switching_from_dtau
+from oracles import (REGIME_REVERSED, aia_state_oracle, hamiltonian, parabolic_cylinder_state,
+                     switching_from_dtau)
 
 P_STD = lz.LzParams(x=0.1, z_i=-1.0, z_f=1.0, t_f=10.0)
 
@@ -148,6 +150,18 @@ def test_evolve_below_roundoff_floor_raises_before_stepping(monkeypatch):
         with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
             evolve()
         assert passes == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+def test_evolve_rejects_a_non_finite_tolerance_before_stepping(monkeypatch, name, bad):
+    # a NaN passed the old "<= 0" check and ran a pair before a budget error that
+    # named the wrong cause; an infinite abs_tol returned the first pair as converged
+    passes = []
+    _counting_magnus(monkeypatch, passes)
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
+        lz.evolve_schrodinger(P_STD, **{name: bad})
+    assert passes == []
 
 
 def test_magnus_steps_are_sixth_order_against_parabolic_cylinder_oracle():
@@ -435,6 +449,37 @@ def test_aia_grid_matches_scalar_path():
     for dt, dg in zip(dtaus, grid):
         st = switching_from_dtau(P_STD, dt)
         assert abs(lz.state_distance(psi, lz.aia_state(P_STD, st)) - dg) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(hst.floats(0.05, 3.0), hst.floats(0.1, 5.0), hst.floats(0.1, 5.0), hst.floats(0.1, 50.0),
+       hst.floats(0.0, 1.0), hst.floats(0.0, 1.0))
+def test_aia_state_against_sum_oracle_at_random_parameters(x, minus_z_i, z_f, tf, u, v):
+    # about half the windows are reversed, tau_+ < tau_-; the grid reads the
+    # centered windows of dtau and -dtau
+    p = lz.LzParams(x, -minus_z_i, z_f, tf)
+    tm, tp = u * tf, v * tf
+    st = lz.SwitchingTimes(tm, tp, REGIME_REVERSED if tp < tm else lz.REGIME_INTERIOR)
+    assert np.abs(lz.aia_state(p, st) - aia_state_oracle(p, tm, tp)).max() <= 1e-12
+    psi = lz.evolve_schrodinger(p)
+    dtaus = np.array([tp - tm, tm - tp])
+    for dtau, got in zip(dtaus, lz.aia_distance_grid(p, dtaus, psi)):
+        want = aia_state_oracle(p, tf / 2.0 - dtau / 2.0, tf / 2.0 + dtau / 2.0)
+        assert abs(got - lz.state_distance(psi, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("module, p, evolve", [
+    (lz, P_STD, lz.evolve_schrodinger),
+    (tfi, tfi.TfiParams(20, 0.5, 1.5, 12.0), tfi.evolve_register),
+    (lo, lo.OpenParams(0.1, -1.0, 1.0, 10.0, 0.5, 0.01), lo.evolve_master),
+], ids=["lz", "chain", "open"])
+def test_distance_grids_reject_windows_outside_the_sweep(module, p, evolve):
+    # dtau = 1.5 t_f read 0.33 on the lz grid, where aia_state raises for the same window
+    exact = evolve(p)
+    assert np.all(np.isfinite(module.aia_distance_grid(p, np.array([-p.t_f, 0.0, p.t_f]), exact)))
+    for bad in (1.5 * p.t_f, -1.5 * p.t_f, np.nextafter(p.t_f, np.inf), np.nan):
+        with pytest.raises(ValueError, match=r"switching times must lie in \[0, t_f\]"):
+            module.aia_distance_grid(p, np.array([0.0, bad]), exact)
 
 
 # -------------------------------------------------------------- switching times

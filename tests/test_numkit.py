@@ -157,7 +157,7 @@ def test_step_doubling_below_machine_epsilon_takes_no_step():
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
         numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-17, 1e-17, 1.0)
     assert passes == []
-    for rel_tol, abs_tol in ((0.0, 1e-12), (1e-10, -1e-12)):
+    for rel_tol, abs_tol in ((0.0, 1e-12), (1e-10, -1e-12), (np.nan, 1e-12), (1e-10, np.inf)):
         with pytest.raises(ValueError, match="positive"):
             numkit.step_doubling(_sextic(passes, 0.0), 10, rel_tol, abs_tol, 1.0)
     assert passes == []

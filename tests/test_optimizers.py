@@ -21,7 +21,7 @@ bracket the same minimum, and their minima differ only by
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from aia import lindblad_open as lo
@@ -60,7 +60,7 @@ def _optimize_recording(module, optimize, p, exact):
 def _check_against_oracle(module, optimize, p, exact, tol, delta_f):
     """The optimizer's minimum is at most its scan minimum, and within 2 delta_f plus
     its rise over one tol step of the minimum of golden section on the same scan;
-    returns the minimum."""
+    returns the minimum and the scan grid."""
     (x, d), calls = _optimize_recording(module, optimize, p, exact)
     xs, fs = calls[0]
     assert xs.size % 2 == 1 and xs.size >= 201
@@ -74,24 +74,33 @@ def _check_against_oracle(module, optimize, p, exact, tol, delta_f):
         return module.aia_distance_grid(p, dtaus, exact)
 
     _, d_oracle = oracles.golden_section_minimize(f, p.t_f, xs.size, tol)
-    rise = f(np.array([x - tol, x + tol])).max() - d
+    rise = f(np.clip([x - tol, x + tol], -p.t_f, p.t_f)).max() - d
     assert d - d_oracle <= 2.0 * delta_f + rise, (d, d_oracle, delta_f, rise)
-    return d
+    return d, xs
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_decades(-2, 1), _decades(-2, 2), _decades(-2, 2), _decades(-2, 2))
 def test_lz_optimizer_against_golden_section(x, minus_z_i, z_f, tf):
     p = lz.LzParams(x, -minus_z_i, z_f, tf)
-    n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / p.x))) + 1
-    step = 2.0 * p.t_f / (max(n + 1 - n % 2, 201) - 1)
-    # the distance oscillates in dtau at up to the largest gap b; a coarser scan
-    # can leave two minima in its best bracket, and the searches may part there
-    assume(step * np.hypot(p.x, max(-p.z_i, p.z_f)) <= 1.0)
     psi = lz.evolve_schrodinger(p)
-    d = _check_against_oracle(lz, lz.optimize_dtau, p, psi, 1e-8,
-                              8 * EPS + 4 * _phase_rounding(p))
+    d, scan = _check_against_oracle(lz, lz.optimize_dtau, p, psi, 1e-8,
+                                    8 * EPS + 4 * _phase_rounding(p))
     assert d <= lz.state_distance(psi, lz.adiabatic_state(p))
+    # the distance oscillates in dtau at up to the largest gap b; the scan takes
+    # about twelve steps a period, so no best bracket holds two minima
+    assert (scan[1] - scan[0]) * np.hypot(p.x, max(-p.z_i, p.z_f)) <= 0.5 * (1 + 1e-12)
+
+
+def test_lz_optimizer_meets_a_dense_scan_where_the_detuning_sets_the_gap():
+    # b_max = 97.5 is 140 x: a scan step of 0.5 / x left several minima in the
+    # best bracket, and the optimizer returned 0.353 against a minimum of 0.0054
+    p = lz.LzParams(0.70, -0.34, 97.5, 83.8)
+    psi = lz.evolve_schrodinger(p)
+    _, d = lz.optimize_dtau(p, psi)
+    _, d_dense = oracles.golden_section_minimize(
+        lambda dtaus: lz.aia_distance_grid(p, dtaus, psi), p.t_f, 200_001, 1e-8)
+    assert abs(d - d_dense) <= 1e-9, (d, d_dense)
 
 
 def test_chain_optimizer_against_golden_section():
@@ -99,7 +108,7 @@ def test_chain_optimizer_against_golden_section():
     p = tfi.TfiParams(150, 0.5, 1.5, 300.0)
     reg = tfi.evolve_register(p)
     delta_f = np.sum(8 * EPS + 4 * _phase_rounding(p)) + p.L / 2 * EPS
-    d = _check_against_oracle(tfi, tfi.optimize_dtau_tfi, p, reg, 1e-6, delta_f)
+    d, _ = _check_against_oracle(tfi, tfi.optimize_dtau_tfi, p, reg, 1e-6, delta_f)
     assert d <= tfi.register_distance(reg, tfi.adiabatic_register(p))
 
 
@@ -107,6 +116,6 @@ def test_open_optimizer_against_golden_section():
     # the open-sweep parameters at its largest t_f
     p = lo.OpenParams(0.1, -1.0, 1.0, 303.91953823131973, T=0.05, g=0.01)
     c = lo.evolve_master(p)
-    d = _check_against_oracle(lo, lo.optimize_dtau_open, p, c, 1e-6,
-                              8 * EPS + 8 * _phase_rounding(p))
+    d, _ = _check_against_oracle(lo, lo.optimize_dtau_open, p, c, 1e-6,
+                                 8 * EPS + 8 * _phase_rounding(p))
     assert d <= lo.trace_distance(c, lo.adiabatic_state_open(p))

@@ -13,8 +13,8 @@ from scipy.special import ellipe
 from aia import lz_closed as lz
 from aia import numkit, sweeps, tfi
 from aia.lz_closed import SwitchingTimes
-from oracles import (adiabatic_frame_state, ground_register, mode_excited, mode_ground,
-                     mode_hamiltonian, parabolic_cylinder_state)
+from oracles import (adiabatic_frame_state, aia_state_oracle, ground_register, mode_excited,
+                     mode_ground, mode_hamiltonian, parabolic_cylinder_state)
 
 _CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -222,6 +222,22 @@ def test_aia_grid_matches_scalar_path():
         st = SwitchingTimes(p.t_f / 2 - dt / 2, p.t_f / 2 + dt / 2, "x")
         d = tfi.register_distance(tfi.aia_register(p, st), exact)
         assert abs(d - dg) < 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(hst.sampled_from([2, 8, 20]), hst.floats(0.0, 0.9), hst.floats(1.1, 3.0),
+       hst.floats(0.5, 30.0), hst.floats(0.0, 1.0), hst.floats(0.0, 1.0))
+def test_aia_register_against_sum_oracle_at_random_parameters(L, h_i, h_f, tf, u, v):
+    # every mode against the sum over its eigenstates, reversed windows included
+    p = tfi.TfiParams(L, h_i, h_f, tf)
+    tm, tp = u * tf, v * tf
+    got = tfi.aia_register(p, SwitchingTimes(tm, tp, "x"))
+    assert np.abs(got - aia_state_oracle(p, tm, tp) @ tfi._PAIR.T).max() <= 1e-12
+    exact = tfi.evolve_register(p)
+    dtaus = np.array([tp - tm, tm - tp])
+    for dtau, dist in zip(dtaus, tfi.aia_distance_grid(p, dtaus, exact)):
+        want = aia_state_oracle(p, tf / 2.0 - dtau / 2.0, tf / 2.0 + dtau / 2.0) @ tfi._PAIR.T
+        assert abs(dist - tfi.register_distance(want, exact)) <= 1e-12
 
 
 def test_aia_grid_normalizes_each_mode():
