@@ -318,6 +318,19 @@ def _rate_integrals(p, t_a, t_b):
     return rate_int[()], delta_int
 
 
+def _tail_rate_integrals(p, tp):
+    """int_{tau_+}^{t_f} |l_2| dt of an array of tau_+, summed from the end over the cells from
+    each sorted tau_+ to the next and from the last to t_f: one :func:`_rate_integrals` call,
+    about one panel per cell, where direct intervals all take the widest one's count. One
+    tau_+ is one interval, with the bits of the direct call."""
+    order = np.argsort(tp, axis=None)
+    ends = np.ravel(tp)[order]
+    cells, _ = _rate_integrals(p, ends, np.append(ends[1:], p.t_f))
+    sums = np.empty_like(cells)
+    sums[order] = np.cumsum(cells[::-1])[::-1]
+    return sums.reshape(np.shape(tp))
+
+
 def _aia_coherences(p, tm, tp):
     """:func:`aia_state_open` for windows (tm, tp), broadcast. With n = (x, z)/b and
     th = tanh(beta b): L_1.R_1 = 1, L_2.R_1 = (th_+ - th_- n_+.n_-)/sqrt2, and the j = 3, 4
@@ -326,7 +339,7 @@ def _aia_coherences(p, tm, tp):
     b_m, b_p = np.hypot(p.x, z_m), np.hypot(p.x, z_p)
     th_m, th_p = np.tanh(p.beta * b_m), np.tanh(p.beta * b_p)
     dot, cross = (p.x * p.x + z_p * z_m) / (b_p * b_m), p.x * (z_p - z_m) / (b_p * b_m)
-    rate_int, delta_int = _rate_integrals(p, tp, p.t_f)
+    rate_int, delta_int = _tail_rate_integrals(p, tp), -2.0 * dynamical_phase_gs(p, tp, p.t_f)
     a2 = np.exp(-rate_int) * (th_p - th_m * dot) / np.sqrt(2.0)
     a3 = np.exp(-0.5 * rate_int - 1j * delta_int) * 0.5 * th_m * cross
     right = _eigenvectors(p.x, p.z_f, p.beta)[0]
@@ -373,7 +386,9 @@ def switching_times_open(p, scenario):
 
 def aia_distance_grid(p, dtaus, c_exact):
     """Trace distance of the centered-window AIA to c_exact, vectorized over an
-    array of impulse intervals in [-t_f, t_f] (:func:`aia.lz_closed._centered_window`)."""
+    array of impulse intervals in [-t_f, t_f] (:func:`aia.lz_closed._centered_window`), with
+    the damping of :func:`_tail_rate_integrals`: within about n eps int_0^t_f |l_2| of
+    :func:`aia_state_open`'s for n intervals, and bitwise for one."""
     return trace_distance(_aia_coherences(p, *_centered_window(p, dtaus)), c_exact)
 
 

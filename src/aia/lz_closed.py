@@ -292,7 +292,10 @@ def aia_state(p, st):
     minimum (jump backwards in time). For a batch of crossings the result
     has shape z_i.shape + (2,).
     """
-    return _aia_states(p, *_checked_window(p, st.tau_minus, st.tau_plus))
+    tm, tp = _checked_window(p, st.tau_minus, st.tau_plus)
+    cos, sin, tail_phase, psi1_f, psi2_f = _frozen_overlaps(p, tm, tp)
+    tail, pre = np.exp(-1j * tail_phase), np.exp(-1j * dynamical_phase_gs(p, 0.0, tm))
+    return (tail * pre * cos)[..., None] * psi1_f + (tail.conj() * pre * sin)[..., None] * psi2_f
 
 
 def _checked_window(p, tm, tp):
@@ -308,19 +311,15 @@ def _centered_window(p, dtaus):
     return _checked_window(p, p.t_f / 2.0 - half, p.t_f / 2.0 + half)
 
 
-def _aia_states(p, tm, tp):
-    """The AIA state of :func:`aia_state` for arrays of windows (tm, tp), shape tm.shape
-    + z_i.shape + (2,). In the fixed gauge <psi_1(tau_+)|psi_1(tau_-)> = cos(dtheta/2) and
-    <psi_2(tau_+)|psi_1(tau_-)> = sin(dtheta/2), dtheta = atan2(x (z_- - z_+), x^2 + z_+ z_-)
-    the turn of the eigenbasis, free of cancellation."""
+def _frozen_overlaps(p, tm, tp):
+    """(<psi_1(tau_+)|psi_1(tau_-)>, <psi_2(tau_+)|psi_1(tau_-)>, delta_1(tau_+, t_f),
+    psi_1(t_f), psi_2(t_f)) of windows (tm, tp), the first three of shape tm.shape +
+    z_i.shape. In the fixed gauge the overlaps are cos(dtheta/2) and sin(dtheta/2), dtheta =
+    atan2(x (z_- - z_+), x^2 + z_+ z_-) the turn of the eigenbasis, free of cancellation."""
     z_m, z_p = p.z(tm), p.z(tp)
     half_turn = 0.5 * np.arctan2(p.x * (z_m - z_p), p.x * p.x + z_p * z_m)
-    _, _, psi1_f, psi2_f = lz_eigensystem(p.x, p.z_f)
-    tail = np.exp(-1j * dynamical_phase_gs(p, tp, p.t_f))  # conjugate: exp(-i delta_2)
-    pre = np.exp(-1j * dynamical_phase_gs(p, 0.0, tm))
-    c1 = tail * pre * np.cos(half_turn)
-    c2 = tail.conj() * pre * np.sin(half_turn)
-    return c1[..., None] * psi1_f + c2[..., None] * psi2_f
+    return (np.cos(half_turn), np.sin(half_turn), dynamical_phase_gs(p, tp, p.t_f),
+            *lz_eigensystem(p.x, p.z_f)[2:])
 
 
 def _window(center, tf, lower, upper, half):
@@ -366,24 +365,35 @@ def switching_times(p, scenario):
     raise ValueError(f"scenario must be 1..4, got {scenario}")
 
 
+def _wedge(psi, phi):
+    """psi_1 phi_2 - psi_2 phi_1 of two-level states; broadcasts over leading axes."""
+    psi, phi = np.asarray(psi), np.asarray(phi)
+    return psi[..., 0] * phi[..., 1] - psi[..., 1] * phi[..., 0]
+
+
 def state_distance(psi, phi):
     """sqrt(1 - |<psi|phi>|^2) of normalized two-level states, clamped against
     rounding; broadcasts over leading axes.
 
-    For two-level states this equals |psi_1 phi_2 - psi_2 phi_1|, which is
-    evaluated directly: the wedge form has no cancellation and resolves
+    For two-level states this equals |psi_1 phi_2 - psi_2 phi_1| (:func:`_wedge`),
+    which is evaluated directly: the wedge form has no cancellation and resolves
     distances all the way down to machine precision, where 1 - |<psi|phi>|^2
     would round to zero.
     """
-    psi, phi = np.asarray(psi), np.asarray(phi)
-    d = np.minimum(np.abs(psi[..., 0] * phi[..., 1] - psi[..., 1] * phi[..., 0]), 1.0)
+    d = np.minimum(np.abs(_wedge(psi, phi)), 1.0)
     return d if d.ndim else float(d)
 
 
 def aia_distance_grid(p, dtaus, psi_exact):
     """Distance of the AIA state to psi_exact for an array of impulse intervals, in
-    centered windows (:func:`_centered_window`); used by the optimizer and the scan."""
-    return state_distance(_aia_states(p, *_centered_window(p, dtaus)), psi_exact)
+    centered windows (:func:`_centered_window`); used by the optimizer and the scan. The
+    wedge of :func:`state_distance` is linear in the AIA state, whose pre-window phase has
+    modulus one, so the distance is |e_1 cos(dtheta/2) + exp(2i delta_1(tau_+, t_f)) e_2
+    sin(dtheta/2)|, clamped to 1, with e_j = _wedge(psi_j(t_f), psi_exact): per point one
+    antiderivative and one complex exponential, and no state array."""
+    cos, sin, tail_phase, psi1_f, psi2_f = _frozen_overlaps(p, *_centered_window(p, dtaus))
+    e_1, e_2 = _wedge(psi1_f, psi_exact), _wedge(psi2_f, psi_exact)
+    return np.minimum(np.abs(e_1 * cos + np.exp(2j * tail_phase) * (e_2 * sin)), 1.0)
 
 
 def optimize_dtau(p, psi_exact):

@@ -230,8 +230,8 @@ def switching_times_tfi(p, scenario):
 
 
 def aia_distance_grid(p, dtaus, exact_reg):
-    """Register distance of the centered-window AIA to the exact register,
-    vectorized over an array of impulse intervals in [-t_f, t_f]."""
+    """Register distance of the centered-window AIA to the exact register over an array of
+    impulse intervals in [-t_f, t_f], from the mode distances of lz.aia_distance_grid."""
     # _PAIR^dagger maps the pair basis back to the basis of lz_closed
     exact = _normalized(exact_reg) @ _PAIR.conj()
     return _product_distance(lz.aia_distance_grid(p, dtaus, exact))

@@ -30,7 +30,7 @@ commutator of :func:`aia.intertwiner.full_intertwiner`.
 :func:`aia_state_oracle` is the adiabatic-impulse state as the sum over the
 eigenstates, with eigenvectors from ``numpy.linalg.eigh`` and phases by mpmath
 quadrature, apart from the turn angle and closed-form phases of
-:func:`aia.lz_closed._aia_states`.
+:func:`aia.lz_closed._frozen_overlaps`.
 
 :func:`golden_section_minimize` refines the best scan point by golden
 section, one point at a time, apart from the array zooms of

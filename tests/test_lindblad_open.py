@@ -495,6 +495,59 @@ def test_aia_distance_grid_matches_scalar_state():
         assert abs(d - dg) < 1e-15
 
 
+# the shipped open configs (x = 0.1, z = -1 -> 1, g = 0.01) at four temperatures and
+# t_f across their 1..1000 sweep, then random OpenParams with t_f up to 1e3
+_SHIPPED_OPEN = [lo.OpenParams(0.1, -1.0, 1.0, tf, temp, 0.01)
+                 for tf, temp in ((1.0, 0.05), (8.5, 0.1), (304.0, 0.5), (1e3, 1.0))]
+_RANDOM_OPEN = hst.builds(lambda x, zi, zf, tf, temp, g: lo.OpenParams(
+    10.0 ** x, -10.0 ** zi, 10.0 ** zf, 10.0 ** tf, 10.0 ** temp, g),
+    hst.floats(-2, 1), hst.floats(-2, 1.5), hst.floats(-2, 1.5), hst.floats(-1, 3),
+    hst.floats(-2, 1), hst.floats(0, 0.5))
+
+
+def _check_tail_sums_against_one_window_path(p, rng):
+    # a shuffled scan grid with repeats and both ends; a sum of up to n cells and a
+    # direct interval each carry about n eps int_0^t_f |l_2| of rounding at most
+    c_exact = lo.evolve_master(p)
+    dtaus = rng.permutation(np.concatenate([np.linspace(-p.t_f, p.t_f, 41),
+                                            [0.3 * p.t_f, 0.3 * p.t_f, -p.t_f, p.t_f]]))
+    bound = dtaus.size * np.finfo(float).eps * lo._rate_integrals(p, 0.0, p.t_f)[0]
+    grid = lo.aia_distance_grid(p, dtaus, c_exact)
+    for dt, dg in zip(dtaus, grid):
+        d = lo.trace_distance(lo.aia_state_open(p, switching_from_dtau(p, dt)), c_exact)
+        assert abs(d - dg) <= bound, (p, dt)
+        assert np.all(grid[dtaus == dt] == dg)  # repeats read the same sum
+    # one window is one interval, with the bits of the direct call, at 0-d as in an array
+    for tp in (0.0, 0.37 * p.t_f, p.t_f):
+        direct, _ = lo._rate_integrals(p, tp, p.t_f)
+        assert lo._tail_rate_integrals(p, tp) == direct
+        assert lo._tail_rate_integrals(p, np.array([tp])) == direct
+        assert lo.aia_distance_grid(p, p.t_f - 2.0 * tp, c_exact) == lo.trace_distance(
+            lo.aia_state_open(p, switching_from_dtau(p, p.t_f - 2.0 * tp)), c_exact)
+
+
+def _check_tail_sums_against_mpmath(p):
+    # the 601-point scan of optimize_dtau_open: each sum within n eps int_0^t_f |l_2|
+    tp = p.t_f / 2.0 + np.linspace(-p.t_f, p.t_f, 601) / 2.0
+    sums = lo._tail_rate_integrals(p, tp[::-1])[::-1]
+    bound = tp.size * np.finfo(float).eps * rate_integral(p, 0.0, p.t_f)
+    for i in (0, 150, 300, 451, 599, 600):
+        assert abs(sums[i] - rate_integral(p, tp[i], p.t_f)) <= bound, (p, i)
+
+
+@pytest.mark.parametrize("p", _SHIPPED_OPEN, ids=lambda p: f"tf{p.t_f:g}-T{p.T:g}")
+def test_tail_rate_sums_on_shipped_parameters(p):
+    _check_tail_sums_against_one_window_path(p, np.random.default_rng(7))
+    _check_tail_sums_against_mpmath(p)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(_RANDOM_OPEN, hst.integers(0, 2 ** 32 - 1))
+def test_tail_rate_sums_at_random_parameters(p, seed):
+    _check_tail_sums_against_one_window_path(p, np.random.default_rng(seed))
+    _check_tail_sums_against_mpmath(p)
+
+
 def test_rate_integrals_broadcast_like_scalar_calls():
     t_a = np.array([0.0, 10.0, 24.9, 50.0])
     rate_int, delta_int = lo._rate_integrals(P_STD, t_a, P_STD.t_f)

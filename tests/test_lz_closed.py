@@ -452,6 +452,18 @@ def test_aia_grid_matches_scalar_path():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_decades(-2, 1), _decades(-2, 2), _decades(-2, 2), _decades(-2, 2))
+def test_aia_grid_at_zero_interval_is_the_adiabatic_distance(x, minus_z_i, z_f, tf):
+    # at dtau = 0 the turn vanishes, and the grid's |e_1| drops the phase
+    # exp(-i delta_1(0, t_f)) that the adiabatic state carries, of modulus one
+    p = lz.LzParams(x, -minus_z_i, z_f, tf)
+    psi = lz.evolve_schrodinger(p)
+    grid = lz.aia_distance_grid(p, [0.0], psi)
+    assert grid.shape == (1,)
+    assert abs(grid[0] - lz.state_distance(psi, lz.adiabatic_state(p))) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(hst.floats(0.05, 3.0), hst.floats(0.1, 5.0), hst.floats(0.1, 5.0), hst.floats(0.1, 50.0),
        hst.floats(0.0, 1.0), hst.floats(0.0, 1.0))
 def test_aia_state_against_sum_oracle_at_random_parameters(x, minus_z_i, z_f, tf, u, v):
