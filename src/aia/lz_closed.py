@@ -13,7 +13,7 @@ in a fixed real gauge,
 
 so that all Berry connections vanish and overlap bookkeeping stays real.
 
-The module provides the exact Schroedinger propagation (a sixth-order
+The module provides the exact Schroedinger propagation (an eighth-order
 Magnus propagator, no ODE: see :func:`evolve_schrodinger`), the adiabatic
 approximation and its first-order correction, the adiabatic-impulse
 approximation (adiabatic outside an impulse window [tau_-, tau_+], frozen
@@ -28,6 +28,7 @@ as the Ising chain's momentum modes are.
 """
 
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,31 +122,41 @@ def lz_eigensystem(x, z):
 
 
 def _magnus_state(p, n, psi):
-    """psi evolved over [0, t_f] by n sixth-order Magnus steps, normalized.
+    """psi evolved over [0, t_f] by n eighth-order Magnus steps, normalized.
 
-    With z linear in t, a step is exp(-i A.sigma) up to O(h^7), with z_m the
-    detuning at the step's middle and
+    With z linear in t, a step is exp(-i A.sigma) up to O(h^9), with z_m the
+    detuning at the step's middle, b_m^2 = x^2 + z_m^2 and
 
-        A = (h x (1 - h^4 zdot^2 / 60), h^3 x zdot / 6 + h^5 x zdot (x^2 + z_m^2) / 90, h z_m),
+        A_x = h x (1 - h^4 zdot^2 / 60 - h^6 zdot^2 (2 x^2 / 945 + z_m^2 / 630)),
+        A_y = h^3 x zdot / 6 + h^5 x zdot b_m^2 / 90 + h^7 x zdot (b_m^4 / 945 - zdot^2 / 840),
+        A_z = h z_m (1 - h^6 x^2 zdot^2 / 1890),
 
-    the SU(2) matrix [[a, b], [-b*, a*]] with a = cos|A| - i sinc A_z,
-    b = -sinc (A_y + i A_x), sinc = sin|A| / |A|. The h^5 parts are the Magnus
-    terms [a0, [a0, [a0, a1]]] / 720 and [a1, [a1, a0]] / 240 of a0 = -i h H(z_m),
-    a1 = -i h^2 zdot sigma_z. The steps are multiplied as a tree, in chunks of at
-    most 8192 elements.
+    the exact step exponent through h^7 (Dyson series, then its log: every
+    coefficient a simple fraction), as the SU(2) matrix [[a, b], [-b*, a*]] with
+    a = cos|A| - i sinc A_z, b = -sinc (A_y + i A_x), sinc = sin|A| / |A|. The
+    steps are multiplied as a tree, in chunks of at most 8192 elements.
     """
     h, batch = p.t_f / n, np.shape(p.z_i)
     per_chunk = 1 << max(1, 8192 // np.size(p.z_i)).bit_length() - 1
-    h2_zdot = h * h * p.zdot
-    a_x, c_y = h * p.x * (1.0 - h2_zdot * h2_zdot / 60.0), h * p.x * h2_zdot / 6.0
-    a_x2, hx2 = a_x * a_x, (h * p.x) ** 2
+    # in units of the step: alpha = h x, eps = h^2 zdot, and zeta = h z_m = a_z / k_z; A_x
+    # and A_y as polynomials in a_z^2, with (h b_m)^2 = alpha^2 + q a_z^2
+    alpha, eps = h * p.x, h * h * p.zdot
+    alpha2, eps2 = alpha * alpha, eps * eps
+    k_z = 1.0 - alpha2 * eps2 / 1890.0
+    q = 1.0 / (k_z * k_z)
+    a_x0, c_x = alpha * (1.0 - eps2 * (1.0 / 60.0 + 2.0 * alpha2 / 945.0)), alpha * eps2 * q / 630.0
+    c_y = alpha * eps / 6.0
+    y_0 = c_y * (1.0 - eps2 / 140.0 + alpha2 * (1.0 / 15.0 + 2.0 * alpha2 / 315.0))
+    y_1, y_2 = c_y * q * (1.0 / 15.0 + 4.0 * alpha2 / 315.0), c_y * q * q * 2.0 / 315.0
+    hz_i, hdz = h * k_z * p.z_i, h * k_z * p.dz
     c0, c1 = psi[..., 0], psi[..., 1]
     for start in range(0, n, per_chunk):
         s = (np.arange(start, min(start + per_chunk, n)) + 0.5) / n
-        a_z = h * (p.z_i + p.dz * s.reshape(s.shape + (1,) * len(batch)))
+        a_z = hz_i + hdz * s.reshape(s.shape + (1,) * len(batch))
         a_z2 = a_z * a_z
-        a_y = c_y * (1.0 + (hx2 + a_z2) / 15.0)
-        angle = np.sqrt(a_x2 + a_y * a_y + a_z2)
+        a_y = y_0 + a_z2 * (y_1 + y_2 * a_z2)
+        a_x = a_x0 - c_x * a_z2
+        angle = np.sqrt(a_x * a_x + a_y * a_y + a_z2)
         sinc = np.sin(angle) / angle
         a, b = -1j * (sinc * a_z), -1j * (sinc * a_x)  # real and complex operands apart: faster
         a.real, b.real = np.cos(angle), -sinc * a_y
@@ -163,66 +174,87 @@ def _first_pair_n(p, phase, tol):
     """The n of :func:`evolve_schrodinger`'s first pair at tolerance tol; ``phase``
     holds int b dt of each crossing.
 
-    The steps keep the exact step exponent through h^5. The first dropped term,
-    read off exact one-step exponents (every coefficient a simple fraction), is
-    h^7 times
+    The steps keep the exact step exponent through h^7. The first dropped term
+    is h^9 times
 
-        (x b^4 zdot / 945 - x zdot^3 / 840) along y, and an x-z part of zdot^2 x b
-        times 2 x / 945 along the field and z / 630 across it.
+        x zdot b^6 / 9450 - x zdot^3 (x^2 / 3780 + z^2 / 7560) along y, and an x-z
+        part of -x^2 zdot^2 b^3 / 3780 along the field (plus zdot^3 terms) and
+        x z zdot^2 b^3 / 6300 across it.
 
     Adiabatic estimate: to leading order in 1/t_f the state follows the
     eigenvector of the perturbed Hamiltonian. The y part tilts it out of the
-    x-z plane by h^6 x b^3 zdot / 945, so the end state is off by the mean of
+    x-z plane by h^8 x b^5 zdot / 9450, so the end state is off by the mean of
     the tilts at z_i and z_f; the part along the field shifts the gap and
-    leaves the phase error h^6 2 x^2 zdot^2 int b dt / 945. The two are
-    orthogonal, and together they are K h^6 / t_f with K the larger over the
-    crossings of hypot(dz x (b_i^3 + b_f^3) / 1890, 2 x^2 zdot dz int b dt / 945).
-    n = t_f^(5/6) (2 K / tol)^(1/6) takes that to tol / 2, the aim of a second pair.
+    leaves the phase error h^8 x^2 zdot^2 int b^3 dt / 3780. The two are
+    orthogonal, and together they are K h^8 / t_f with K the larger over the
+    crossings of hypot(dz x (b_i^5 + b_f^5) / 18900, x^2 zdot dz int b^3 dt / 3780).
+    n = t_f (2 K / (t_f tol))^(1/8) takes that to tol / 2, the aim of a second pair.
 
-    The estimate needs the error to have settled to its n^-6 fall, which is
+    The estimate needs the error to have settled to its n^-8 fall, which is
     not so while the eigenbasis turns by more than 1/4 in a step; at most
     4 dz max x / (x^2 + z^2) steps, z the detuning nearest 0, prevent that (as
-    in :func:`aia.lindblad_open.evolve_master`). Neither needs to exceed the n
-    of a bound without cancellation: the term above is at most x zdot (b_max^2 +
-    zdot)^2 / 840, and n of them sum to at most t_f h^6 times that (to leading
-    order in h), which stays small in the sudden limit. The step angle h max b
-    never exceeds 1.
+    in :func:`aia.lindblad_open.evolve_master`). Neither needs to exceed n_sum,
+    the n of a bound on the whole remainder: the h^9 term is at most h^9 R,
+    R = x zdot (b_max^2 + zdot)^3 / 9450, and each later order is at most
+    h^2 (b_max^2 + zdot) / pi^2 times the one before (in the part linear in
+    zdot, the remainder of x zdot h^3 (1 - y cot y) / (2 y^2), y = h b, whose
+    Taylor coefficients zeta(2j) / pi^(2j) fall by less than 1 / pi^2), so a
+    step is off by at most h^9 R / (1 - h^2 (b_max^2 + zdot) / pi^2), and n
+    steps by t_f h^8 times that. With the step angle h max b at most 1 (the
+    floor t_f max b), h^2 (b_max^2 + zdot) <= 3, and n_sum stays small in the
+    sudden limit.
     """
     b_i, b_f = np.hypot(p.x, p.z_i), np.hypot(p.x, p.z_f)
     b_max = np.maximum(b_i, b_f)
-    tilt = p.dz * p.x * (b_i ** 3 + b_f ** 3) / 1890.0
-    gap = 2.0 * p.x * p.x * p.zdot * p.dz * phase / 945.0
-    n_adiabatic = p.t_f * (2.0 * np.max(np.hypot(tilt, gap)) / (p.t_f * tol)) ** (1.0 / 6.0)
+    # int b^3 dt, from the antiderivative z b^3 / 4 + 3 x^2 (int b dz) / 4
+    cube = p.t_f * (p.z_f * b_f ** 3 - p.z_i * b_i ** 3) / (4.0 * p.dz) + 0.75 * p.x * p.x * phase
+    tilt = p.dz * p.x * (b_i ** 5 + b_f ** 5) / 18900.0
+    gap = p.x * p.x * p.zdot * p.dz * cube / 3780.0
+    n_adiabatic = p.t_f * (2.0 * np.max(np.hypot(tilt, gap)) / (p.t_f * tol)) ** 0.125
     z_near = np.clip(0.0, p.z_i, p.z_f)
     n_turn = 4.0 * p.dz * np.max(p.x / (p.x * p.x + z_near * z_near))
-    remainder = np.max(p.x * p.zdot * (b_max * b_max + p.zdot) ** 2) / 840.0
-    n_sum = p.t_f * (2.0 * p.t_f * remainder / tol) ** (1.0 / 6.0)
+    remainder = np.max(p.x * p.zdot * (b_max * b_max + p.zdot) ** 3) / 9450.0
+    n_sum = p.t_f * (2.0 * p.t_f * remainder / tol) ** 0.125
+    h = p.t_f / max(n_sum, p.t_f * np.max(b_max), 1.0)
+    n_sum /= (1.0 - np.max(h * h * (b_max * b_max + p.zdot)) / np.pi ** 2) ** 0.125
     return max(p.t_f * np.max(b_max), min(n_sum, max(n_turn, n_adiabatic)))
 
 
 def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
-    Batched sixth-order Magnus steps in the fixed sigma_z frame (Blanes et al.,
+    Batched eighth-order Magnus steps in the fixed sigma_z frame (Blanes et al.,
     Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation, with the step
     count set by :func:`aia.numkit.step_doubling` (the returned state is within
-    rel_tol + abs_tol of one with half the steps, and about a sixty-third of that
-    off). The first pair's n comes from a closed-form estimate of the Magnus
+    rel_tol + abs_tol of one with half the steps, and about 1/255 of that off).
+    The first pair's n comes from a closed-form estimate of the Magnus
     remainder (:func:`_first_pair_n`), so wherever the sweep is adiabatic at
     its ends the first pair meets the tolerance and a run takes one pair. The
-    cost grows like t_f^(5/6) tol^(-1/6), and like t_f max b at the largest
+    cost grows like t_f^(7/8) tol^(-1/8), and like t_f max b at the largest
     t_f, up to the budget of :data:`aia.numkit.STEP_BUDGET` steps x crossings
-    per pair; beyond it :class:`aia.numkit.IntegrationError` is raised, as it
-    is, before any step, for a tolerance below the rounding floor eps int b dt / 8
-    (the n- and 2n-step states share the rounding of h = t_f / n, which turns
-    every phase by up to eps int b dt, and step doubling cannot see it).
+    per pair; beyond it :class:`aia.numkit.IntegrationError` is raised.
+    The n- and 2n-step states share the rounding delta of h = t_f / n: the
+    steps then sweep over n h = t_f (1 + delta), which turns each phase by
+    |delta| int b dt, and step doubling cannot see it. The pair counts it, with
+    delta exact (``fractions.Fraction``): a pair is accepted only if its
+    difference plus |delta| int b dt (1 + h^2 zdot / 3) is within the tolerance,
+    the last factor for the zdot terms of the steps, which see delta twice. A
+    tolerance below eps int b dt / 8, the rounding of the products, raises
+    before any step; one near eps int b dt may miss both pairs and raise too.
     A batch of crossings shares the steps: shape z_i.shape + (2,).
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
     phase = -dynamical_phase_gs(p, 0.0, p.t_f)  # int b dt, per crossing
     n = _first_pair_n(p, phase, check_tolerances(rel_tol, abs_tol))
+
+    def rounding(m):  # the error that the rounding of h = t_f / m gives both states of a pair
+        h = p.t_f / m  # as in _magnus_state; t_f / (2 m) is h / 2, with the same delta
+        delta = abs(float(Fraction(h) * m / Fraction(p.t_f) - 1))
+        return delta * np.max(phase * (1.0 + h * h * p.zdot / 3.0))
+
     return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f,
-                         batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase))
+                         order=8, batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase),
+                         shared=rounding)
 
 
 def dynamical_phase_gs(p, t_a, t_b):

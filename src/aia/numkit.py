@@ -80,27 +80,33 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     return sol.y[:, -1]
 
 
-def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1, floor=_EPS):
-    """Final state of a sixth-order propagator, its step count chosen by step doubling.
+def step_doubling(propagate, n, rel_tol, abs_tol, t_end, *, order, batch=1, floor=_EPS,
+                  shared=None):
+    """Final state of a propagator of the given order, its step count chosen by step
+    doubling.
 
     ``propagate(m)`` returns the state after m equal steps, each of which costs
     ``batch`` two-level steps (one per crossing of a batch); the first pair
-    takes ceil(n) and twice that many steps, n a float. The 2n-step state
-    is returned once it is within rel_tol + abs_tol of the n-step one in every
-    component; its own error, falling like n^-6, is about a sixty-third
-    (1 / (2^6 - 1)) of that. Otherwise the difference predicts the n of a
+    takes ceil(n) and twice that many steps, n a float. ``order`` is the
+    propagator's order p, which its caller states. The 2n-step state is
+    returned once its largest difference from the n-step one, plus
+    ``shared(n)`` if given (a bound on an error that the two states have in
+    common and their difference cannot see), is within rel_tol + abs_tol; its
+    own error, falling like n^-p, is then about 1 / (2^p - 1) of the
+    difference. Otherwise the difference predicts, by its p-th root, the n of a
     second pair; if that misses too, the roundoff floor is reached and
-    :class:`IntegrationError` names it, with the end time ``t_end``. Neither a
-    tolerance below ``floor``, the rounding floor of the states (at least the
-    machine epsilon, which no state of unit size resolves), nor a pair whose 3n
-    steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose n is infinite or NaN)
-    is run: both raise before any step of theirs is taken, the budget first (a
-    tolerance that is not finite and positive raises ValueError before either).
+    :class:`IntegrationError` names it, with the end time ``t_end``.
+    Neither a tolerance below ``floor``, the rounding floor of the states (at
+    least the machine epsilon, which no state of unit size resolves), nor a pair
+    whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose n is
+    infinite or NaN) is run: both raise before any step of theirs is taken, the
+    budget first (a tolerance that is not finite and positive raises ValueError
+    before either).
     """
     tol = check_tolerances(rel_tol, abs_tol)
     floor = max(floor, _EPS)
     for _ in range(2):
-        n = np.ceil(n)
+        n = max(np.ceil(n), 1.0)  # a shared miss with no visible difference predicts n = 0
         if not 3 * n * batch <= STEP_BUDGET:  # also refuses an infinite or NaN n
             raise IntegrationError(f"integration failed at t={t_end:.6g}: a pair of {n:.3g} "
                                    f"and {2 * n:.3g} steps x {batch} exceeds the budget "
@@ -110,11 +116,12 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, batch=1, floor=_EPS):
                                    f"{tol:.3g} is below the roundoff floor {floor:.3g}")
         n = int(n)
         coarse, fine = propagate(n), propagate(2 * n)
-        diff = float(np.max(np.abs(coarse - fine)))
+        seen = float(np.max(np.abs(coarse - fine)))
+        diff = seen + (shared(n) if shared else 0.0)
         if diff <= tol:
             return fine
-        # aim at tol / 2
-        steps, n = 2 * n, n * (2.0 * diff / tol) ** (1.0 / 6.0)
+        # aim the visible difference at tol / 2
+        steps, n = 2 * n, n * (2.0 * seen / tol) ** (1.0 / order)
     raise IntegrationError(f"integration failed at t={t_end:.6g}: {steps} steps leave "
                            f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
 

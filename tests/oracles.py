@@ -255,6 +255,28 @@ def parabolic_cylinder_state(x, z_i, z_f, t_f, dps=30):
         return np.array([complex(final[0]), complex(final[1])])
 
 
+def one_step_exponent(x, z_m, zdot, h, dps=40):
+    """(A_x, A_y, A_z) with exp(-i A.sigma) the exact propagator of one step of length h
+    of x sigma_x + z sigma_z, z linear with slope zdot and z_m at the step's middle, as
+    mpf. The propagator is its Taylor series in the time u from the step's start,
+    (k + 1) U_{k+1} = -i (H_0 U_k + zdot sigma_z U_{k-1}), summed to dps digits (the
+    series is entire), and A.sigma = i logm(U) by mpmath, apart from the closed-form
+    exponent and SU(2) map of :func:`aia.lz_closed._magnus_state`."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps + 10):
+        x, z_m, zdot, h = (mpmath.mpf(float(v)) for v in (x, z_m, zdot, h))
+        sigma_z = mpmath.matrix([[1, 0], [0, -1]])
+        h_0 = mpmath.matrix([[z_m - zdot * h / 2, x], [x, -(z_m - zdot * h / 2)]])
+        prev, term = mpmath.zeros(2), mpmath.eye(2)  # U_{k-1} h^(k-1), U_k h^k
+        total, k = mpmath.eye(2), 0
+        while mpmath.mnorm(term, 1) > mpmath.mpf(10) ** -(dps + 5) or k < 3:
+            prev, term = term, -1j * h * (h_0 * term + zdot * h * sigma_z * prev) / (k + 1)
+            total, k = total + term, k + 1
+        a = 1j * mpmath.logm(total)
+        return ((a[0, 1] + a[1, 0]).real / 2, (a[1, 0] - a[0, 1]).imag / 2,
+                (a[0, 0] - a[1, 1]).real / 2)
+
+
 def master_ode_state(p, rel_tol, abs_tol):
     """Final coherence vector of dc/dt = L(t) c from the Gibbs state at z_i,
     with the generator rebuilt at every stage of the DOP853 pair."""

@@ -336,7 +336,7 @@ def test_criterion_09_open_convergence_stated_point():
     closed = lz.LzParams(p.x, p.z_i, p.z_f, p.t_f)
     d_closed = lz.state_distance(lz.evolve_schrodinger(closed),
                                  lz.aia_state(closed, lz.switching_times(closed, 1)))
-    rate_int, _ = lo._rate_integrals(p, st.tau_plus, p.t_f)
+    rate_int = lo._rate_integrals(p, st.tau_plus, p.t_f)
     purity = np.tanh(p.beta * np.hypot(x, float(p.z(st.tau_minus))))
     predicted = purity * np.exp(-0.5 * rate_int) * d_closed
     # the relation neglects the exact state's own adiabatic error (at most
@@ -362,7 +362,7 @@ def test_criterion_09_open_convergence_stated_point():
     d_adi_conv, d_aia_conv = _open_distances(p_conv)
     rel = {s: abs(d_aia_conv[s] - d_adi_conv) / d_adi_conv for s in d_aia_conv}
     ok_conv = all(v < 0.05 for v in rel.values())
-    rate_conv, _ = lo._rate_integrals(
+    rate_conv = lo._rate_integrals(
         p_conv, lo.switching_times_open(p_conv, 1).tau_plus, t_conv)
 
     ok = ok_damping and ok_collapse and ok_conv

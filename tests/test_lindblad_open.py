@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from aia import lindblad_open as lo
 from aia import intertwiner as itw
 from aia import numkit
-from aia.lz_closed import SwitchingTimes, lz_eigensystem
+from aia.lz_closed import SwitchingTimes, dynamical_phase_gs, lz_eigensystem
 from oracles import (density_to_coherence, lindblad_ops, master_ode_state,
                      parabolic_cylinder_state, rate_integral, switching_from_dtau)
 
@@ -467,7 +467,7 @@ def _spectral_sum_aia(p, tm, tp):
     spec_p = lo.liouvillian_spectrum(p.x, float(p.z(tp)), p.beta, p.g)
     spec_f = lo.liouvillian_spectrum(p.x, p.z_f, p.beta, p.g)
     r1_m = lo.liouvillian_spectrum(p.x, float(p.z(tm)), p.beta, p.g).right[:, 0]
-    rate_int, delta_int = lo._rate_integrals(p, tp, p.t_f)
+    rate_int, delta_int = lo._rate_integrals(p, tp, p.t_f), -2.0 * dynamical_phase_gs(p, tp, p.t_f)
     decay = np.exp(np.array([0.0, -rate_int, -0.5 * rate_int - 1j * delta_int,
                              -0.5 * rate_int + 1j * delta_int]))
     return sum(decay[j] * np.dot(spec_p.left[j], r1_m) * spec_f.right[:, j] for j in range(4))
@@ -511,7 +511,7 @@ def _check_tail_sums_against_one_window_path(p, rng):
     c_exact = lo.evolve_master(p)
     dtaus = rng.permutation(np.concatenate([np.linspace(-p.t_f, p.t_f, 41),
                                             [0.3 * p.t_f, 0.3 * p.t_f, -p.t_f, p.t_f]]))
-    bound = dtaus.size * np.finfo(float).eps * lo._rate_integrals(p, 0.0, p.t_f)[0]
+    bound = dtaus.size * np.finfo(float).eps * lo._rate_integrals(p, 0.0, p.t_f)
     grid = lo.aia_distance_grid(p, dtaus, c_exact)
     for dt, dg in zip(dtaus, grid):
         d = lo.trace_distance(lo.aia_state_open(p, switching_from_dtau(p, dt)), c_exact)
@@ -519,7 +519,7 @@ def _check_tail_sums_against_one_window_path(p, rng):
         assert np.all(grid[dtaus == dt] == dg)  # repeats read the same sum
     # one window is one interval, with the bits of the direct call, at 0-d as in an array
     for tp in (0.0, 0.37 * p.t_f, p.t_f):
-        direct, _ = lo._rate_integrals(p, tp, p.t_f)
+        direct = lo._rate_integrals(p, tp, p.t_f)
         assert lo._tail_rate_integrals(p, tp) == direct
         assert lo._tail_rate_integrals(p, np.array([tp])) == direct
         assert lo.aia_distance_grid(p, p.t_f - 2.0 * tp, c_exact) == lo.trace_distance(
@@ -550,11 +550,11 @@ def test_tail_rate_sums_at_random_parameters(p, seed):
 
 def test_rate_integrals_broadcast_like_scalar_calls():
     t_a = np.array([0.0, 10.0, 24.9, 50.0])
-    rate_int, delta_int = lo._rate_integrals(P_STD, t_a, P_STD.t_f)
+    rate_int = lo._rate_integrals(P_STD, t_a, P_STD.t_f)
     for i, t in enumerate(t_a):
-        r, d = lo._rate_integrals(P_STD, t, P_STD.t_f)
-        assert isinstance(r, float) and isinstance(d, float)
-        assert abs(rate_int[i] - r) <= 1e-15 * r and delta_int[i] == d
+        r = lo._rate_integrals(P_STD, t, P_STD.t_f)
+        assert isinstance(r, float)
+        assert abs(rate_int[i] - r) <= 1e-15 * r
 
 
 def test_rate_integrals_match_mpmath_at_kink_and_corner():
@@ -565,7 +565,7 @@ def test_rate_integrals_match_mpmath_at_kink_and_corner():
               lo.OpenParams(1e-3, -50, 30, 1e5, 0.05, 0.01)):
         for t_a, t_b in ((0.0, p.t_f), (0.3 * p.t_f, 0.9 * p.t_f), (0.7 * p.t_f, p.t_f)):
             want = rate_integral(p, t_a, t_b)
-            got, _ = lo._rate_integrals(p, t_a, t_b)
+            got = lo._rate_integrals(p, t_a, t_b)
             assert abs(got - want) <= 1e-14 * want, (p, t_a, t_b)
 
 
@@ -581,7 +581,7 @@ def test_rate_integrals_open_sweep_use_at_most_six_panels(monkeypatch):
         p = lo.OpenParams(0.1, -1, 1, tf, 0.05, 0.01)
         t_a = tf / 2 + np.linspace(-tf, tf, 601) / 2
         shapes.clear()
-        got, _ = lo._rate_integrals(p, t_a, tf)
+        got = lo._rate_integrals(p, t_a, tf)
         assert shapes == [(601, 6, 12)]
         for i in (0, 150, 300, 451, 600):
             want = rate_integral(p, t_a[i], tf)
@@ -598,7 +598,7 @@ def test_rate_integrals_add_over_adjacent_intervals(log_x, log_zi, log_zf, log_t
     p = lo.OpenParams(10.0 ** log_x, -10.0 ** log_zi, 10.0 ** log_zf, 10.0 ** log_tf,
                       10.0 ** log_t, g)
     t_a, t_b, t_c = np.sort(cuts) * p.t_f
-    (ab, bc, ac), _ = lo._rate_integrals(p, np.array([t_a, t_b, t_a]), np.array([t_b, t_c, t_c]))
+    ab, bc, ac = lo._rate_integrals(p, np.array([t_a, t_b, t_a]), np.array([t_b, t_c, t_c]))
     assert np.isfinite([ab, bc, ac]).all() and min(ab, bc, ac) >= 0.0
     assert abs(ab + bc - ac) <= 1e-14 * ac
 
@@ -608,7 +608,8 @@ def test_rate_integrals_add_over_adjacent_intervals(log_x, log_zi, log_zf, log_t
 def test_rate_integrals_against_quad_oracle():
     # [10, 40] of t_f = 50 spans the crossing at t = 25 (z from -0.6 to 0.6)
     p = P_STD
-    rate_int, delta_int = lo._rate_integrals(p, 10.0, 40.0)
+    rate_int = lo._rate_integrals(p, 10.0, 40.0)
+    delta_int = -2.0 * dynamical_phase_gs(p, 10.0, 40.0)
 
     def rate(t):
         delta = 2.0 * p.b(t)
@@ -619,7 +620,7 @@ def test_rate_integrals_against_quad_oracle():
     delta_oracle, _ = quad(lambda t: 2.0 * p.b(t), 10.0, 40.0, **opts)
     assert abs(rate_int - rate_oracle) < 1e-12 * rate_oracle
     assert abs(delta_int - delta_oracle) < 1e-12 * delta_oracle
-    assert lo._rate_integrals(p, 17.0, 17.0) == (0.0, 0.0)
+    assert lo._rate_integrals(p, 17.0, 17.0) == 0.0
 
 
 def test_liouvillian_gap_expansions_near_crossing():
