@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import check_tolerances, minimize_scalar, step_doubling
+from .numkit import check_tolerance, minimize_scalar, step_doubling
 from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, _centered_window, _checked_window,
                         dynamical_phase_gs, switching_times as lz_switching_times)
 
@@ -227,16 +227,16 @@ def _magnus_coherence(p, n, c):
     return c
 
 
-def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
+def evolve_master(p, tol=1e-10 + 1e-12):
     """Exact final coherence vector of dc/dt = L(t) c from the Gibbs state at z_i.
 
     Batched sixth-order Magnus steps of the real 4x4 generator
     (:func:`_magnus_coherence`), with the step count set by
-    :func:`aia.numkit.step_doubling`: the returned state is within rel_tol +
-    abs_tol of one with half the steps in every component, and its own error
+    :func:`aia.numkit.step_doubling`: the returned state is within ``tol``
+    of one with half the steps in every component, and its own error
     is about a sixty-third of that. The first pair starts from the larger of
     n = 2 t_f (2 max b + max |l_2|) + 4 dz / x and the n at which a bound on
-    the Magnus error is tol / 2, tol = rel_tol + abs_tol. The first term keeps
+    the Magnus error is tol / 2. The first term keeps
     each step's Omega at norm <= 1/2, where the Taylor series' truncation
     stays below the Magnus error. The second keeps the turn per step of the
     dissipator's eigenbasis, h zdot / x at the crossing, at most 1/4: on
@@ -256,9 +256,10 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
     3n steps, counted as 35 two-level steps each, exceed
     :data:`aia.numkit.STEP_BUDGET` raises before it runs. The first
     component stays exactly 1/sqrt2: the generator's first row is zero, and
-    so is that of every step's deviation from the identity.
+    so is that of every step's deviation from the identity. A ``tol`` that is
+    not finite and positive raises ValueError first.
     """
-    tol = check_tolerances(rel_tol, abs_tol)
+    check_tolerance(tol)
     # the gap Delta = 2b and |l_2| = gamma(Delta) + gamma(-Delta) are largest at an
     # end; the eigenbasis turns fastest at the crossing, at zdot / x
     delta = 2.0 * np.hypot(p.x, max(-p.z_i, p.z_f))
@@ -274,8 +275,7 @@ def evolve_master(p, rel_tol=1e-10, abs_tol=1e-12):
     # a 4x4 step, its three generators and Taylor series included, costs about 35
     # two-level steps: 2.75 us against 0.078 us, medians of 40 alternating runs of
     # 2e5 steps each on a 2-core Xeon (per-run ratios 32-38 between quartiles)
-    return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, rel_tol, abs_tol, p.t_f,
-                         order=6, batch=35)
+    return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, tol, p.t_f, order=6, batch=35)
 
 
 def adiabatic_state_open(p):

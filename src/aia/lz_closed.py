@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import check_tolerances, hypot_antiderivative, minimize_scalar, step_doubling
+from .numkit import check_tolerance, hypot_antiderivative, minimize_scalar, step_doubling
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -220,13 +220,14 @@ def _first_pair_n(p, phase, tol):
     return max(p.t_f * np.max(b_max), min(n_sum, max(n_turn, n_adiabatic)))
 
 
-def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
+def evolve_schrodinger(p, tol=1e-10 + 1e-12):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
     Batched eighth-order Magnus steps in the fixed sigma_z frame (Blanes et al.,
     Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation, with the step
     count set by :func:`aia.numkit.step_doubling` (the returned state is within
-    rel_tol + abs_tol of one with half the steps, and about 1/255 of that off).
+    ``tol`` of one with half the steps, and about 1/255 of that off).
+    A ``tol`` that is not finite and positive raises ValueError first.
     The first pair's n comes from a closed-form estimate of the Magnus
     remainder (:func:`_first_pair_n`), so wherever the sweep is adiabatic at
     its ends the first pair meets the tolerance and a run takes one pair. The
@@ -245,14 +246,14 @@ def evolve_schrodinger(p, rel_tol=1e-10, abs_tol=1e-12):
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
     phase = -dynamical_phase_gs(p, 0.0, p.t_f)  # int b dt, per crossing
-    n = _first_pair_n(p, phase, check_tolerances(rel_tol, abs_tol))
+    n = _first_pair_n(p, phase, check_tolerance(tol))
 
     def rounding(m):  # the error that the rounding of h = t_f / m gives both states of a pair
         h = p.t_f / m  # as in _magnus_state; t_f / (2 m) is h / 2, with the same delta
         delta = abs(float(Fraction(h) * m / Fraction(p.t_f) - 1))
         return delta * np.max(phase * (1.0 + h * h * p.zdot / 3.0))
 
-    return step_doubling(lambda m: _magnus_state(p, m, psi0), n, rel_tol, abs_tol, p.t_f,
+    return step_doubling(lambda m: _magnus_state(p, m, psi0), n, tol, p.t_f,
                          order=8, batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase),
                          shared=rounding)
 

@@ -46,12 +46,11 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def check_tolerances(rel_tol, abs_tol):
-    """rel_tol + abs_tol, once both are checked to be finite and positive."""
-    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not (np.isfinite(tol) and tol > 0):
-            raise ValueError(f"{name} must be finite and positive, got {tol}")
-    return rel_tol + abs_tol
+def check_tolerance(tol, name="tol"):
+    """``tol``, once it is checked to be finite and positive; an error names it ``name``."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
+    return tol
 
 
 def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
@@ -66,7 +65,8 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     """
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got [{t0}, {t1}]")
-    check_tolerances(rel_tol, abs_tol)
+    check_tolerance(rel_tol, "rel_tol")
+    check_tolerance(abs_tol, "abs_tol")
     y0 = np.atleast_1d(np.asarray(y0))
     if t1 == t0:
         return y0.copy()
@@ -80,8 +80,7 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     return sol.y[:, -1]
 
 
-def step_doubling(propagate, n, rel_tol, abs_tol, t_end, *, order, batch=1, floor=_EPS,
-                  shared=None):
+def step_doubling(propagate, n, tol, t_end, *, order, batch=1, floor=_EPS, shared=None):
     """Final state of a propagator of the given order, its step count chosen by step
     doubling.
 
@@ -91,7 +90,7 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, *, order, batch=1, floo
     propagator's order p, which its caller states. The 2n-step state is
     returned once its largest difference from the n-step one, plus
     ``shared(n)`` if given (a bound on an error that the two states have in
-    common and their difference cannot see), is within rel_tol + abs_tol; its
+    common and their difference cannot see), is within ``tol``; its
     own error, falling like n^-p, is then about 1 / (2^p - 1) of the
     difference. Otherwise the difference predicts, by its p-th root, the n of a
     second pair; if that misses too, the roundoff floor is reached and
@@ -100,10 +99,8 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, *, order, batch=1, floo
     least the machine epsilon, which no state of unit size resolves), nor a pair
     whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose n is
     infinite or NaN) is run: both raise before any step of theirs is taken, the
-    budget first (a tolerance that is not finite and positive raises ValueError
-    before either).
+    budget first. ``tol`` is the caller's, checked by :func:`check_tolerance`.
     """
-    tol = check_tolerances(rel_tol, abs_tol)
     floor = max(floor, _EPS)
     for _ in range(2):
         n = max(np.ceil(n), 1.0)  # a shared miss with no visible difference predicts n = 0
@@ -126,15 +123,14 @@ def step_doubling(propagate, n, rel_tol, abs_tol, t_end, *, order, batch=1, floo
                            f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
 
 
-def find_root_bracketed(g, a, b, tol=1e-12):
+def find_root_bracketed(g, a, b):
     """Root of a scalar ``g`` on [a, b], a < b, given a sign change; bisection.
 
-    The bracket halves until it is narrower than ``tol`` or its midpoint no
-    longer splits it (``tol`` below the spacing of doubles); its midpoint is
-    returned, within ``tol`` of the root. An exact zero met on the way is
-    returned at once. ``g`` is called at most ceil(log2((b - a) / tol)) + 3 times
-    (two ends, then one per halving; rounding may add a halving), where a
-    ``tol`` below the spacing u of doubles at the root, 0 included, counts as u.
+    The bracket halves until its midpoint no longer splits it, so its ends are
+    adjacent doubles; that midpoint is returned, within the spacing u of
+    doubles at the root. An exact zero met on the way is returned at once.
+    ``g`` is called at most ceil(log2((b - a) / u)) + 3 times (two ends, then
+    one per halving; rounding may add a halving).
     """
     if not a < b:
         raise ValueError(f"require a < b, got [{a}, {b}]")
@@ -145,10 +141,8 @@ def find_root_bracketed(g, a, b, tol=1e-12):
         return b
     if not (ga < 0.0 < gb or gb < 0.0 < ga):
         raise ValueError(f"no sign change on [{a}, {b}]: g(a)={ga:.3g}, g(b)={gb:.3g}")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
+    mid = 0.5 * (a + b)
+    while a < mid < b:
         gm = g(mid)
         if gm == 0.0:
             return mid
@@ -156,7 +150,8 @@ def find_root_bracketed(g, a, b, tol=1e-12):
             a = mid
         else:
             b = mid
-    return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+    return mid
 
 
 def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):
@@ -171,8 +166,7 @@ def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):
     """
     if not a < b:
         raise ValueError(f"require a < b, got [{a}, {b}]")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"require a finite tol > 0, got {tol}")
+    check_tolerance(tol)
 
     def argmin(xs):
         fs = np.asarray(f(xs), dtype=float)

@@ -9,7 +9,7 @@ Config files are flat ``key = value`` text ('#' starts a comment). Keys:
     temperatures comma-separated bath temperatures      (open; default 0.05, 0.1, 0.5, 1.0)
     tf_min, tf_max, tf_points                           (log-spaced grid; 60 points by default)
     scenarios    comma-separated subset of 1,2,3,4,opt  (tfi: only 1,2,opt)
-    rel_tol, abs_tol                                    (integrator control)
+    rel_tol, abs_tol                                    (exact states within their sum)
     dtau_points  grid size for impulse-interval scans   (default 2001)
     out          output path                            (optional)
 
@@ -52,8 +52,8 @@ _SCENARIOS = {"lz": {"1", "2", "3", "4", "opt"},
 
 
 # One model's sweep row and scan: params(t_f, T) builds its parameter set (T is
-# None for the closed models, whose only temperature is None), exact(p,
-# rel_tol, abs_tol) its exact final state, and distance compares that with the
+# None for the closed models, whose only temperature is None), exact(p, tol) its
+# exact final state, tol = rel_tol + abs_tol, and distance compares that with the
 # adiabatic, first-order (lz only, else None) and adiabatic-impulse states.
 Pipeline = namedtuple("Pipeline", "params temperatures exact adiabatic first_order "
                                   "switching aia distance distance_grid optimize")
@@ -200,7 +200,7 @@ def _fmt(value):
 def _row(cfg, tf, temperature):
     m = pipeline(cfg)
     p = m.params(tf, temperature)
-    exact = m.exact(p, cfg.rel_tol, cfg.abs_tol)
+    exact = m.exact(p, cfg.rel_tol + cfg.abs_tol)
     row = {"d_adi": m.distance(exact, m.adiabatic(p))}
     if m.first_order is not None:
         row["d_adi1"] = m.distance(exact, m.first_order(p))
@@ -297,7 +297,7 @@ def run_dtau_scan(cfg, tf, out=None):
     path = out or f"{cfg.model}_dtau_scan.csv"
     n = cfg.dtau_points
     dtaus = np.linspace(-tf, tf, n + 1 - n % 2)
-    dists = m.distance_grid(p, dtaus, m.exact(p, cfg.rel_tol, cfg.abs_tol))
+    dists = m.distance_grid(p, dtaus, m.exact(p, cfg.rel_tol + cfg.abs_tol))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dtau,d\n")
         for dt, d in zip(dtaus, dists):

@@ -148,10 +148,11 @@ def tfi_gap(h, L):
     return float(np.min(epsilon_k(h, momenta(L))))
 
 
-def evolve_register(p, rel_tol=1e-10, abs_tol=1e-12):
+def evolve_register(p, tol=1e-10 + 1e-12):
     """Exact evolution of every mode from the h_i ground register, as one
-    batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`."""
-    return lz.evolve_schrodinger(p, rel_tol, abs_tol) @ _PAIR.T
+    batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`, each
+    within ``tol`` of its state with half the steps."""
+    return lz.evolve_schrodinger(p, tol) @ _PAIR.T
 
 
 def adiabatic_register(p):
@@ -220,7 +221,7 @@ def switching_times_tfi(p, scenario):
         if not _kz_condition_scenario2(p, end) > 0.0:
             return None
         return find_root_bracketed(lambda h: _kz_condition_scenario2(p, h),
-                                   min(end, 1.0), max(end, 1.0), tol=0.0)
+                                   min(end, 1.0), max(end, 1.0))
 
     h_minus, h_plus = root(p.h_i), root(p.h_f)
     tau_m = 0.0 if h_minus is None else (h_minus - p.h_i) * tf / dh

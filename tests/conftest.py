@@ -12,7 +12,7 @@ from aia import tfi
 
 @pytest.fixture(scope="session")
 def lz_sweep_data():
-    """24 log-spaced t_f in [1e2, 1e4] at rel_tol 1e-10: distances, windows,
+    """24 log-spaced t_f in [1e2, 1e4] at the default tolerance: distances, windows,
     optimizer output, and the single-threaded wall time of the whole sweep.
 
     This is the stated window of acceptance criteria 1 and 2. Up to
@@ -24,7 +24,7 @@ def lz_sweep_data():
     t0 = time.time()
     for tf in tfs:
         p = lz.LzParams(0.1, -1.0, 1.0, float(tf))
-        psi = lz.evolve_schrodinger(p, 1e-10, 1e-12)
+        psi = lz.evolve_schrodinger(p)
         row = {
             "d_adi": lz.state_distance(psi, lz.adiabatic_state(p)),
             "d_adi1": lz.state_distance(psi, lz.adiabatic_first_order(p)),
@@ -48,7 +48,7 @@ def lz_rms_tail_row(tf, n_phase=4, spacing=1.6):
     acc = []
     for j in range(n_phase):
         p = lz.LzParams(0.1, -1.0, 1.0, tf + j * spacing)
-        psi = lz.evolve_schrodinger(p, 1e-10, 1e-12)
+        psi = lz.evolve_schrodinger(p)
         st1 = lz.switching_times(p, 1)
         dt_opt, d_opt = lz.optimize_dtau(p, psi_exact=psi)
         acc.append((lz.state_distance(psi, lz.adiabatic_state(p)),

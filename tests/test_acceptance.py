@@ -81,7 +81,7 @@ def _lz_envelope_fit(lz_tail_envelopes, column, amplitude, exponent):
         p = lz.LzParams(*LZ_SWEEP, tf)
         return _lz_log_tunnelling(p) - np.log(0.01 * amplitude * tf ** exponent)
 
-    edge = numkit.find_root_bracketed(g, 1e2, 1e4, tol=1e-6)
+    edge = numkit.find_root_bracketed(g, 1e2, 1e4)
     tail_tfs, env = lz_tail_envelopes
     sel = tail_tfs >= edge
     n_fit = int(np.count_nonzero(sel))
@@ -226,7 +226,7 @@ def _chain_window_edge():
         k_low = tfi.momenta(p.L)[0]
         return -np.pi * tf * np.sin(k_low) ** 2 / p.dh - np.log(0.1 * rms)
 
-    return numkit.find_root_bracketed(g, 1e2, 1e6, tol=1e-6)
+    return numkit.find_root_bracketed(g, 1e2, 1e6)
 
 
 def test_criterion_07_tfi_scaling_stated_window(tfi_sweep_data):
@@ -426,7 +426,7 @@ def test_criterion_11_oracle_equivalences():
 
     # (c) L = 2 register pipeline vs direct two-level integration
     p = tfi.TfiParams(2, 0.5, 1.5, 7.0)
-    reg = tfi.evolve_register(p, 1e-13, 1e-15)
+    reg = tfi.evolve_register(p, 1e-13 + 1e-15)
     k = np.pi / 2
 
     def rhs(t, y):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from aia import lindblad_open as lo
 from aia import intertwiner as itw
-from aia import numkit
+from aia import numkit, sweeps
 from aia.lz_closed import SwitchingTimes, dynamical_phase_gs, lz_eigensystem
 from oracles import (density_to_coherence, lindblad_ops, master_ode_state,
                      parabolic_cylinder_state, rate_integral, switching_from_dtau)
@@ -285,12 +285,27 @@ def test_master_positivity_along_path():
 def test_master_against_dop853_oracle():
     # the generator integrated by the DOP853 pair at 1e-13/1e-15; the default
     # tolerance bounds the step-doubling difference, and the returned state
-    # is about a sixty-third of it off (the former DOP853 evolution: 2.6e-10 at t_f = 304)
+    # is about a sixty-third of it off (the former DOP853 evolution: 2.6e-10 at t_f = 304).
+    # The trace distances computed from the two states are within sqrt(3/2) (tol +
+    # the oracle's error): both first components are 1/sqrt2, and the distance is
+    # 1-Lipschitz in the other three over sqrt2
+    tol, oracle_err = 1e-10 + 1e-12, 1e-13 + 1e-15
     for temp in (0.05, 1.0):
         for tf in (8.5, 304.0, 1e3):
             p = lo.OpenParams(0.1, -1.0, 1.0, tf, temp, 0.01)
-            err = np.abs(lo.evolve_master(p) - master_ode_state(p, 1e-13, 1e-15)).max()
-            assert err <= 1e-10 + 1e-12, (temp, tf, err)
+            got, want = lo.evolve_master(p), master_ode_state(p, 1e-13, 1e-15)
+            err = np.abs(got - want).max()
+            assert err <= tol, (temp, tf, err)
+            states = [lo.adiabatic_state_open(p)]
+            states += [lo.aia_state_open(p, lo.switching_times_open(p, s)) for s in (1, 2, 3, 4)]
+            dtaus = np.linspace(-tf, tf, 7)
+
+            def distances(c):
+                return np.append(lo.trace_distance(np.array(states), c),
+                                 lo.aia_distance_grid(p, dtaus, c))
+
+            gap = np.abs(distances(got) - distances(want)).max()
+            assert gap <= np.sqrt(1.5) * (tol + oracle_err), (temp, tf, gap)
 
 
 def test_magnus_coherence_is_sixth_order_against_dop853_oracle():
@@ -307,28 +322,45 @@ def test_magnus_coherence_is_sixth_order_against_dop853_oracle():
             assert 58.0 < coarse / fine < 72.0, (p, errs)
 
 
+def _counting_magnus(mp, passes):
+    """Record the step count of every Magnus product that :mod:`aia.lindblad_open` runs."""
+    real = lo._magnus_coherence
+    mp.setattr(lo, "_magnus_coherence", lambda p, n, c: (passes.append(n), real(p, n, c))[1])
+
+
 def test_master_beyond_the_step_budget_raises_before_stepping(monkeypatch):
     # each 4x4 step counts as 35 two-level steps: at t_f = 1e6 the first pair's
     # 3n steps (n = 4.0e6) fit the budget, but not 35 times over
     passes = []
-    real = lo._magnus_coherence
-    monkeypatch.setattr(lo, "_magnus_coherence",
-                        lambda p, n, c: (passes.append(n), real(p, n, c))[1])
+    _counting_magnus(monkeypatch, passes)
     for tf in (1e30, 1e6):
         with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
             lo.evolve_master(lo.OpenParams(0.1, -1.0, 1.0, tf, 0.5, 0.01))
     assert passes == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-10])
+def test_master_rejects_a_bad_tol_before_stepping(monkeypatch, bad):
+    passes = []
+    _counting_magnus(monkeypatch, passes)
+    with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {bad}$"):
+        lo.evolve_master(P_STD, bad)
+    assert passes == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
 def test_master_rejects_a_non_finite_tolerance_before_stepping(monkeypatch, name, bad):
+    # a sweep passes its exact states rel_tol + abs_tol: a config built without
+    # the parser's checks, with one of the two not finite, fails its rows with
+    # the evolution's ValueError before any step
     passes = []
-    real = lo._magnus_coherence
-    monkeypatch.setattr(lo, "_magnus_coherence",
-                        lambda p, n, c: (passes.append(n), real(p, n, c))[1])
-    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
-        lo.evolve_master(P_STD, **{name: bad})
+    _counting_magnus(monkeypatch, passes)
+    params = {"x": 0.1, "z_i": -1.0, "z_f": 1.0, "g": 0.01}
+    cfg = sweeps.SweepConfig("open", params, 1.0, 10.0, 2, temperatures=(0.5,))
+    setattr(cfg, name, bad)
+    row = sweeps._compute_task((cfg, 10.0, 0.5))
+    assert row["err"] == f"ValueError: tol must be finite and positive, got {bad}"
     assert passes == []
 
 
@@ -342,12 +374,11 @@ def test_steady_state_dz_against_central_differences():
 
 
 def _pairs(p, rel_tol):
-    """The step counts of evolve_master's Magnus runs."""
+    """The step counts of evolve_master's Magnus runs at tol = rel_tol + rel_tol / 100."""
     passes = []
-    real = lo._magnus_coherence
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lo, "_magnus_coherence", lambda q, n, c: (passes.append(n), real(q, n, c))[1])
-        lo.evolve_master(p, rel_tol, rel_tol / 100.0)
+        _counting_magnus(mp, passes)
+        lo.evolve_master(p, rel_tol + rel_tol / 100.0)
     return passes
 
 

@@ -108,13 +108,13 @@ def test_evolve_sudden_limit():
 
 def test_evolve_half_tolerance_consistency():
     p = lz.LzParams(0.1, -1.0, 1.0, 10.0)
-    a = lz.evolve_schrodinger(p, 1e-10, 1e-12)
-    b = lz.evolve_schrodinger(p, 5e-11, 5e-13)
+    a = lz.evolve_schrodinger(p, 1e-10 + 1e-12)
+    b = lz.evolve_schrodinger(p, 5e-11 + 5e-13)
     assert np.abs(a - b).max() < 1e-8
 
 
 def test_evolve_norm_preserved():
-    psi = lz.evolve_schrodinger(P_STD, 1e-10, 1e-12)
+    psi = lz.evolve_schrodinger(P_STD)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
 
@@ -126,9 +126,9 @@ def test_evolve_against_parabolic_cylinder_oracle():
         want = parabolic_cylinder_state(0.1, -1.0, 1.0, tf)
         p = lz.LzParams(0.1, -1.0, 1.0, tf)
         for rel_tol in (1e-8, 1e-10, 1e-12):
-            abs_tol = 1e-2 * rel_tol
-            err = np.abs(lz.evolve_schrodinger(p, rel_tol, abs_tol) - want).max()
-            assert err <= rel_tol + abs_tol, (tf, rel_tol, err)
+            tol = rel_tol + 1e-2 * rel_tol
+            err = np.abs(lz.evolve_schrodinger(p, tol) - want).max()
+            assert err <= tol, (tf, tol, err)
 
 
 def test_evolve_below_roundoff_floor_raises_before_stepping(monkeypatch):
@@ -144,23 +144,39 @@ def test_evolve_below_roundoff_floor_raises_before_stepping(monkeypatch):
         return real(p, n, psi)
 
     monkeypatch.setattr(lz, "_magnus_state", counted)
-    for evolve in (lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 10.0), 1e-17, 1e-17),
-                   lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 1e3), 1e-17, 1e-17),
-                   lambda: tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 300.0), 1e-17, 1e-17)):
+    for evolve in (lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 10.0), 2e-17),
+                   lambda: lz.evolve_schrodinger(lz.LzParams(0.1, -1.0, 1.0, 1e3), 2e-17),
+                   lambda: tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 300.0), 2e-17)):
         with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
             evolve()
         assert passes == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-10])
+@pytest.mark.parametrize("evolve", [lz.evolve_schrodinger, tfi.evolve_register])
+def test_evolve_rejects_a_bad_tol_before_stepping(monkeypatch, evolve, bad):
+    # unchecked, a NaN runs a pair and then names the budget as the cause, and an
+    # infinite tolerance returns the first pair as converged
+    passes = []
+    _counting_magnus(monkeypatch, passes)
+    p = P_STD if evolve is lz.evolve_schrodinger else tfi.TfiParams(4, 0.5, 1.5, 10.0)
+    with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {bad}$"):
+        evolve(p, bad)
+    assert passes == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
 def test_evolve_rejects_a_non_finite_tolerance_before_stepping(monkeypatch, name, bad):
-    # a NaN passed the old "<= 0" check and ran a pair before a budget error that
-    # named the wrong cause; an infinite abs_tol returned the first pair as converged
+    # a sweep passes its exact states rel_tol + abs_tol: a config built without
+    # the parser's checks, with one of the two not finite, fails its rows with
+    # the evolution's ValueError before any step
     passes = []
     _counting_magnus(monkeypatch, passes)
-    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
-        lz.evolve_schrodinger(P_STD, **{name: bad})
+    cfg = sweeps.SweepConfig("lz", {"x": 0.1, "z_i": -1.0, "z_f": 1.0}, 1.0, 10.0, 2)
+    setattr(cfg, name, bad)
+    row = sweeps._compute_task((cfg, 10.0, None))
+    assert row["err"] == f"ValueError: tol must be finite and positive, got {bad}"
     assert passes == []
 
 
@@ -278,25 +294,26 @@ def test_evolve_below_the_phase_rounding_floor_raises_before_stepping(monkeypatc
     passes = []
     _counting_magnus(monkeypatch, passes)
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
-        tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 8000.0), 1e-13, 1e-15)
+        tfi.evolve_register(tfi.TfiParams(150, 0.5, 1.5, 8000.0), 1e-13 + 1e-15)
     assert passes == []
 
 
 def _pair_counts(p, rel_tol, abs_tol):
-    """The step counts of the Magnus runs of one evolution of p."""
+    """The step counts of the Magnus runs of one evolution of p, at the tolerance
+    rel_tol + abs_tol that a sweep passes."""
     passes = []
     with pytest.MonkeyPatch.context() as mp:
         _counting_magnus(mp, passes)
-        lz.evolve_schrodinger(p, rel_tol, abs_tol)
+        lz.evolve_schrodinger(p, rel_tol + abs_tol)
     return [n for n, _ in passes]
 
 
 def test_evolve_takes_one_pair_on_every_shipped_row():
-    # the first pair comes from the Magnus remainder, so every row of the five lz
+    # the first pair comes from the Magnus remainder, so every row of the four lz
     # and the two chain configs meets its tolerance with it
     root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     names = sorted(f for f in os.listdir(root) if f.startswith(("lz_", "tfi_")))
-    assert len(names) == 7
+    assert len(names) == 6
     for name in names:
         cfg = sweeps.load_config(os.path.join(root, name))
         params = sweeps.pipeline(cfg).params
@@ -397,7 +414,7 @@ def test_evolve_is_within_tolerance_or_raises_at_the_phase_rounding_floor():
         tol = eps * -lz.dynamical_phase_gs(p, 0.0, tf) / share
         want = parabolic_cylinder_state(0.1, -1.0, 1.0, tf)
         try:
-            got = lz.evolve_schrodinger(p, tol * 100.0 / 101.0, tol / 101.0)
+            got = lz.evolve_schrodinger(p, tol)
         except numkit.IntegrationError as err:
             assert "roundoff floor" in str(err), (tf, share)
             continue
@@ -439,7 +456,7 @@ def test_evolve_frames_agree():
                         rtol=1e-12, atol=1e-14)
         assert sol.success
         fixed = sol.y[:, -1]
-        got = lz.evolve_schrodinger(p, 1e-12, 1e-14)
+        got = lz.evolve_schrodinger(p, 1e-12 + 1e-14)
         assert lz.state_distance(fixed, got) < 1e-10, tf
 
 
@@ -784,17 +801,28 @@ def test_evolve_within_tolerance_of_oracle_or_raises_at_random_parameters(
         x, minus_z_i, z_f, phase, rel_tol):
     b_max = np.hypot(x, max(minus_z_i, z_f))
     p = lz.LzParams(x, -minus_z_i, z_f, phase / b_max)
-    abs_tol, passes = 1e-2 * rel_tol, []
+    tol, passes = rel_tol + 1e-2 * rel_tol, []
     with pytest.MonkeyPatch.context() as mp:
         _counting_magnus(mp, passes)
         try:
-            got = lz.evolve_schrodinger(p, rel_tol, abs_tol)
+            got = lz.evolve_schrodinger(p, tol)
         except numkit.IntegrationError:
             got = None
     assert all(3 * n * batch <= numkit.STEP_BUDGET for n, batch in passes[::2]), passes
     if got is not None:
         want = parabolic_cylinder_state(p.x, p.z_i, p.z_f, p.t_f)
-        assert np.abs(got - want).max() <= rel_tol + abs_tol, (p, rel_tol)
+        assert np.abs(got - want).max() <= tol, (p, tol)
+        # the tolerance bounds the reported distances too: |wedge(a, b)| is
+        # 1-Lipschitz in b in the 2-norm, and got is within sqrt(2) tol of want there
+        states = [lz.adiabatic_state(p), lz.adiabatic_first_order(p)]
+        states += [lz.aia_state(p, lz.switching_times(p, s)) for s in (1, 2, 3, 4)]
+        dtaus = np.linspace(-p.t_f, p.t_f, 7)
+
+        def distances(psi):
+            return np.array([lz.state_distance(psi, phi) for phi in states]
+                            + list(lz.aia_distance_grid(p, dtaus, psi)))
+
+        assert np.abs(distances(got) - distances(want)).max() <= np.sqrt(2.0) * tol, (p, tol)
 
 
 # x, |z_i|, z_f and t_f over the whole LzParams domain, under a budget small
@@ -829,7 +857,7 @@ def test_evolve_at_the_corners_of_the_domain_warns_nothing(monkeypatch):
         for p in cases:
             for rel_tol in (1e-8, 1e-12):
                 try:
-                    got = lz.evolve_schrodinger(p, rel_tol, rel_tol / 100.0)
+                    got = lz.evolve_schrodinger(p, rel_tol + rel_tol / 100.0)
                 except numkit.IntegrationError:
                     continue
                 assert np.all(np.abs(np.linalg.norm(got, axis=-1) - 1.0) <= 1e-14), p

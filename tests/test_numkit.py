@@ -124,7 +124,7 @@ def test_step_doubling_returns_the_fine_state_of_the_predicted_pair():
     # predicts the n of the second, aimed at half the tolerance, which meets it;
     # the state handed back is that pair's 2n-step one
     passes = []
-    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10, 1e-12, 1.0, order=6)
+    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10 + 1e-12, 1.0, order=6)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-10) ** (1 / 6)))
     assert passes == [10, 20, n, 2 * n]
     assert got[0] == 1.0 + float(2 * n) ** -6 and (n ** -6.0 - (2 * n) ** -6.0) <= 1.01e-10
@@ -134,7 +134,7 @@ def test_step_doubling_predicts_a_sextic_pair_with_the_sixth_root():
     # at a 1e-12 tolerance the prediction takes the sixth root of the miss,
     # where the fourth root would overshoot n by (2 diff / tol)^(1/12) ~ 3.3
     passes = []
-    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-12, 1e-14, 1.0, order=6)
+    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-12 + 1e-14, 1.0, order=6)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-12) ** (1 / 6)))
     assert passes == [10, 20, n, 2 * n] and n == 112
     assert got[0] == 1.0 + float(2 * n) ** -6 and (n ** -6.0 - (2 * n) ** -6.0) <= 1.01e-12
@@ -153,7 +153,7 @@ def test_step_doubling_predicts_an_octic_pair_with_the_eighth_root():
         passes.append(n)
         return np.array([1.0 + float(n) ** -8])
 
-    got = numkit.step_doubling(propagate, 10, 1e-12, 1e-14, 1.0, order=8)
+    got = numkit.step_doubling(propagate, 10, 1e-12 + 1e-14, 1.0, order=8)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -8 - 20.0 ** -8) / 1.01e-12) ** (1 / 8)))
     assert passes == [10, 20, n, 2 * n] and n == 35
     assert got[0] == 1.0 + float(2 * n) ** -8 and (n ** -8.0 - (2 * n) ** -8.0) <= 1.01e-12
@@ -172,11 +172,11 @@ def test_step_doubling_adds_a_shared_error_to_the_difference():
         return np.ones(2)
 
     with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
-        numkit.step_doubling(converged, 100, 1e-10, 1e-12, 1.0, order=6,
+        numkit.step_doubling(converged, 100, 1e-10 + 1e-12, 1.0, order=6,
                              shared=lambda m: 1.1e-10)
     assert passes == [100, 200, 1, 2]
     passes.clear()
-    numkit.step_doubling(_sextic(passes, 0.0), 100, 1e-10, 1e-12, 1.0, order=6,
+    numkit.step_doubling(_sextic(passes, 0.0), 100, 1e-10 + 1e-12, 1.0, order=6,
                          shared=lambda m: 1e-12)
     assert passes == [100, 200]
 
@@ -187,18 +187,14 @@ def test_step_doubling_raises_after_two_pairs_at_the_roundoff_floor():
     # second pair instead of refining forever
     passes = []
     with pytest.raises(numkit.IntegrationError, match=r"t=5: \d+ steps .* \(roundoff floor\)"):
-        numkit.step_doubling(_sextic(passes, 1e-12), 10, 1e-13, 1e-15, 5.0, order=6)
+        numkit.step_doubling(_sextic(passes, 1e-12), 10, 1e-13 + 1e-15, 5.0, order=6)
     assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
 
 
 def test_step_doubling_below_machine_epsilon_takes_no_step():
     passes = []
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
-        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-17, 1e-17, 1.0, order=6)
-    assert passes == []
-    for rel_tol, abs_tol in ((0.0, 1e-12), (1e-10, -1e-12), (np.nan, 1e-12), (1e-10, np.inf)):
-        with pytest.raises(ValueError, match="positive"):
-            numkit.step_doubling(_sextic(passes, 0.0), 10, rel_tol, abs_tol, 1.0, order=6)
+        numkit.step_doubling(_sextic(passes, 0.0), 10, 2e-17, 1.0, order=6)
     assert passes == []
 
 
@@ -208,14 +204,14 @@ def test_step_doubling_refuses_a_pair_above_the_step_budget():
     budget, passes = numkit.STEP_BUDGET, []
     for n, batch in ((budget // 3 + 1, 1), (budget // 300 + 1, 100), (10 ** 30, 1)):
         with pytest.raises(numkit.IntegrationError, match=r"t=2: a pair .* exceeds the budget"):
-            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10, 1e-12, 2.0, batch=batch, order=6)
+            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10 + 1e-12, 2.0, batch=batch, order=6)
     assert passes == []
 
     def cheap(n):  # the state of a propagator converged at any n, without its steps
         passes.append(n)
         return np.ones(2)
 
-    numkit.step_doubling(cheap, budget // 300, 1e-10, 1e-12, 2.0, batch=100, order=6)
+    numkit.step_doubling(cheap, budget // 300, 1e-10 + 1e-12, 2.0, batch=100, order=6)
     assert passes == [budget // 300, 2 * (budget // 300)]
 
 
@@ -225,9 +221,9 @@ def test_step_doubling_refuses_an_infinite_or_nan_step_count():
     passes = []
     for n in (np.inf, np.nan):
         with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
-            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10, 1e-12, 1.0, order=6)
+            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10 + 1e-12, 1.0, order=6)
     assert passes == []
-    numkit.step_doubling(_sextic(passes, 0.0), 9.2, 1e-10, 1e-12, 1.0, order=6)
+    numkit.step_doubling(_sextic(passes, 0.0), 9.2, 1e-10 + 1e-12, 1.0, order=6)
     assert passes[:2] == [10, 20] and all(type(m) is int for m in passes), passes
 
 
@@ -238,7 +234,7 @@ def test_step_doubling_refuses_a_predicted_pair_above_the_step_budget():
     n = numkit.STEP_BUDGET // 30
     with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
         numkit.step_doubling(lambda m: (passes.append(m), np.array([1e3 / m]))[1], n,
-                             1e-10, 1e-12, 1.0, batch=3, order=6)
+                             1e-10 + 1e-12, 1.0, batch=3, order=6)
     assert passes == [n, 2 * n]
 
 
@@ -283,11 +279,11 @@ def _counted(g, limit=200):
 
 
 def test_root_within_tol_on_wide_bracket():
-    # a scalar-only g (math.log rejects arrays) with its root far from both ends
+    # a scalar-only g (math.log rejects arrays) with its root far from both ends;
+    # the bisection's tolerance is the spacing of doubles at the root
     root = 12345.678
-    for tol in (1e-6, 1e-9):
-        g, _ = _counted(lambda t: math.log(t) - math.log(root))
-        assert abs(numkit.find_root_bracketed(g, 1e2, 1e6, tol=tol) - root) <= tol
+    g, _ = _counted(lambda t: math.log(t) - math.log(root))
+    assert abs(numkit.find_root_bracketed(g, 1e2, 1e6) - root) <= np.spacing(root)
 
 
 def test_root_exact_zero_at_either_end_is_returned():
@@ -296,28 +292,22 @@ def test_root_exact_zero_at_either_end_is_returned():
 
 
 def test_root_call_count_bound():
-    for a, b, tol in ((1.0, 2.0, 1e-12), (0.0, 3.0, 1e-3), (1e2, 1e6, 1e-6), (-5.0, 7.0, 0.3)):
+    for a, b in ((1.0, 2.0), (0.0, 3.0), (1e2, 1e6), (-5.0, 7.0)):
         root = a + (b - a) / math.pi
         g, calls = _counted(lambda x: math.atan(x - root) + 1e-3 * (x - root))
-        numkit.find_root_bracketed(g, a, b, tol=tol)
-        assert len(calls) <= math.ceil(math.log2((b - a) / tol)) + 3, (a, b, tol)
-
-
-def test_root_tol_below_double_spacing_stops():
-    # the bracket cannot shrink below adjacent doubles; the root is still resolved
-    g, calls = _counted(lambda x: x * x - 2.0)
-    x = numkit.find_root_bracketed(g, 1.0, 2.0, tol=1e-30)
-    assert abs(x - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
-    assert len(calls) <= 60
+        numkit.find_root_bracketed(g, a, b)
+        u = abs(np.spacing(root))
+        assert len(calls) <= math.ceil(math.log2((b - a) / u)) + 3, (a, b)
 
 
 @pytest.mark.parametrize("a, b, root", [(1.0, 2.0, math.sqrt(2.0)), (0.5, 11.0, 1.7),
                                         (0.0, 1.0, 3e-300)])
 def test_root_tol_zero_bisects_to_adjacent_doubles(a, b, root):
-    # tol = 0 counts as the spacing u of doubles at the root in the call bound
+    # the bisection ends at adjacent doubles: within the spacing u of doubles
+    # at the root, after at most ceil(log2((b - a) / u)) + 3 calls
     u = np.spacing(root)
     g, calls = _counted(lambda x: x - root, limit=1100)
-    x = numkit.find_root_bracketed(g, a, b, tol=0.0)
+    x = numkit.find_root_bracketed(g, a, b)
     assert abs(x - root) <= u
     assert len(calls) <= math.ceil(math.log2(b - a) - math.log2(u)) + 3, len(calls)
 
@@ -510,9 +500,9 @@ def test_step_doubling_below_a_given_floor_takes_no_step():
     passes = []
     with pytest.raises(numkit.IntegrationError, match="t=2: the tolerance 1.01e-13 is below "
                                                       "the roundoff floor 1e-12"):
-        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-13, 1e-15, 2.0, floor=1e-12, order=6)
+        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-13 + 1e-15, 2.0, floor=1e-12, order=6)
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor 2.22e-16"):
-        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-16, 1e-18, 2.0, floor=1e-20, order=6)
+        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-16 + 1e-18, 2.0, floor=1e-20, order=6)
     assert passes == []
-    numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10, 1e-12, 2.0, floor=1e-12, order=6)
+    numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10 + 1e-12, 2.0, floor=1e-12, order=6)
     assert len(passes) == 4

@@ -1,5 +1,7 @@
 """Sweep configs, CSV contract, fits, impulse-interval scans, CLI surface."""
 
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -283,6 +285,44 @@ def test_dtau_scan_consistency(tmp_path, model, text, tf):
     assert abs(dists[j] - d_adi) < 1e-12
 
 
+_EVOLVERS = {"lz": (lz, "evolve_schrodinger"), "tfi": (tfi, "evolve_register"),
+             "open": (lo, "evolve_master")}
+
+
+@pytest.mark.parametrize("model, text", [("lz", LZ_CFG), ("tfi", TFI_CFG), ("open", OPEN_CFG)],
+                         ids=["lz", "tfi", "open"])
+def test_row_and_scan_evolve_at_the_summed_tolerance(tmp_path, monkeypatch, model, text):
+    # a row's and a scan's exact state is bitwise evolve(p, rel_tol + abs_tol)
+    cfg = sweeps.parse_config(text + "rel_tol = 1e-13\nabs_tol = 1e-15\n")
+    module, name = _EVOLVERS[model]
+    real, states = getattr(module, name), []
+
+    def recorded(p, *args):
+        states.append((p, real(p, *args)))
+        return states[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    temperature = sweeps.pipeline(cfg).temperatures[0]
+    assert sweeps._compute_task((cfg, cfg.tf_min, temperature))["err"] == ""
+    sweeps.run_dtau_scan(cfg, cfg.tf_min, out=str(tmp_path / "scan.csv"))
+    assert len(states) == 2
+    for p, got in states:
+        assert np.array_equal(got, real(p, 1e-13 + 1e-15))
+        assert not np.array_equal(got, real(p))
+
+
+@pytest.mark.parametrize("model, p", [("lz", lz.LzParams(0.1, -1.0, 1.0, 50.0)),
+                                      ("tfi", tfi.TfiParams(20, 0.5, 1.5, 10.0)),
+                                      ("open", lo.OpenParams(0.1, -1.0, 1.0, 20.0, 0.5, 0.01))],
+                         ids=["lz", "tfi", "open"])
+def test_default_tolerance_is_the_sum_of_the_default_pair(model, p):
+    module, name = _EVOLVERS[model]
+    evolve = getattr(module, name)
+    cfg = sweeps.SweepConfig(model, {}, 1.0, 2.0)
+    assert np.array_equal(evolve(p), evolve(p, 1e-10 + 1e-12))
+    assert np.array_equal(evolve(p), evolve(p, cfg.rel_tol + cfg.abs_tol))
+
+
 # -------------------------------------------------------------------------- CLI
 
 def test_cli_sweep_and_fit_roundtrip(tmp_path):
@@ -463,11 +503,21 @@ def test_cli_rejects_overflowing_parameters_cleanly(tmp_path, capsys, case):
 
 # ------------------------------------------------------------------ repo configs
 
+_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
 def test_shipped_config_files_parse():
-    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    names = sorted(f for f in os.listdir(root) if f.endswith(".cfg"))
-    assert len(names) == 9
+    names = sorted(f for f in os.listdir(_CONFIGS) if f.endswith(".cfg"))
+    assert len(names) == 8
     for name in names:
-        with open(os.path.join(root, name)) as fh:
+        with open(os.path.join(_CONFIGS, name)) as fh:
             cfg = sweeps.parse_config(fh.read())
         assert cfg.model in ("lz", "tfi", "open")
+
+
+def test_no_two_shipped_configs_run_the_same_sweep():
+    # configs that differ only in their output path write byte-identical CSVs
+    names = sorted(f for f in os.listdir(_CONFIGS) if f.endswith(".cfg"))
+    cfgs = {name: dataclasses.replace(sweeps.load_config(os.path.join(_CONFIGS, name)), out="")
+            for name in names}
+    assert [(a, b) for a, b in itertools.combinations(names, 2) if cfgs[a] == cfgs[b]] == []
