@@ -42,10 +42,13 @@ REGIME_WHOLE = "whole-interval-impulse"
 REGIME_INTERIOR = "interior"
 REGIME_COLLAPSED = "collapsed"
 
-# the rounding floor of an exact state per unit of its phase int b dt: converged
-# states were up to 0.39 eps int b dt off the exact ones, and the L = 150 chain at
-# t_f = 8000 stops at pair differences of 0.18-0.27 eps int b dt (1.3-1.9e-12)
-_FLOOR_PER_PHASE = np.finfo(float).eps / 8.0
+# the rounding floor of an exact state per unit of its phase int b dt. A pair shares
+# the rounding delta of h = t_f / n, |delta| <= eps / 2, which turns each phase by
+# |delta| int b dt and counts against the tolerance; on top of it, converged states
+# were up to 0.39 eps int b dt off the exact ones, and the L = 150 chain at t_f = 8000
+# stops at pair differences of 0.18-0.27 eps int b dt (1.3-1.9e-12). Between eps / 8
+# and eps / 2 two pairs of up to 39240 + 78480 steps ran before the floor was named
+_FLOOR_PER_PHASE = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def evolve_schrodinger(p, tol=1e-10 + 1e-12):
     delta exact (``fractions.Fraction``): a pair is accepted only if its
     difference plus |delta| int b dt (1 + h^2 zdot / 3) is within the tolerance,
     the last factor for the zdot terms of the steps, which see delta twice. A
-    tolerance below eps int b dt / 8, the rounding of the products, raises
+    tolerance below eps int b dt / 2, where that term alone can fill it, raises
     before any step; one near eps int b dt may miss both pairs and raise too.
     A batch of crossings shares the steps: shape z_i.shape + (2,).
     """
@@ -254,7 +257,7 @@ def evolve_schrodinger(p, tol=1e-10 + 1e-12):
         return delta * np.max(phase * (1.0 + h * h * p.zdot / 3.0))
 
     return step_doubling(lambda m: _magnus_state(p, m, psi0), n, tol, p.t_f,
-                         order=8, batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase),
+                         batch=np.size(p.z_i), floor=_FLOOR_PER_PHASE * np.max(phase),
                          shared=rounding)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 _EPS = np.finfo(float).eps
 
 # The most steps x batch that one pair of :func:`step_doubling` (n + 2n steps) may
-# take: about 10 s of two-level steps on a 2-core host, and over 3x the largest pair
-# that a shipped config or test runs (the open model at t_f = 1e5: 3 x 402328 x 35 = 4.2e7).
+# take: about 7 s of two-level steps on a 2-core host, and over 6x the largest pair
+# that a shipped config or test runs (the open model at t_f = 1e5: 3 x 124740 x 56 = 2.1e7).
 STEP_BUDGET = 2 ** 27
 
 
@@ -80,19 +80,19 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     return sol.y[:, -1]
 
 
-def step_doubling(propagate, n, tol, t_end, *, order, batch=1, floor=_EPS, shared=None):
-    """Final state of a propagator of the given order, its step count chosen by step
+def step_doubling(propagate, n, tol, t_end, *, batch=1, floor=_EPS, shared=None):
+    """Final state of an eighth-order propagator, its step count chosen by step
     doubling.
 
     ``propagate(m)`` returns the state after m equal steps, each of which costs
     ``batch`` two-level steps (one per crossing of a batch); the first pair
-    takes ceil(n) and twice that many steps, n a float. ``order`` is the
-    propagator's order p, which its caller states. The 2n-step state is
+    takes ceil(n) and twice that many steps, n a float. Every Magnus
+    propagator of the package is of order 8. The 2n-step state is
     returned once its largest difference from the n-step one, plus
     ``shared(n)`` if given (a bound on an error that the two states have in
     common and their difference cannot see), is within ``tol``; its
-    own error, falling like n^-p, is then about 1 / (2^p - 1) of the
-    difference. Otherwise the difference predicts, by its p-th root, the n of a
+    own error, falling like n^-8, is then about 1 / 255 of the
+    difference. Otherwise the difference predicts, by its eighth root, the n of a
     second pair; if that misses too, the roundoff floor is reached and
     :class:`IntegrationError` names it, with the end time ``t_end``.
     Neither a tolerance below ``floor``, the rounding floor of the states (at
@@ -118,7 +118,7 @@ def step_doubling(propagate, n, tol, t_end, *, order, batch=1, floor=_EPS, share
         if diff <= tol:
             return fine
         # aim the visible difference at tol / 2
-        steps, n = 2 * n, n * (2.0 * seen / tol) ** (1.0 / order)
+        steps, n = 2 * n, n * (2.0 * seen / tol) ** 0.125
     raise IntegrationError(f"integration failed at t={t_end:.6g}: {steps} steps leave "
                            f"a difference {diff:.3g} above the tolerance {tol:.3g} (roundoff floor)")
 

@@ -1,8 +1,10 @@
 """Damped qubit: bath function, jump operators, generator, spectrum, dynamics."""
 
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -308,18 +310,45 @@ def test_master_against_dop853_oracle():
             assert gap <= np.sqrt(1.5) * (tol + oracle_err), (temp, tf, gap)
 
 
-def test_magnus_coherence_is_sixth_order_against_dop853_oracle():
+def test_magnus_coherence_is_eighth_order_against_dop853_oracle():
     # fixed step counts, no step doubling: each halving of the step divides the
-    # error against the oracle by about 2^6 (by 2^4 at fourth order); the n's keep
-    # the finest error, ~4e-12, above the oracle's own
-    for args, ns in (((0.25, -1.0, 1.0, 30.0, 0.3, 1e-3), (100, 200, 400)),
-                     ((0.5, -2.0, 1.5, 20.0, 1.0, 0.1), (100, 200, 400))):
+    # error against the oracle by about 2^8 (by 2^6 at sixth order, 2^9 at ninth);
+    # the n's keep the finest error, ~2e-12, above the oracle's own (~3e-14, the
+    # error at n = 1600)
+    for args in ((0.25, -1.0, 1.0, 30.0, 0.3, 1e-3), (0.5, -2.0, 1.5, 20.0, 1.0, 0.1)):
         p = lo.OpenParams(*args)
         want = master_ode_state(p, 1e-13, 1e-15)
         c0 = lo.steady_state(p.x, p.z_i, p.beta)
-        errs = [np.abs(lo._magnus_coherence(p, n, c0) - want).max() for n in ns]
+        errs = [np.abs(lo._magnus_coherence(p, n, c0) - want).max() for n in (40, 80, 160)]
         for coarse, fine in zip(errs, errs[1:]):
-            assert 58.0 < coarse / fine < 72.0, (p, errs)
+            assert 230.0 < coarse / fine < 320.0, (p, errs)
+        assert errs[-1] > 30 * np.abs(lo._magnus_coherence(p, 1600, c0) - want).max()
+
+
+@pytest.mark.parametrize("norm", [0.3, 0.5, 1.0, 2.0, 4.0])
+def test_expm1_matches_scipy_expm_after_scaling_and_squaring(norm):
+    # step exponents of the damped qubit's generator, scaled to a 2-norm up to 4:
+    # halved s times to at most 1/2, exp - 1 by the degree-14 series, squared back.
+    # Within 1e-13 of scipy's exp - 1 relative to the largest entry (scipy's own
+    # error reaches 3.9e-14 at norm 4) and within 2e-15 of a 40-digit mpmath
+    # exponential; the first row, that of the trace, stays exactly zero
+    mpmath = pytest.importorskip("mpmath")
+    p = lo.OpenParams(0.25, -1.0, 1.0, 20.0, 0.3, 0.1)
+    h = p.t_f / 16
+    mid = np.arange(16) + 0.5
+    gens = lo.liouvillian_matrix(p.x, p.z((mid + lo._NODES[:, None] / 2.0) * h), p.beta, p.g)
+    omega = lo._step_exponent(*((h * lo._MOMENTS) @ gens.reshape(4, -1)).reshape(gens.shape))
+    omega *= norm / np.linalg.norm(omega, 2, axis=(1, 2))[:, None, None]
+    squarings = max(0, int(np.ceil(np.log2(2.0 * norm))))
+    got = lo._expm1(omega, squarings)
+    want = np.array([expm(m) for m in omega]) - np.eye(4)
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    with mpmath.workdps(40):
+        exact = np.array([np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=float)
+                          for m in omega]) - np.eye(4)
+    assert np.abs(got - exact).max() <= 2e-15 * scale
+    assert np.all(got[:, 0] == 0.0)
 
 
 def _counting_magnus(mp, passes):
@@ -329,8 +358,8 @@ def _counting_magnus(mp, passes):
 
 
 def test_master_beyond_the_step_budget_raises_before_stepping(monkeypatch):
-    # each 4x4 step counts as 35 two-level steps: at t_f = 1e6 the first pair's
-    # 3n steps (n = 4.0e6) fit the budget, but not 35 times over
+    # each 4x4 step counts as 56 two-level steps: at t_f = 1e6 the first pair's
+    # 3n steps (n = 9.4e5) fit the budget, but not 56 times over
     passes = []
     _counting_magnus(monkeypatch, passes)
     for tf in (1e30, 1e6):
@@ -395,10 +424,31 @@ def test_master_takes_one_pair_across_a_per_cent_of_t_f():
         assert counts[-1] / counts[0] < 1.01, counts
 
 
+def test_master_takes_one_pair_on_every_shipped_row():
+    # the first pair comes from the Magnus remainder, so every row of the two open
+    # configs, at every temperature, meets its tolerance with it
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(f for f in os.listdir(root) if f.startswith("open_"))
+    assert names == ["open_scenarios.cfg", "open_temperature_sweep.cfg"]
+    for name in names:
+        cfg = sweeps.load_config(os.path.join(root, name))
+        pipe = sweeps.pipeline(cfg)
+        for tf in cfg.tf_grid():
+            for temp in pipe.temperatures:
+                passes = []
+                with pytest.MonkeyPatch.context() as mp:
+                    _counting_magnus(mp, passes)
+                    lo.evolve_master(pipe.params(float(tf), temp), cfg.rel_tol + cfg.abs_tol)
+                assert len(passes) == 2 and passes[1] == 2 * passes[0], (name, tf, temp, passes)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(hst.floats(0.03, 1.0), hst.floats(0.1, 2.0), hst.floats(0.1, 2.0),
        hst.floats(1.0, 300.0), hst.floats(0.02, 2.0), hst.floats(0.0, 0.3),
        hst.sampled_from([1e-8, 1e-10, 1e-12]))
+# t_f = 1, T = 1, g = 0 at 1e-12 + 1e-14: the sixth-order leading-order bound took
+# pairs of (29, 58) and then (35, 70) steps
+@example(0.25, 1.0, 0.5, 1.0, 1.0, 0.0, 1e-12)
 def test_master_first_pair_meets_the_tolerance_at_random_parameters(x, minus_z_i, z_f, tf,
                                                                     temp, g, rel_tol):
     passes = _pairs(lo.OpenParams(x, -minus_z_i, z_f, tf, temp, g), rel_tol)
@@ -590,14 +640,28 @@ def test_rate_integrals_broadcast_like_scalar_calls():
 
 def test_rate_integrals_match_mpmath_at_kink_and_corner():
     # x = 1e-6, T = 1e-4: a kink of width ~1e-6 at the crossing; x = 1e-3,
-    # z in [-50, 30], T = 0.05: theta = asinh(z / x) spans 23 units, 23 panels
+    # z in [-50, 30], T = 0.05: theta = asinh(z / x) spans 23 units, 23 panels.
+    # 1e-14 relative on wide intervals and on short ones away from the crossing,
+    # since the panel width comes from z_b - z_a, not from two asinh values
     for p in (lo.OpenParams(1e-6, -1, 1, 1e3, 1e-4, 0.3),
               lo.OpenParams(1e-3, -50, 30, 1e3, 0.05, 0.01),
               lo.OpenParams(1e-3, -50, 30, 1e5, 0.05, 0.01)):
-        for t_a, t_b in ((0.0, p.t_f), (0.3 * p.t_f, 0.9 * p.t_f), (0.7 * p.t_f, p.t_f)):
+        for t_a, t_b in ((0.0, p.t_f), (0.3 * p.t_f, 0.9 * p.t_f), (0.7 * p.t_f, p.t_f),
+                         (0.9999 * p.t_f, p.t_f)):
             want = rate_integral(p, t_a, t_b)
             got = lo._rate_integrals(p, t_a, t_b)
             assert abs(got - want) <= 1e-14 * want, (p, t_a, t_b)
+
+
+@pytest.mark.parametrize("t_a, t_b", [(0.9999, 1.0), (0.0, 1e-4), (0.3, 0.3001)])
+def test_rate_integrals_keep_their_relative_accuracy_on_short_intervals(t_a, t_b):
+    # the open-sweep parameters at t_f = 304: a difference of two asinh(z / x)
+    # near asinh(10) = 3 lost eps |theta| / |theta_b - theta_a| relative, and
+    # [0.9999 t_f, t_f] was 2600 eps off; in z_b - z_a it is within 10 eps
+    p = lo.OpenParams(0.1, -1.0, 1.0, 304.0, 0.05, 0.01)
+    want = rate_integral(p, t_a * p.t_f, t_b * p.t_f, dps=40)
+    got = lo._rate_integrals(p, t_a * p.t_f, t_b * p.t_f)
+    assert abs(got - want) <= 10 * np.finfo(float).eps * want, (got - want) / want
 
 
 def test_rate_integrals_open_sweep_use_at_most_six_panels(monkeypatch):

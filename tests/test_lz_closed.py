@@ -298,6 +298,22 @@ def test_evolve_below_the_phase_rounding_floor_raises_before_stepping(monkeypatc
     assert passes == []
 
 
+@pytest.mark.parametrize("tf, share", [(1e3, 4.0), (300.0, 3.0)])
+def test_evolve_just_above_a_quarter_of_the_phase_rounding_raises_before_stepping(
+        monkeypatch, tf, share):
+    # a tolerance of eps int b dt / share, above eps int b dt / 8: the pair's
+    # shared rounding |delta| int b dt alone reaches eps int b dt / 2, so it is
+    # refused before any step, where it ran two pairs (up to 39240 + 78480 steps)
+    # and then named the floor
+    passes = []
+    _counting_magnus(monkeypatch, passes)
+    p = lz.LzParams(0.1, -1.0, 1.0, tf)
+    tol = np.finfo(float).eps * -lz.dynamical_phase_gs(p, 0.0, tf) / share
+    with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
+        lz.evolve_schrodinger(p, tol)
+    assert passes == []
+
+
 def _pair_counts(p, rel_tol, abs_tol):
     """The step counts of the Magnus runs of one evolution of p, at the tolerance
     rel_tol + abs_tol that a sweep passes."""

@@ -110,12 +110,12 @@ def test_ode_non_finite_rhs_at_start_raises_at_once():
 
 # --------------------------------------------------------------- step_doubling
 
-def _sextic(passes, floor):
-    """A sixth-order 'propagator': the state after n steps is n^-6 off, plus a
+def _octic(passes, floor):
+    """An eighth-order 'propagator': the state after n steps is n^-8 off, plus a
     rounding error of +-floor that alternates between calls."""
     def propagate(n):
         passes.append(n)
-        return np.array([1.0 + float(n) ** -6, 1.0 + floor * (-1) ** len(passes)])
+        return np.array([1.0 + float(n) ** -8, 1.0 + floor * (-1) ** len(passes)])
     return propagate
 
 
@@ -124,22 +124,10 @@ def test_step_doubling_returns_the_fine_state_of_the_predicted_pair():
     # predicts the n of the second, aimed at half the tolerance, which meets it;
     # the state handed back is that pair's 2n-step one
     passes = []
-    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10 + 1e-12, 1.0, order=6)
-    n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-10) ** (1 / 6)))
+    got = numkit.step_doubling(_octic(passes, 0.0), 10, 1e-10 + 1e-12, 1.0)
+    n = int(np.ceil(10 * (2.0 * (10.0 ** -8 - 20.0 ** -8) / 1.01e-10) ** (1 / 8)))
     assert passes == [10, 20, n, 2 * n]
-    assert got[0] == 1.0 + float(2 * n) ** -6 and (n ** -6.0 - (2 * n) ** -6.0) <= 1.01e-10
-
-
-def test_step_doubling_predicts_a_sextic_pair_with_the_sixth_root():
-    # at a 1e-12 tolerance the prediction takes the sixth root of the miss,
-    # where the fourth root would overshoot n by (2 diff / tol)^(1/12) ~ 3.3
-    passes = []
-    got = numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-12 + 1e-14, 1.0, order=6)
-    n = int(np.ceil(10 * (2.0 * (10.0 ** -6 - 20.0 ** -6) / 1.01e-12) ** (1 / 6)))
-    assert passes == [10, 20, n, 2 * n] and n == 112
-    assert got[0] == 1.0 + float(2 * n) ** -6 and (n ** -6.0 - (2 * n) ** -6.0) <= 1.01e-12
-    # the 2n-step state is off by about 1 / (2^6 - 1) of the pair's difference
-    assert (2 * n) ** -6.0 == pytest.approx((n ** -6.0 - (2 * n) ** -6.0) / 63.0)
+    assert got[0] == 1.0 + float(2 * n) ** -8 and (n ** -8.0 - (2 * n) ** -8.0) <= 1.01e-10
 
 
 def test_step_doubling_predicts_an_octic_pair_with_the_eighth_root():
@@ -148,12 +136,7 @@ def test_step_doubling_predicts_an_octic_pair_with_the_eighth_root():
     # (2 diff / tol)^(1/24) ~ 1.5; the 2n-step state is about 1 / (2^8 - 1) of the
     # pair's difference off
     passes = []
-
-    def propagate(n):
-        passes.append(n)
-        return np.array([1.0 + float(n) ** -8])
-
-    got = numkit.step_doubling(propagate, 10, 1e-12 + 1e-14, 1.0, order=8)
+    got = numkit.step_doubling(_octic(passes, 0.0), 10, 1e-12 + 1e-14, 1.0)
     n = int(np.ceil(10 * (2.0 * (10.0 ** -8 - 20.0 ** -8) / 1.01e-12) ** (1 / 8)))
     assert passes == [10, 20, n, 2 * n] and n == 35
     assert got[0] == 1.0 + float(2 * n) ** -8 and (n ** -8.0 - (2 * n) ** -8.0) <= 1.01e-12
@@ -172,11 +155,11 @@ def test_step_doubling_adds_a_shared_error_to_the_difference():
         return np.ones(2)
 
     with pytest.raises(numkit.IntegrationError, match="roundoff floor"):
-        numkit.step_doubling(converged, 100, 1e-10 + 1e-12, 1.0, order=6,
+        numkit.step_doubling(converged, 100, 1e-10 + 1e-12, 1.0,
                              shared=lambda m: 1.1e-10)
     assert passes == [100, 200, 1, 2]
     passes.clear()
-    numkit.step_doubling(_sextic(passes, 0.0), 100, 1e-10 + 1e-12, 1.0, order=6,
+    numkit.step_doubling(_octic(passes, 0.0), 100, 1e-10 + 1e-12, 1.0,
                          shared=lambda m: 1e-12)
     assert passes == [100, 200]
 
@@ -187,14 +170,14 @@ def test_step_doubling_raises_after_two_pairs_at_the_roundoff_floor():
     # second pair instead of refining forever
     passes = []
     with pytest.raises(numkit.IntegrationError, match=r"t=5: \d+ steps .* \(roundoff floor\)"):
-        numkit.step_doubling(_sextic(passes, 1e-12), 10, 1e-13 + 1e-15, 5.0, order=6)
+        numkit.step_doubling(_octic(passes, 1e-12), 10, 1e-13 + 1e-15, 5.0)
     assert len(passes) == 4 and passes[1::2] == [2 * n for n in passes[::2]], passes
 
 
 def test_step_doubling_below_machine_epsilon_takes_no_step():
     passes = []
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor"):
-        numkit.step_doubling(_sextic(passes, 0.0), 10, 2e-17, 1.0, order=6)
+        numkit.step_doubling(_octic(passes, 0.0), 10, 2e-17, 1.0)
     assert passes == []
 
 
@@ -204,14 +187,14 @@ def test_step_doubling_refuses_a_pair_above_the_step_budget():
     budget, passes = numkit.STEP_BUDGET, []
     for n, batch in ((budget // 3 + 1, 1), (budget // 300 + 1, 100), (10 ** 30, 1)):
         with pytest.raises(numkit.IntegrationError, match=r"t=2: a pair .* exceeds the budget"):
-            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10 + 1e-12, 2.0, batch=batch, order=6)
+            numkit.step_doubling(_octic(passes, 0.0), n, 1e-10 + 1e-12, 2.0, batch=batch)
     assert passes == []
 
     def cheap(n):  # the state of a propagator converged at any n, without its steps
         passes.append(n)
         return np.ones(2)
 
-    numkit.step_doubling(cheap, budget // 300, 1e-10 + 1e-12, 2.0, batch=100, order=6)
+    numkit.step_doubling(cheap, budget // 300, 1e-10 + 1e-12, 2.0, batch=100)
     assert passes == [budget // 300, 2 * (budget // 300)]
 
 
@@ -221,9 +204,9 @@ def test_step_doubling_refuses_an_infinite_or_nan_step_count():
     passes = []
     for n in (np.inf, np.nan):
         with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
-            numkit.step_doubling(_sextic(passes, 0.0), n, 1e-10 + 1e-12, 1.0, order=6)
+            numkit.step_doubling(_octic(passes, 0.0), n, 1e-10 + 1e-12, 1.0)
     assert passes == []
-    numkit.step_doubling(_sextic(passes, 0.0), 9.2, 1e-10 + 1e-12, 1.0, order=6)
+    numkit.step_doubling(_octic(passes, 0.0), 9.2, 1e-10 + 1e-12, 1.0)
     assert passes[:2] == [10, 20] and all(type(m) is int for m in passes), passes
 
 
@@ -234,7 +217,7 @@ def test_step_doubling_refuses_a_predicted_pair_above_the_step_budget():
     n = numkit.STEP_BUDGET // 30
     with pytest.raises(numkit.IntegrationError, match="exceeds the budget"):
         numkit.step_doubling(lambda m: (passes.append(m), np.array([1e3 / m]))[1], n,
-                             1e-10 + 1e-12, 1.0, batch=3, order=6)
+                             1e-10 + 1e-12, 1.0, batch=3)
     assert passes == [n, 2 * n]
 
 
@@ -500,9 +483,9 @@ def test_step_doubling_below_a_given_floor_takes_no_step():
     passes = []
     with pytest.raises(numkit.IntegrationError, match="t=2: the tolerance 1.01e-13 is below "
                                                       "the roundoff floor 1e-12"):
-        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-13 + 1e-15, 2.0, floor=1e-12, order=6)
+        numkit.step_doubling(_octic(passes, 0.0), 10, 1e-13 + 1e-15, 2.0, floor=1e-12)
     with pytest.raises(numkit.IntegrationError, match="below the roundoff floor 2.22e-16"):
-        numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-16 + 1e-18, 2.0, floor=1e-20, order=6)
+        numkit.step_doubling(_octic(passes, 0.0), 10, 1e-16 + 1e-18, 2.0, floor=1e-20)
     assert passes == []
-    numkit.step_doubling(_sextic(passes, 0.0), 10, 1e-10 + 1e-12, 2.0, floor=1e-12, order=6)
+    numkit.step_doubling(_octic(passes, 0.0), 10, 1e-10 + 1e-12, 2.0, floor=1e-12)
     assert len(passes) == 4
