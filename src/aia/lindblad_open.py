@@ -369,8 +369,8 @@ def evolve_master(p, tol=1e-10 + 1e-12):
         n = max(n, turn)
     c0 = steady_state(p.x, p.z_i, p.beta)
     # a 4x4 step, its four generators and exponential included, costs about 56
-    # two-level steps: 2.94 us against 0.049 us, medians of 20 alternating runs of 2e5
-    # steps each on a 2-core Xeon (per-run ratios 53-58 between quartiles)
+    # two-level steps: 0.894 us against 0.0160 us, medians of 20 alternating runs of 2e5
+    # steps each on a 2-core EPYC host (per-run ratios 54-57 between quartiles)
     return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, tol, p.t_f, batch=56)
 
 

@@ -27,6 +27,7 @@ of crossings with a common t_f (array x, z_i, z_f, z(t), crossing axis last),
 as the Ising chain's momentum modes are.
 """
 
+import math
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 
@@ -49,6 +50,12 @@ REGIME_COLLAPSED = "collapsed"
 # stops at pair differences of 0.18-0.27 eps int b dt (1.3-1.9e-12). Between eps / 8
 # and eps / 2 two pairs of up to 39240 + 78480 steps ran before the floor was named
 _FLOOR_PER_PHASE = np.finfo(float).eps / 2.0
+
+# the least n of a first pair. A pass of up to ~100 steps costs its ~25 numpy calls per
+# chunk and a few per tree level, whatever n: at lz (0.1, +-1), t_f = 0.2, one evolution
+# takes 123 us with a (2, 4) pair and 125 us with (16, 32), where the n_sum pairs of the
+# sudden rows, (2, 4) to (4, 8), left states up to 8e-14 off the exact ones
+_MIN_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,79 @@ def lz_eigensystem(x, z):
     return -b, b, np.stack([-lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
 
 
+# elements per chunk of steps: at the L = 150 chain, t_f = 300, one evolution took
+# 11.8 ms in chunks of 8192, 10.4 ms at 16384, 9.6 ms at 32768, 9.2 ms at 65536 and
+# 11.5 ms at 131072 (medians of 60 interleaved runs); at t_f = 5, 0.8-0.9 ms at each
+_CHUNK = 65536
+
+# sin(r) / r = sum_k (-u)^k / (2k + 1)! in u = r^2, highest power first: for u <= 1 the
+# first term left out is below 1 / 19! = 8.2e-18
+_SINC_TAYLOR = [(-1) ** k / math.factorial(2 * k + 1) for k in range(8, -1, -1)]
+
+
+def _cos_sinc(u):
+    """(cos r, sin r / r) of r = sqrt(u), for an array u >= 0, without trigonometry or a
+    square root of u.
+
+    sinc = 1 + m, with m the Taylor polynomial in u through u^8 less its constant, as
+    in-place Horner steps; cos = sqrt(1 - u sinc^2), so cos^2 + u sinc^2 = 1 to
+    rounding and the SU(2) steps of :func:`_magnus_state` are unitary by construction.
+    1 - u sinc^2 is formed as (1 - u) - u m (2 + m), with 1 - u exact for u >= 1/2, so
+    it does not cancel: for u <= 1 both are within 2 ulp of the exact values. Above 1,
+    every element's angle is halved k times, k the least with max u <= 4^k, and doubled
+    back k times; cos 2r is then 1 - 2 sin^2 r, which keeps the error of a small
+    angle small, and the error grows like eps r. cos^2 + u sinc^2 then departs from 1
+    by up to about eps u, which only scales a step (a multiple of an SU(2) matrix), and
+    :func:`_magnus_state` normalizes its result.
+    """
+    top = float(u.max())
+    halvings = 0 if top <= 1.0 else math.ceil(0.5 * math.log2(top))
+    if halvings:
+        u = u * 0.25 ** halvings  # exact
+    sinc = u * _SINC_TAYLOR[0]
+    for c in _SINC_TAYLOR[1:-1]:
+        sinc += c
+        sinc *= u
+    cos = sinc + 2.0
+    cos *= sinc
+    cos *= u
+    np.subtract(1.0 - u, cos, out=cos)
+    np.sqrt(cos, out=cos)
+    sinc += 1.0
+    for _ in range(halvings):  # sinc 2r = sinc r cos r, cos 2r = 1 - 2 u sinc^2 r
+        sinc, cos = sinc * cos, 1.0 - 2.0 * u * sinc * sinc
+        u = 4.0 * u
+    return cos, sinc
+
+
+def _magnus_steps(p, n):
+    """The SU(2) matrices [[a, b], [-b*, a*]] of :func:`_magnus_state`'s n steps, as
+    (a, b) chunks of at most :data:`_CHUNK` elements, the step axis first."""
+    h, batch = p.t_f / n, np.shape(p.z_i)
+    per_chunk = 1 << max(1, _CHUNK // np.size(p.z_i)).bit_length() - 1
+    # in units of the step: alpha = h x, eps = h^2 zdot, and zeta = h z_m = a_z / k_z; A_x
+    # and A_y as polynomials in a_z^2, with (h b_m)^2 = alpha^2 + q a_z^2
+    alpha, eps = h * p.x, h * h * p.zdot
+    alpha2, eps2 = alpha * alpha, eps * eps
+    k_z = 1.0 - alpha2 * eps2 / 1890.0
+    q = 1.0 / (k_z * k_z)
+    a_x0, c_x = alpha * (1.0 - eps2 * (1.0 / 60.0 + 2.0 * alpha2 / 945.0)), alpha * eps2 * q / 630.0
+    c_y = alpha * eps / 6.0
+    y_0 = c_y * (1.0 - eps2 / 140.0 + alpha2 * (1.0 / 15.0 + 2.0 * alpha2 / 315.0))
+    y_1, y_2 = c_y * q * (1.0 / 15.0 + 4.0 * alpha2 / 315.0), c_y * q * q * 2.0 / 315.0
+    hz_i, hdz = h * k_z * p.z_i, h * k_z * p.dz
+    for start in range(0, n, per_chunk):
+        s = (np.arange(start, min(start + per_chunk, n)) + 0.5) / n
+        a_z = hz_i + hdz * s.reshape(s.shape + (1,) * len(batch))
+        a_z2 = a_z * a_z
+        a_y = y_0 + a_z2 * (y_1 + y_2 * a_z2)
+        a_x = a_x0 - c_x * a_z2
+        cos, sinc = _cos_sinc(a_x * a_x + a_y * a_y + a_z2)
+        a, b = -1j * (sinc * a_z), -1j * (sinc * a_x)  # real and complex operands apart: faster
+        a.real, b.real = cos, -sinc * a_y
+        yield a, b
+
+
 def _magnus_state(p, n, psi):
     """psi evolved over [0, t_f] by n eighth-order Magnus steps, normalized.
 
@@ -136,33 +216,12 @@ def _magnus_state(p, n, psi):
 
     the exact step exponent through h^7 (Dyson series, then its log: every
     coefficient a simple fraction), as the SU(2) matrix [[a, b], [-b*, a*]] with
-    a = cos|A| - i sinc A_z, b = -sinc (A_y + i A_x), sinc = sin|A| / |A|. The
-    steps are multiplied as a tree, in chunks of at most 8192 elements.
+    a = cos|A| - i sinc A_z, b = -sinc (A_y + i A_x), sinc = sin|A| / |A|, both from
+    |A|^2 by :func:`_cos_sinc`. The steps are multiplied as a tree, in chunks of at
+    most :data:`_CHUNK` elements.
     """
-    h, batch = p.t_f / n, np.shape(p.z_i)
-    per_chunk = 1 << max(1, 8192 // np.size(p.z_i)).bit_length() - 1
-    # in units of the step: alpha = h x, eps = h^2 zdot, and zeta = h z_m = a_z / k_z; A_x
-    # and A_y as polynomials in a_z^2, with (h b_m)^2 = alpha^2 + q a_z^2
-    alpha, eps = h * p.x, h * h * p.zdot
-    alpha2, eps2 = alpha * alpha, eps * eps
-    k_z = 1.0 - alpha2 * eps2 / 1890.0
-    q = 1.0 / (k_z * k_z)
-    a_x0, c_x = alpha * (1.0 - eps2 * (1.0 / 60.0 + 2.0 * alpha2 / 945.0)), alpha * eps2 * q / 630.0
-    c_y = alpha * eps / 6.0
-    y_0 = c_y * (1.0 - eps2 / 140.0 + alpha2 * (1.0 / 15.0 + 2.0 * alpha2 / 315.0))
-    y_1, y_2 = c_y * q * (1.0 / 15.0 + 4.0 * alpha2 / 315.0), c_y * q * q * 2.0 / 315.0
-    hz_i, hdz = h * k_z * p.z_i, h * k_z * p.dz
     c0, c1 = psi[..., 0], psi[..., 1]
-    for start in range(0, n, per_chunk):
-        s = (np.arange(start, min(start + per_chunk, n)) + 0.5) / n
-        a_z = hz_i + hdz * s.reshape(s.shape + (1,) * len(batch))
-        a_z2 = a_z * a_z
-        a_y = y_0 + a_z2 * (y_1 + y_2 * a_z2)
-        a_x = a_x0 - c_x * a_z2
-        angle = np.sqrt(a_x * a_x + a_y * a_y + a_z2)
-        sinc = np.sin(angle) / angle
-        a, b = -1j * (sinc * a_z), -1j * (sinc * a_x)  # real and complex operands apart: faster
-        a.real, b.real = np.cos(angle), -sinc * a_y
+    for a, b in _magnus_steps(p, n):
         while len(a) > 1:
             if len(a) % 2:  # the identity as the latest step
                 a, b = np.append(a, np.ones_like(a[:1]), 0), np.append(b, np.zeros_like(b[:1]), 0)
@@ -205,7 +264,8 @@ def _first_pair_n(p, phase, tol):
     step is off by at most h^9 R / (1 - h^2 (b_max^2 + zdot) / pi^2), and n
     steps by t_f h^8 times that. With the step angle h max b at most 1 (the
     floor t_f max b), h^2 (b_max^2 + zdot) <= 3, and n_sum stays small in the
-    sudden limit.
+    sudden limit. There n is at least :data:`_MIN_STEPS`: a pass of so few steps
+    costs its fixed numpy calls, not its steps.
     """
     b_i, b_f = np.hypot(p.x, p.z_i), np.hypot(p.x, p.z_f)
     b_max = np.maximum(b_i, b_f)
@@ -220,7 +280,7 @@ def _first_pair_n(p, phase, tol):
     n_sum = p.t_f * (2.0 * p.t_f * remainder / tol) ** 0.125
     h = p.t_f / max(n_sum, p.t_f * np.max(b_max), 1.0)
     n_sum /= (1.0 - np.max(h * h * (b_max * b_max + p.zdot)) / np.pi ** 2) ** 0.125
-    return max(p.t_f * np.max(b_max), min(n_sum, max(n_turn, n_adiabatic)))
+    return max(_MIN_STEPS, p.t_f * np.max(b_max), min(n_sum, max(n_turn, n_adiabatic)))
 
 
 def evolve_schrodinger(p, tol=1e-10 + 1e-12):

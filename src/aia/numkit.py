@@ -16,8 +16,10 @@ import numpy as np
 _EPS = np.finfo(float).eps
 
 # The most steps x batch that one pair of :func:`step_doubling` (n + 2n steps) may
-# take: about 7 s of two-level steps on a 2-core host, and over 6x the largest pair
-# that a shipped config or test runs (the open model at t_f = 1e5: 3 x 124740 x 56 = 2.1e7).
+# take: about 2.2 s of two-level steps (0.016-0.017 us each, one crossing or the L = 150
+# chain's 75, on a 2-core EPYC host), 238x the largest pair of a shipped row (the chain at
+# t_f = 300: 3 x 2512 x 75 = 5.7e5) and over 6x the largest that a test runs (the open
+# model at t_f = 1e5: 3 x 124740 x 56 = 2.1e7).
 STEP_BUDGET = 2 ** 27
 
 
@@ -206,7 +208,13 @@ def hypot_antiderivative(u, a):
     Every gap in the package has this form, so every dynamical phase is a
     difference of two of these values. The asinh form stays finite at any
     coupling; the equivalent log(u + sqrt(u^2 + a^2)) rounds to log 0 for
-    u < 0 once |a| is below ~1e-8 |u|.
+    u < 0 once |a| is below ~1e-8 |u|. The root is sqrt(u * u + a * a), not
+    np.hypot, a scalar libm call that costs about four times as much per
+    element of a large array. Every parameter class bounds its scales to
+    [1e-30, 1e30]; for |u| and |a| up to a few 1e30 no square overflows, and
+    with |a| >= 1e-30 an underflowing u * u leaves the root at |a|. There the
+    result is within 2 eps relative of its exact value for either sign of u
+    (both terms share it).
     """
-    return 0.5 * (u * np.hypot(u, a) + a * a * np.arcsinh(u / a))
+    return 0.5 * (u * np.sqrt(u * u + a * a) + a * a * np.arcsinh(u / a))
 

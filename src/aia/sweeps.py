@@ -25,6 +25,8 @@ produce byte-identical files regardless of worker count.
 """
 
 import concurrent.futures
+import contextlib
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -223,6 +225,19 @@ def _compute_task(args):
         return {**key, "err": f"{type(exc).__name__}: {exc}"}
 
 
+def _unlinked(path):
+    """``path``, with an existing regular file there unlinked, so that the CSV goes to a
+    new file. On ext4 (auto_da_alloc), a file truncated and written again has its new
+    data forced out at close, and the next truncation waits for that: a sweep re-run to
+    one path paid 50-80 ms per CSV, where writing a new file takes 0.01 ms. A symlink
+    stays, and the CSV is written through it; where the unlink fails (a directory
+    without write permission), the file is truncated as before."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+    return path
+
+
 def run_sweep(cfg, out=None, threads=1):
     """Run the sweep and write the CSV; returns (path, rows, n_failed)."""
     if threads < 1:
@@ -241,7 +256,7 @@ def run_sweep(cfg, out=None, threads=1):
 
     rows.sort(key=lambda r: (r["t_f"], r.get("T", 0.0)))
     columns = COLUMNS if temperatures != (None,) else [c for c in COLUMNS if c != "T"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_unlinked(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
@@ -298,7 +313,7 @@ def run_dtau_scan(cfg, tf, out=None):
     n = cfg.dtau_points
     dtaus = np.linspace(-tf, tf, n + 1 - n % 2)
     dists = m.distance_grid(p, dtaus, m.exact(p, cfg.rel_tol + cfg.abs_tol))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_unlinked(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dtau,d\n")
         for dt, d in zip(dtaus, dists):
             fh.write(f"{dt:.17g},{d:.17g}\n")

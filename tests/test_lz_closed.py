@@ -256,6 +256,58 @@ def test_magnus_remainder_within_the_first_pair_bound():
         assert err <= bound, (x, z_i, z_f, err / bound)
 
 
+def _exact_cos_sinc(u):
+    """cos r and sin r / r of r = sqrt(u), each element in 40 digits (mpmath)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        roots = [mpmath.sqrt(mpmath.mpf(float(v))) for v in u]
+        return ([mpmath.cos(r) for r in roots],
+                [mpmath.sin(r) / r if r else mpmath.mpf(1) for r in roots])
+
+
+def _abs_errors(got, want):
+    return np.array([float(abs(w - float(g))) for g, w in zip(got, want)])
+
+
+def test_cos_sinc_within_two_ulp_against_mpmath():
+    # the steps' cos|A| and sin|A| / |A| from u = |A|^2 <= 1 (a step angle of at
+    # most 1, the first pair's floor), densely, near the top and down to 1e-20
+    rng = np.random.default_rng(27)
+    u = np.concatenate([np.linspace(0.0, 1.0, 4001), rng.uniform(0.9, 1.0, 2000),
+                        10.0 ** rng.uniform(-20.0, 0.0, 1000)])
+    for got, want in zip(lz._cos_sinc(u), _exact_cos_sinc(u)):
+        ulp = np.spacing(np.array([float(w) for w in want]))
+        err = _abs_errors(got, want)
+        assert np.all(err <= 2.0 * ulp), (u[np.argmax(err / ulp)], np.max(err / ulp))
+
+
+@pytest.mark.parametrize("top", [1.5, 10.0, 300.0, 1e4])
+def test_cos_sinc_through_its_halvings_against_mpmath(top):
+    # above u = 1 the angles are halved until max u <= 1 and doubled back (a second
+    # pair can take fewer steps than the floor): cos r and sin r = r sinc within
+    # 16 eps (1 + r), small and large u in one array, which share the halvings
+    u = np.concatenate([np.linspace(0.0, top, 1001),
+                        10.0 ** np.random.default_rng(3).uniform(-3.0, np.log10(top), 500)])
+    cos, sinc = lz._cos_sinc(u)
+    want_cos, want_sinc = _exact_cos_sinc(u)
+    r = np.sqrt(u)
+    bound = 16.0 * np.finfo(float).eps * (1.0 + r)
+    assert np.all(_abs_errors(cos, want_cos) <= bound)
+    assert np.all(r * _abs_errors(sinc, want_sinc) <= bound)
+
+
+def test_chain_steps_are_unitary_to_rounding():
+    # cos is sqrt(1 - u sinc^2), so every step [[a, b], [-b*, a*]] of the L = 150
+    # chain's first pair at t_f = 300 has |a|^2 + |b|^2 = 1 within 4 eps
+    p = tfi.TfiParams(150, 0.5, 1.5, 300.0)
+    chunks = 0
+    for a, b in lz._magnus_steps(p, 2512):
+        norm = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+        assert np.abs(norm - 1.0).max() <= 4.0 * np.finfo(float).eps
+        chunks += 1
+    assert chunks > 1
+
+
 def _decades(lo, hi):
     return hst.floats(lo, hi).map(lambda e: 10.0 ** e)
 

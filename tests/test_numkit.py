@@ -232,6 +232,23 @@ def test_hypot_antiderivative_against_quadrature_oracle(a):
         assert abs(got - oracle) < 1e-13 * max(1.0, abs(oracle))
 
 
+def test_hypot_antiderivative_against_mpmath_over_the_parameter_scales():
+    # |u| and a log-uniform over [1e-30, 1e30], the scale bound of every Params class,
+    # u of both signs: the two terms share the sign of u, so neither cancels, and
+    # the root sqrt(u * u + a * a) neither overflows nor loses a to underflow
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(27)
+    u = 10.0 ** rng.uniform(-30.0, 30.0, 3000) * rng.choice([-1.0, 1.0], 3000)
+    a = 10.0 ** rng.uniform(-30.0, 30.0, 3000)
+    u[:4], a[:4] = [1e30, -1e30, 1e-30, -1e-30], [1e-30, 1e-30, 1e30, 1e30]
+    got = numkit.hypot_antiderivative(u, a)
+    with mpmath.workdps(40):
+        for ui, ai, g in zip(u, a, got):
+            ui, ai = mpmath.mpf(float(ui)), mpmath.mpf(float(ai))
+            want = (ui * mpmath.sqrt(ui * ui + ai * ai) + ai * ai * mpmath.asinh(ui / ai)) / 2
+            assert abs(float(g) - want) <= 2.0 * np.finfo(float).eps * abs(want), (ui, ai)
+
+
 # ---------------------------------------------------------- find_root_bracketed
 
 def test_root_sqrt2():

@@ -161,6 +161,30 @@ def test_csv_deterministic_and_parallel_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def test_rewriting_a_csv_gives_identical_bytes_and_keeps_a_symlink(tmp_path, monkeypatch):
+    # an existing CSV is unlinked before it is written again, not truncated (ext4
+    # forces a truncated file's new data out at close); a symlinked out stays a
+    # link, and the CSV is written through it
+    unlinked = []
+    real_unlink = os.unlink
+    monkeypatch.setattr(os, "unlink", lambda path: (unlinked.append(path), real_unlink(path)))
+    cfg = sweeps.parse_config(LZ_CFG.replace("1,2,3,4,opt", "1,2") + "dtau_points = 21\n")
+    for write in (lambda out: sweeps.run_sweep(cfg, out=out),
+                  lambda out: sweeps.run_dtau_scan(cfg, 10.0, out=out)):
+        path, target, link = tmp_path / "out.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+        write(str(path))
+        first, unlinked[:] = path.read_bytes(), []
+        write(str(path))
+        assert path.read_bytes() == first and unlinked == [str(path)]
+        target.write_text("stale\n")
+        link.symlink_to(target)
+        write(str(link))
+        assert link.is_symlink() and target.read_bytes() == first
+        assert unlinked == [str(path)]
+        for f in (path, target, link):
+            f.unlink()
+
+
 @pytest.mark.parametrize("threads", [0, -5])
 def test_run_sweep_rejects_thread_count_below_one(tmp_path, monkeypatch, threads):
     def no_work(*args, **kwargs):
