@@ -4,8 +4,8 @@
     aia fit --csv FILE --column NAME --tmin V --tmax V
     aia dtau-scan --config FILE --tf V [--out FILE.csv]
 
-Exit codes: 0 success, 1 config error, 2 numerical failure (in every row of a
-sweep, or in the scan's exact evolution).
+Exit codes: 0 success, 1 config error or an output that cannot be written, 2
+numerical failure (in every row of a sweep, or in the scan's exact evolution).
 """
 
 import argparse
@@ -39,25 +39,6 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
-    if args.command in MODELS:
-        if args.threads < 1:
-            print(f"config error: --threads must be >= 1, got {args.threads}",
-                  file=sys.stderr)
-            return 1
-        try:
-            cfg = load_config(args.config)
-        except (ConfigError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        if cfg.model != args.command:
-            print(f"config error: config is for model {cfg.model!r}, "
-                  f"command was {args.command!r}", file=sys.stderr)
-            return 1
-        path, rows, n_failed = run_sweep(cfg, out=args.out, threads=args.threads)
-        print(f"wrote {len(rows)} rows to {path}" +
-              (f" ({n_failed} failed)" if n_failed else ""))
-        return 2 if n_failed == len(rows) else 0
-
     if args.command == "fit":
         try:
             fr = run_fit(args.csv, args.column, args.tmin, args.tmax)
@@ -70,17 +51,30 @@ def main(argv=None):
         print(fit_line(args.column, fr))
         return 0
 
+    # a sweep or a scan: one map from what can fail (the config, the rows, the
+    # output file) to the exit codes
     try:
-        cfg = load_config(args.config)
-        path, _, _ = run_dtau_scan(cfg, args.tf, out=args.out)
+        if args.command == "dtau-scan":
+            path, _, _ = run_dtau_scan(load_config(args.config), args.tf, out=args.out)
+        else:
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            cfg = load_config(args.config)
+            if cfg.model != args.command:
+                raise ConfigError(f"config is for model {cfg.model!r}, "
+                                  f"command was {args.command!r}")
+            path, rows, n_failed = run_sweep(cfg, out=args.out, threads=args.threads)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote impulse-interval scan to {path}")
-    return 0
+    if args.command == "dtau-scan":
+        print(f"wrote impulse-interval scan to {path}")
+        return 0
+    print(f"wrote {len(rows)} rows to {path}" + (f" ({n_failed} failed)" if n_failed else ""))
+    return 2 if n_failed == len(rows) else 0
 
 
 if __name__ == "__main__":

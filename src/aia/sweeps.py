@@ -10,7 +10,6 @@ Config files are flat ``key = value`` text ('#' starts a comment). Keys:
     tf_min, tf_max, tf_points                           (log-spaced grid; 60 points by default)
     scenarios    comma-separated subset of 1,2,3,4,opt  (tfi: only 1,2,opt)
     rel_tol, abs_tol                                    (exact states within their sum)
-    dtau_points  grid size for impulse-interval scans   (default 2001)
     out          output path                            (optional)
 
 Model parameters are checked when the config is parsed. All three models
@@ -47,7 +46,7 @@ _MODEL_KEYS = {
 }
 MODELS = tuple(_MODEL_KEYS)
 _COMMON_KEYS = {"model", "tf_min", "tf_max", "tf_points",
-                "scenarios", "rel_tol", "abs_tol", "dtau_points", "out"}
+                "scenarios", "rel_tol", "abs_tol", "out"}
 _SCENARIOS = {"lz": {"1", "2", "3", "4", "opt"},
               "open": {"1", "2", "3", "4", "opt"},
               "tfi": {"1", "2", "opt"}}
@@ -95,7 +94,6 @@ class SweepConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     temperatures: tuple = (0.05, 0.1, 0.5, 1.0)
-    dtau_points: int = 2001
     out: str = ""
 
     def tf_grid(self):
@@ -106,7 +104,7 @@ def _parse_value(key, raw, lineno):
     try:
         if key in ("model", "out"):
             return raw
-        if key in ("tf_points", "L", "dtau_points"):
+        if key in ("tf_points", "L"):
             return int(raw)
         if key == "scenarios":
             return tuple(s.strip() for s in raw.split(",") if s.strip())
@@ -169,8 +167,6 @@ def parse_config(text):
         raise ConfigError(f"line {lines['tf_min']}: need 0 < tf_min < tf_max")
     if cfg.tf_points < 2:
         raise ConfigError(f"line {lines['tf_points']}: need tf_points >= 2")
-    if cfg.dtau_points < 2:
-        raise ConfigError(f"line {lines['dtau_points']}: need dtau_points >= 2")
     for key in ("rel_tol", "abs_tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"line {lines[key]}: need {key} > 0")
@@ -225,8 +221,10 @@ def _compute_task(args):
         return {**key, "err": f"{type(exc).__name__}: {exc}"}
 
 
-def _unlinked(path):
-    """``path``, with an existing regular file there unlinked, so that the CSV goes to a
+def _write_csv(path, columns, rows):
+    """Write a header of ``columns`` and one line per row of cells (:func:`_fmt`), LF ends.
+
+    An existing regular file at ``path`` is unlinked first, so that the CSV goes to a
     new file. On ext4 (auto_da_alloc), a file truncated and written again has its new
     data forced out at close, and the next truncation waits for that: a sweep re-run to
     one path paid 50-80 ms per CSV, where writing a new file takes 0.01 ms. A symlink
@@ -235,7 +233,10 @@ def _unlinked(path):
     if os.path.isfile(path) and not os.path.islink(path):
         with contextlib.suppress(OSError):
             os.unlink(path)
-    return path
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def run_sweep(cfg, out=None, threads=1):
@@ -256,10 +257,7 @@ def run_sweep(cfg, out=None, threads=1):
 
     rows.sort(key=lambda r: (r["t_f"], r.get("T", 0.0)))
     columns = COLUMNS if temperatures != (None,) else [c for c in COLUMNS if c != "T"]
-    with open(_unlinked(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+    _write_csv(path, columns, ([row.get(c) for c in columns] for row in rows))
     n_failed = sum(1 for r in rows if r["err"])
     return path, rows, n_failed
 
@@ -301,8 +299,8 @@ def fit_line(column, fr):
 def run_dtau_scan(cfg, tf, out=None):
     """Distance as a function of the impulse interval at fixed t_f; writes CSV.
 
-    The grid spans [-t_f, t_f] with ``dtau_points`` points (forced odd so the
-    dtau = 0 row is present). The open model scans at its first temperature.
+    The grid spans [-t_f, t_f] with 2001 points, an odd count so that the
+    dtau = 0 row is present. The open model scans at its first temperature.
     """
     m = pipeline(cfg)
     try:
@@ -310,11 +308,7 @@ def run_dtau_scan(cfg, tf, out=None):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     path = out or f"{cfg.model}_dtau_scan.csv"
-    n = cfg.dtau_points
-    dtaus = np.linspace(-tf, tf, n + 1 - n % 2)
+    dtaus = np.linspace(-tf, tf, 2001)
     dists = m.distance_grid(p, dtaus, m.exact(p, cfg.rel_tol + cfg.abs_tol))
-    with open(_unlinked(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dtau,d\n")
-        for dt, d in zip(dtaus, dists):
-            fh.write(f"{dt:.17g},{d:.17g}\n")
+    _write_csv(path, ["dtau", "d"], zip(dtaus, dists))
     return path, dtaus, np.asarray(dists)
