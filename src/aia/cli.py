@@ -4,6 +4,10 @@
     aia fit --csv FILE --column NAME --tmin V --tmax V
     aia dtau-scan --config FILE --tf V [--out FILE.csv]
 
+``--threads N`` computes at most N sweep rows at once, on threads of this
+process; the CSV is the same byte for byte at any N. An output in a missing
+directory, or a directory itself, is refused before any row or scan runs.
+
 Exit codes: 0 success, 1 config error or an output that cannot be written, 2
 numerical failure (in every row of a sweep, or in the scan's exact evolution).
 """
@@ -24,7 +28,8 @@ def main(argv=None):
         sweep_p = sub.add_parser(model, help=f"run a {model} sweep over t_f")
         sweep_p.add_argument("--config", required=True, help="key = value config file")
         sweep_p.add_argument("--out", default=None, help="output CSV path")
-        sweep_p.add_argument("--threads", type=int, default=1, help="worker processes")
+        sweep_p.add_argument("--threads", type=int, default=1,
+                             help="rows computed at once, on threads (default 1)")
 
     fit_p = sub.add_parser("fit", help="power-law fit of a CSV column")
     fit_p.add_argument("--csv", required=True)

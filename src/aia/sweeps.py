@@ -20,12 +20,14 @@ interval, which may be negative (:func:`run_dtau_scan` scans that interval).
 
 Rows are one per t_f (times one per temperature for the open model), written
 in ascending order with 17-significant-digit floats, so identical configs
-produce byte-identical files regardless of worker count.
+produce byte-identical files regardless of thread count.
 """
 
 import concurrent.futures
 import contextlib
+import errno
 import os
+import stat
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -221,6 +223,23 @@ def _compute_task(args):
         return {**key, "err": f"{type(exc).__name__}: {exc}"}
 
 
+def _check_out(path):
+    """Raise now the OSError that opening ``path`` in :func:`_write_csv` would raise
+    where it names a directory or its directory is missing (ENOENT) or a file
+    (ENOTDIR), so that no row is computed first. Nothing is created or unlinked; a
+    directory without write permission is still found at the write."""
+    try:
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif stat.S_ISDIR(os.stat(os.path.dirname(os.path.realpath(path))).st_mode):
+            return
+        else:
+            code = errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_csv(path, columns, rows):
     """Write a header of ``columns`` and one line per row of cells (:func:`_fmt`), LF ends.
 
@@ -244,13 +263,15 @@ def run_sweep(cfg, out=None, threads=1):
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     path = out or cfg.out or f"{cfg.model}_sweep.csv"
+    _check_out(path)
     temperatures = pipeline(cfg).temperatures
     tasks = [(cfg, float(tf), T) for tf in cfg.tf_grid() for T in temperatures]
 
-    # the executor forks all its workers at the first submit: no more than rows
+    # rows on threads: numpy releases the GIL in the rows' large array operations, so
+    # they overlap; a thread beyond the row count would only sit idle
     workers = min(threads, len(tasks))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_task, tasks))
     else:
         rows = [_compute_task(t) for t in tasks]
@@ -308,6 +329,7 @@ def run_dtau_scan(cfg, tf, out=None):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     path = out or f"{cfg.model}_dtau_scan.csv"
+    _check_out(path)
     dtaus = np.linspace(-tf, tf, 2001)
     dists = m.distance_grid(p, dtaus, m.exact(p, cfg.rel_tol + cfg.abs_tol))
     _write_csv(path, ["dtau", "d"], zip(dtaus, dists))

@@ -40,6 +40,18 @@ tf_points = 3
 scenarios = 1,opt
 """
 
+# the chain-sweep benchmark's rows: L = 150, t_f 5 and 300, of uneven cost
+CHAIN_CFG = """\
+model = tfi
+L = 150
+h_i = 0.5
+h_f = 1.5
+tf_min = 5
+tf_max = 300
+tf_points = 2
+scenarios = 1,2,opt
+"""
+
 TFI_CFG = """\
 model = tfi
 L = 20
@@ -190,7 +202,7 @@ def test_run_sweep_rejects_thread_count_below_one(tmp_path, monkeypatch, threads
         raise AssertionError("a row or a pool started despite the invalid thread count")
 
     monkeypatch.setattr(sweeps, "_compute_task", no_work)
-    monkeypatch.setattr(sweeps.concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(sweeps.concurrent.futures, "ThreadPoolExecutor", no_work)
     cfg = sweeps.parse_config(LZ_CFG)
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
         sweeps.run_sweep(cfg, out=str(tmp_path / "never.csv"), threads=threads)
@@ -199,8 +211,8 @@ def test_run_sweep_rejects_thread_count_below_one(tmp_path, monkeypatch, threads
 
 @pytest.mark.parametrize("threads, workers", [(2, 2), (4, 4), (5000, 4)])
 def test_run_sweep_caps_pool_at_row_count(tmp_path, monkeypatch, threads, workers):
-    # the fork start method launches every worker at the first submit, so a
-    # 4-row sweep must never ask for more than 4; no process is started here
+    # a thread beyond the row count would sit idle, so a 4-row sweep never asks
+    # for more than 4; no thread is started here
     opened = []
 
     class RecordingPool:
@@ -216,11 +228,57 @@ def test_run_sweep_caps_pool_at_row_count(tmp_path, monkeypatch, threads, worker
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweeps.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweeps.concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(sweeps, "_compute_task", lambda task: {"t_f": task[1], "err": ""})
     cfg = sweeps.parse_config(LZ_CFG)
     _, rows, _ = sweeps.run_sweep(cfg, out=str(tmp_path / "rows.csv"), threads=threads)
     assert opened == [workers] and len(rows) == 4
+
+
+@pytest.mark.parametrize("text", [CHAIN_CFG, OPEN_CFG], ids=["chain", "open"])
+def test_threads_give_the_serial_bytes_without_a_warning(tmp_path, text):
+    # rows computed on 2 or 4 threads are the serial rows, and no thread warns: each
+    # row's np.errstate is its own (numpy >= 2.0 keeps it per thread); a short switch
+    # interval makes the threads interleave often
+    cfg = sweeps.parse_config(text)
+    csvs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for threads in (1, 2, 4):
+                _, _, n_failed = sweeps.run_sweep(cfg, out=str(tmp_path / f"{threads}.csv"),
+                                                  threads=threads)
+                assert n_failed == 0
+                csvs.append((tmp_path / f"{threads}.csv").read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert caught == []
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("out_kind", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command", ["sweep", "dtau-scan"])
+def test_an_unwritable_out_fails_before_any_row_runs(tmp_path, monkeypatch, command, out_kind):
+    # the error is the one opening the CSV would raise, and nothing is created
+    def no_work(*args, **kwargs):
+        raise AssertionError("a row or an exact evolution ran before the output was checked")
+
+    monkeypatch.setattr(sweeps, "_compute_task", no_work)
+    monkeypatch.setattr(lz, "evolve_schrodinger", no_work)
+    cfg = sweeps.parse_config(LZ_CFG)
+    out = str(tmp_path / "no-such-dir" / "x.csv" if out_kind == "missing-dir" else tmp_path)
+    with pytest.raises(OSError) as opening:
+        open(out, "w")
+    with pytest.raises(OSError) as raised:
+        if command == "sweep":
+            sweeps.run_sweep(cfg, out=out, threads=2)
+        else:
+            sweeps.run_dtau_scan(cfg, 20.0, out=out)
+    assert type(raised.value) is type(opening.value)
+    assert str(raised.value) == str(opening.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rows_ascending_in_tf(lz_csv):
@@ -413,8 +471,8 @@ def test_cli_dtau_scan_exit_codes(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", [["lz", "--threads", "1"], ["dtau-scan", "--tf", "20"]],
                          ids=["lz", "dtau-scan"])
 def test_cli_unwritable_out_is_a_config_error(tmp_path, command, out_kind):
-    # the output is opened after the rows are computed; an --out that cannot be
-    # opened ends in one line on stderr and exit 1, not in a traceback
+    # an --out that cannot be opened is refused before any row runs, in one line
+    # on stderr and exit 1, not in a traceback
     cfg_path = tmp_path / "lz.cfg"
     cfg_path.write_text(LZ_CFG.replace("tf_points = 4", "tf_points = 2")
                         .replace("1,2,3,4,opt", "1"))
@@ -451,13 +509,15 @@ def test_row_failures_recorded_and_sweep_continues(tmp_path, monkeypatch):
         return real(p, *args, **kwargs)
 
     monkeypatch.setattr(lz, "evolve_schrodinger", flaky)
-    path, rows, n_failed = sweeps.run_sweep(cfg, out=str(tmp_path / "flaky.csv"))
-    assert n_failed == 1
-    data = sweeps.read_csv(path)
-    assert data["err"][0].startswith("RuntimeError")
-    assert data["d_adi"][0] is None
-    assert all(e == "" for e in data["err"][1:])
-    assert all(v is not None for v in data["d_adi"][1:])
+    for threads in (1, 2):
+        path, rows, n_failed = sweeps.run_sweep(cfg, out=str(tmp_path / "flaky.csv"),
+                                                threads=threads)
+        assert n_failed == 1
+        data = sweeps.read_csv(path)
+        assert data["err"][0].startswith("RuntimeError")
+        assert data["d_adi"][0] is None
+        assert all(e == "" for e in data["err"][1:])
+        assert all(v is not None for v in data["d_adi"][1:])
 
 
 def test_cli_exit_2_when_every_row_fails(tmp_path, monkeypatch):

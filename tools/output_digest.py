@@ -14,9 +14,10 @@ One line ``sha256 name`` is printed for
     ``cptp_diagnostics`` of each transport U.
 
 Two trees that compute the same numbers print the same lines, so a ``diff``
-of two runs names the outputs that a change moved. On a 2-core host a run
-takes about 7 s; the sweeps run serially, and their CSVs do not depend on
-the worker count.
+of two runs names the outputs that a change moved. Each config is also run
+at ``threads=2``; if that CSV is not the serial one byte for byte, the run
+stops with a non-zero exit that names the config. On a 2-core host a run
+takes about 8 s.
 """
 
 import argparse
@@ -69,8 +70,14 @@ def digests(tree):
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
             cfg = sweeps.load_config(tree / "configs" / name)
-            path, _, _ = sweeps.run_sweep(cfg, out=os.path.join(tmp, name + ".csv"))
-            yield _digest(Path(path).read_bytes()), f"configs/{name}"
+            csvs = []
+            for threads in (1, 2):
+                out = os.path.join(tmp, f"{name}.{threads}.csv")
+                path, _, _ = sweeps.run_sweep(cfg, out=out, threads=threads)
+                csvs.append(Path(path).read_bytes())
+            if csvs[1] != csvs[0]:
+                raise SystemExit(f"configs/{name}: the threads=2 CSV differs from the serial one")
+            yield _digest(csvs[0]), f"configs/{name}"
         for name, tf in SCANS:
             cfg = sweeps.load_config(tree / "configs" / name)
             path, _, _ = sweeps.run_dtau_scan(cfg, tf, out=os.path.join(tmp, "scan.csv"))
