@@ -15,6 +15,13 @@ Two transports act on coherence 4-vectors:
   which intertwines the instantaneous projectors, P_n(s) U(s) = U(s) P_n(0), up
   to discretization error (dP_n/ds: central differences of one broadcast call).
 
+U and the exact propagator E are DOP853 solves of 4x4 matrix ODEs. Before each
+try of a step, the solver names the try's 11 stage times, and the generators at
+all of them are built in one broadcast call; the rhs looks its generator up by
+exact time and builds it alone on a miss. Every broadcast generator has the bits
+of the scalar one, so U and E, and the solver's steps, are those of a rhs that
+rebuilds its generator at every call.
+
 U(s) is trace preserving but only approximately completely positive; its
 distance to the exact propagator (and hence its complete-positivity defect)
 shrinks like 1/t_f. The Choi-matrix diagnostics quantify both. The Choi
@@ -46,36 +53,53 @@ _FD_STEP = 1e-6
 
 
 def _commutator_term(p, s):
-    """(1/2) sum_n [dP_n/ds, P_n] with dP_n/ds by central differences; real. Dividing by 2h
-    lifts the projectors' rounding to ~1e-10, the size of the benchmark's transport deviations
-    (its references carry that rounding), so this keeps the bits of the loop over n in
-    ``tests/oracles.py`` until ROADMAP item 1 re-bases those references."""
-    pn, pp, pm = spectral_projectors(p, s + np.array([0.0, _FD_STEP, -_FD_STEP]))
+    """(1/2) sum_n [dP_n/ds, P_n] with dP_n/ds by central differences; real, broadcast over s
+    with shape s.shape + (4, 4). Dividing by 2h lifts the projectors' rounding to ~1e-10, the
+    size of the benchmark's transport deviations (its references carry that rounding), so each
+    matrix keeps the bits of the loop over n in ``tests/oracles.py`` until ROADMAP item 1
+    re-bases those references."""
+    shifted = np.asarray(s)[..., None] + np.array([0.0, _FD_STEP, -_FD_STEP])
+    pn, pp, pm = np.moveaxis(spectral_projectors(p, shifted), -4, 0)
     dp = (pp - pm) / (2.0 * _FD_STEP)
-    return 0.5 * (dp @ pn - pn @ dp).sum(0).real
+    return 0.5 * (dp @ pn - pn @ dp).sum(-3).real
+
+
+def _generators(p, s, holonomy):
+    """t_f L(s), plus the commutator term if ``holonomy``; broadcast over s, each matrix
+    bitwise the one of a scalar s."""
+    gen = p.t_f * liouvillian_matrix(p.x, p.z(np.asarray(s) * p.t_f), p.beta, p.g)
+    return gen + _commutator_term(p, s) if holonomy else gen
+
+
+def _propagate(p, s, rel_tol, abs_tol, holonomy):
+    """X(s) of dX/ds = G(s) X, X(0) = 1, G from :func:`_generators`, by DOP853. The
+    generators of each try of a step are built in one call at its stage times; the rhs
+    looks its generator up by exact time, and builds it alone on a miss (at s = 0, and
+    at the initial-step probe)."""
+    built = {}
+
+    def stages(times):
+        built.clear()
+        built.update(zip(times.tolist(), _generators(p, times, holonomy)))
+
+    def rhs(sv, x):
+        gen = built.get(sv)
+        if gen is None:
+            gen = _generators(p, sv, holonomy)
+        return (gen @ x.reshape(4, 4)).ravel()
+
+    x = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol, stages=stages)
+    return x.reshape(4, 4)
 
 
 def full_intertwiner(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12):
     """Transport superoperator U(s) for the sweep stretched to duration t_f."""
-
-    def rhs(sv, u):
-        gen = (p.t_f * liouvillian_matrix(p.x, float(p.z(sv * p.t_f)), p.beta, p.g)
-               + _commutator_term(p, sv))
-        return (gen @ u.reshape(4, 4)).ravel()
-
-    u = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol)
-    return u.reshape(4, 4)
+    return _propagate(p, s, rel_tol, abs_tol, holonomy=True)
 
 
 def exact_propagator(p, s=1.0, rel_tol=1e-10, abs_tol=1e-12):
     """Exact evolution superoperator E(s), dE/ds = t_f L(s) E, E(0) = 1."""
-
-    def rhs(sv, e):
-        gen = p.t_f * liouvillian_matrix(p.x, float(p.z(sv * p.t_f)), p.beta, p.g)
-        return (gen @ e.reshape(4, 4)).ravel()
-
-    e = integrate_ode(rhs, np.eye(4).ravel(), 0.0, s, rel_tol, abs_tol)
-    return e.reshape(4, 4)
+    return _propagate(p, s, rel_tol, abs_tol, holonomy=False)
 
 
 def choi_matrix(superop):
@@ -108,14 +132,15 @@ def superop_trace_norm_distance(s_a, s_b):
 def closeness_bound_check(p, t_f_list, rel_tol=1e-10, abs_tol=1e-12):
     """Power-law fit of ||E - U|| against t_f (probe-set induced trace norm).
 
-    Returns (fit, norms): the transport error should shrink like C / t_f.
+    Returns (fit, norms): the transport error should shrink like C / t_f. Fewer than 3
+    values of t_f, fewer than 2 distinct ones, or one that the parameters refuse (such as a
+    non-finite one) raise ``ValueError`` before any transport is solved.
     """
     t_f_list = np.asarray(t_f_list, dtype=float)
-    if t_f_list.size < 3:
-        raise ValueError("need at least 3 values of t_f")
+    if t_f_list.size < 3 or np.unique(t_f_list).size < 2:
+        raise ValueError(f"need at least 3 values of t_f, 2 of them distinct, got {t_f_list}")
     norms = []
-    for tf in t_f_list:
-        q = replace(p, t_f=float(tf))
+    for q in [replace(p, t_f=float(tf)) for tf in t_f_list]:
         e = exact_propagator(q, 1.0, rel_tol, abs_tol)
         u = full_intertwiner(q, 1.0, rel_tol, abs_tol)
         norms.append(superop_trace_norm_distance(e, u))

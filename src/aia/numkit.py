@@ -40,11 +40,46 @@ class FitResult:
     residual: float
 
 
-def solve_ivp(*args, **kwargs):
+def solve_ivp(*args, stages=None, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call, so that importing
-    the package loads no scipy module."""
-    from scipy.integrate import solve_ivp
+    the package loads no scipy module.
 
+    With ``stages``, the method is DOP853, and before each try of a step
+    ``stages(times)`` is called with the 11 times at which that try calls the rhs:
+    t + C[1:] h, with h as scipy's ``_step_impl`` computes it (a retry's h from the
+    rejected try's error norm). The last node is C = 1, so the new slope at t + h is
+    taken at the last of them. Only the start and the initial-step probe call the rhs
+    at times not announced. The solver's state and step control are scipy's, so the
+    result and ``nfev`` are those of plain DOP853.
+    """
+    from scipy.integrate import DOP853, solve_ivp
+
+    if stages is None:
+        return solve_ivp(*args, **kwargs)
+
+    class StagedDOP853(DOP853):
+        def _announce(self, h_abs):
+            t, direction = self.t, self.direction
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            stages(t + self.C[1:] * h)
+
+        def _step_impl(self):
+            t, h_abs = self.t, self.h_abs
+            min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+            self._announce(self.max_step if h_abs > self.max_step
+                           else min_step if h_abs < min_step else h_abs)
+            return super()._step_impl()
+
+        def _estimate_error_norm(self, K, h, scale):
+            error_norm = super()._estimate_error_norm(K, h, scale)
+            if not error_norm < 1:  # rejected; 0.2 and 0.9 are scipy's MIN_FACTOR and SAFETY
+                self._announce(np.abs(h) * max(0.2, 0.9 * error_norm ** self.error_exponent))
+            return error_norm
+
+    kwargs["method"] = StagedDOP853
     return solve_ivp(*args, **kwargs)
 
 
@@ -55,7 +90,7 @@ def check_tolerance(tol, name="tol"):
     return tol
 
 
-def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
+def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, stages=None):
     """Propagate y' = rhs(t, y) from t0 to t1 with the embedded 8th-order pair DOP853.
 
     The 8th-order pair accumulates far less global error on very long sweeps
@@ -63,8 +98,14 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
     complex state vectors are both supported; the result has the dtype of
     ``y0``. Raises :class:`IntegrationError` with the failing time if the step
     size underflows or the rhs is not finite at the start (on a non-finite
-    first slope the solver would never pick a usable step).
+    first slope the solver would never pick a usable step), and ``ValueError`` on a
+    non-finite t0 or t1 (toward which it would step forever). ``stages``, if given, is
+    told each try's stage times first (see :func:`solve_ivp`), so that the caller can
+    build what the rhs needs at all of them in one call; the rhs must not depend on
+    whether it did.
     """
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"require finite t0 and t1, got [{t0}, {t1}]")
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got [{t0}, {t1}]")
     check_tolerance(rel_tol, "rel_tol")
@@ -74,8 +115,8 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12):
         return y0.copy()
     if not np.all(np.isfinite(rhs(t0, y0))):
         raise IntegrationError(f"integration failed at t={t0:.6g}: non-finite rhs")
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                    rtol=rel_tol, atol=abs_tol, dense_output=False)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rel_tol, atol=abs_tol,
+                    dense_output=False, stages=stages)
     if not sol.success:
         t_fail = sol.t[-1] if sol.t.size else t0
         raise IntegrationError(f"integration failed at t={t_fail:.6g}: {sol.message}")
@@ -188,13 +229,21 @@ def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):
 
 
 def fit_power_law(t, d):
-    """Least-squares fit of d = A * t**p in (log t, log d) coordinates."""
+    """Least-squares fit of d = A * t**p in (log t, log d) coordinates.
+
+    Needs at least 3 points, at least 2 distinct t, and every t and d finite and
+    positive; anything else raises ``ValueError``.
+    """
     t = np.asarray(t, dtype=float)
     d = np.asarray(d, dtype=float)
     if t.size < 3:
         raise ValueError("need at least 3 points to fit a power law")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(d))):
+        raise ValueError(f"power-law fit requires finite data, got t={t}, d={d}")
     if np.any(t <= 0) or np.any(d <= 0):
         raise ValueError("power-law fit requires strictly positive data")
+    if np.unique(t).size < 2:
+        raise ValueError(f"power-law fit needs at least 2 distinct t, got {t}")
     lt, ld = np.log(t), np.log(d)
     p, c = np.polyfit(lt, ld, 1)
     resid = ld - (p * lt + c)

@@ -1,6 +1,7 @@
 """Shared sweep fixtures; the expensive ones are session-scoped and reused
 by both the module tests and the acceptance suite."""
 
+import signal
 import time
 
 import numpy as np
@@ -8,6 +9,20 @@ import pytest
 
 from aia import lz_closed as lz
 from aia import tfi
+
+
+@pytest.fixture
+def within_10_s():
+    """Turns a test that has not returned within 10 s into a failure (SIGALRM): a solver
+    that never picks a usable step would otherwise hang the suite."""
+    def hung(signum, frame):
+        raise TimeoutError("the test did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

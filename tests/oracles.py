@@ -19,6 +19,10 @@ projectors and its commutator term one scalar spectrum, one ``np.outer`` and
 one sector at a time, apart from the broadcast products of
 :func:`aia.intertwiner.spectral_projectors` and
 :func:`aia.intertwiner._commutator_term`, which must match them bitwise.
+:func:`transport_ode` solves the transport and the exact propagator on plain
+scipy DOP853 with a rhs that rebuilds the generator from those at every call,
+apart from the per-step broadcast generators of :func:`aia.intertwiner._propagate`;
+both solves must agree bit for bit, and in their rhs call counts.
 
 :func:`rate_integral` is the damped qubit's rate integral int |l_2| dt by
 mpmath quadrature in the time variable, apart from the fixed rule of
@@ -304,6 +308,27 @@ def commutator_term(p, s, step):
         dp = (pp[n] - pm[n]) / (2.0 * step)
         acc += dp @ pn[n] - pn[n] @ dp
     return 0.5 * acc.real
+
+
+def transport_ode(p, fd_step=None, rel_tol=1e-10, abs_tol=1e-12):
+    """(X, nfev, rejected) for dX/ds = G(s) X, X(0) = 1, at s = 1 by scipy's DOP853 with a
+    rhs that rebuilds G from the scalar spectrum at every call: G = t_f L(s) for the exact
+    propagator (``fd_step`` None), plus :func:`commutator_term` of step ``fd_step`` for
+    the transport. ``rejected`` counts the rejected tries: each try costs 12 rhs calls,
+    after the 2 of the start and the initial-step probe."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, x):
+        gen = p.t_f * lo.liouvillian_matrix(p.x, float(p.z(s * p.t_f)), p.beta, p.g)
+        if fd_step is not None:
+            gen = gen + commutator_term(p, s, fd_step)
+        return (gen @ x.reshape(4, 4)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.eye(4).ravel(), method="DOP853",
+                    rtol=rel_tol, atol=abs_tol)
+    tries, rest = divmod(sol.nfev - 2, 12)
+    assert sol.success and rest == 0, (sol.message, sol.nfev)
+    return sol.y[:, -1].reshape(4, 4), sol.nfev, tries - (sol.t.size - 1)
 
 
 def golden_section_minimize(f_grid, half_width, n_grid, tol):

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from aia import intertwiner as itw
 from aia import lindblad_open as lo
+from aia import numkit
 import oracles
 
 P_STD = lo.OpenParams(x=0.25, z_i=-1.0, z_f=1.0, t_f=100.0, T=0.3, g=1e-3)
@@ -57,24 +58,97 @@ def test_projector_completeness_along_path():
                                replace(P_STD, x=1.0, T=2.0, g=0.2)])
 def test_projectors_and_commutator_match_loop_oracles_bitwise(p):
     # the transport references carry the central difference's rounding, amplified
-    # by 1/2h: the broadcast build must reproduce the scalar loop bit for bit
+    # by 1/2h: the broadcast build must reproduce the scalar loop bit for bit, for
+    # a scalar s and for each entry of an array of s (the transport's stage times)
     ss = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(13).uniform(0.0, 1.0, 200)])
     batch = itw.spectral_projectors(p, ss)
     assert batch.shape == (ss.size, 4, 4, 4)
-    for s, got in zip(ss, batch):
+    terms = itw._commutator_term(p, ss)
+    assert terms.shape == (ss.size, 4, 4)
+    gens = itw._generators(p, ss.reshape(7, 29), holonomy=True).reshape(ss.size, 4, 4)
+    for s, got, term, gen in zip(ss, batch, terms, gens):
         want = oracles.spectral_projectors(p, s)
         assert all(np.array_equal(got[n], want[n]) for n in range(4)), s
         assert np.array_equal(itw.spectral_projectors(p, s), got), s
-        assert np.array_equal(itw._commutator_term(p, s),
-                              oracles.commutator_term(p, s, itw._FD_STEP)), s
+        want = oracles.commutator_term(p, s, itw._FD_STEP)
+        assert np.array_equal(itw._commutator_term(p, s), want), s
+        assert np.array_equal(term, want), s
+        want = p.t_f * lo.liouvillian_matrix(p.x, float(p.z(s * p.t_f)), p.beta, p.g) + want
+        assert np.array_equal(gen, want), s
+        assert np.array_equal(itw._generators(p, s, holonomy=True), want), s
 
 
-def test_full_transport_bitwise_with_loop_oracle_rhs(monkeypatch):
-    q = replace(P_STD, t_f=2.0)
-    u = itw.full_intertwiner(q, 1.0)
-    monkeypatch.setattr(itw, "_commutator_term",
-                        lambda p, s: oracles.commutator_term(p, s, itw._FD_STEP))
-    assert np.array_equal(u, itw.full_intertwiner(q, 1.0))
+def _solve_counting(monkeypatch, solve, q):
+    """solve(q) and the rhs calls of its DOP853 run, as scipy counts them."""
+    nfev, real = [], numkit.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(numkit, "solve_ivp", counted)
+    out = solve(q, 1.0)
+    monkeypatch.setattr(numkit, "solve_ivp", real)
+    return out, nfev[0]
+
+
+# the workload's t_f = 10 and 30, and a narrow crossing whose steps are often rejected
+@pytest.mark.parametrize("q, min_rejected", [
+    (replace(P_STD, t_f=10.0), 1), (replace(P_STD, t_f=30.0), 1),
+    (lo.OpenParams(0.05, -3.0, 3.0, 20.0, 0.1, 0.05), 10)], ids=["tf10", "tf30", "rejecting"])
+def test_full_transport_bitwise_with_loop_oracle_rhs(monkeypatch, q, min_rejected):
+    # U and E of the per-step broadcast generators are those of a rhs that rebuilds the
+    # generator from the scalar loop at every call, bit for bit and in the same steps;
+    # rejected tries are served from the batch too, so they are covered
+    rejected = []
+    for solve, fd_step in ((itw.full_intertwiner, itw._FD_STEP), (itw.exact_propagator, None)):
+        want, want_nfev, want_rejected = oracles.transport_ode(q, fd_step)
+        got, got_nfev = _solve_counting(monkeypatch, solve, q)
+        assert np.array_equal(got, want), solve.__name__
+        assert got_nfev == want_nfev, solve.__name__
+        rejected.append(want_rejected)
+    assert min(rejected) >= min_rejected, rejected
+
+
+@pytest.mark.parametrize("announce", ["nothing", "times one ulp late"])
+def test_transport_bits_do_not_depend_on_the_stage_times(monkeypatch, announce):
+    # the rhs finds a generator by exact stage time and builds it alone on a miss, so
+    # a callback that announces nothing, or the wrong times, costs time but no bit
+    q = replace(P_STD, t_f=10.0)
+    want = [_solve_counting(monkeypatch, solve, q)
+            for solve in (itw.full_intertwiner, itw.exact_propagator)]
+    single, real_generators, real_integrate = [], itw._generators, itw.integrate_ode
+
+    def generators(p, s, holonomy):
+        single.append(np.ndim(s) == 0)
+        return real_generators(p, s, holonomy)
+
+    def integrate(*args, stages, **kwargs):
+        wrong = (lambda ts: None) if announce == "nothing" else (
+            lambda ts: stages(np.nextafter(ts, np.inf)))
+        return real_integrate(*args, stages=wrong, **kwargs)
+
+    monkeypatch.setattr(itw, "_generators", generators)
+    monkeypatch.setattr(itw, "integrate_ode", integrate)
+    for solve, (u, nfev) in zip((itw.full_intertwiner, itw.exact_propagator), want):
+        single.clear()
+        got, got_nfev = _solve_counting(monkeypatch, solve, q)
+        assert np.array_equal(got, u) and got_nfev == nfev, solve.__name__
+        # every rhs call, and the check of the first slope, built its generator alone
+        assert sum(single) == nfev + 1, solve.__name__
+    # with the true times, only the first slope, its check and the initial-step probe miss
+    monkeypatch.setattr(itw, "integrate_ode", real_integrate)
+    single.clear()
+    itw.full_intertwiner(q, 1.0)
+    assert sum(single) == 3
+
+
+@pytest.mark.parametrize("solve", [itw.full_intertwiner, itw.exact_propagator])
+@pytest.mark.parametrize("s", [np.nan, np.inf])
+def test_transport_to_a_non_finite_s_raises_at_once(within_10_s, solve, s):
+    with pytest.raises(ValueError, match="finite t0 and t1"):
+        solve(P_STD, s)
 
 
 def test_commutator_term_traceless():
@@ -303,6 +377,24 @@ def test_superop_distance_against_eigvalsh_oracle():
 def test_closeness_bound_requires_enough_points():
     with pytest.raises(ValueError):
         itw.closeness_bound_check(P_STD, [10.0, 20.0])
+
+
+@pytest.mark.parametrize("t_fs", [[10.0, 10.0, 10.0], [10.0, np.nan, 30.0],
+                                  [10.0, 20.0, np.inf]])
+def test_closeness_bound_refuses_degenerate_or_non_finite_times_before_solving(
+        monkeypatch, t_fs):
+    def unexpected(*args):
+        raise AssertionError("a transport was solved")
+
+    monkeypatch.setattr(itw, "exact_propagator", unexpected)
+    with pytest.raises(ValueError, match="t_f"):
+        itw.closeness_bound_check(P_STD, t_fs)
+
+
+def test_closeness_bound_refuses_non_finite_norms(monkeypatch):
+    monkeypatch.setattr(itw, "superop_trace_norm_distance", lambda s_a, s_b: np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        itw.closeness_bound_check(P_STD, [1.0, 2.0, 4.0])
 
 
 def test_closeness_norm_halves_when_time_doubles():

@@ -1,7 +1,7 @@
 """Numerical kernel: oracle-backed checks for every operation."""
 
 import math
-import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -92,20 +92,57 @@ def test_ode_failure_reports_time():
         numkit.integrate_ode(lambda t, y: y * y, [1.0], 0.0, 2.0)
 
 
-def test_ode_non_finite_rhs_at_start_raises_at_once():
-    # on a NaN first slope the adaptive solver would loop forever; the alarm
-    # turns such a hang into a failure
-    def hung(signum, frame):
-        raise TimeoutError("integrate_ode did not return within 10 s")
+def test_ode_non_finite_rhs_at_start_raises_at_once(within_10_s):
+    # on a NaN first slope the adaptive solver would loop forever
+    with pytest.raises(numkit.IntegrationError, match="t=0.*non-finite"):
+        numkit.integrate_ode(lambda t, y: np.full_like(y, np.nan), [1.0], 0.0, 1.0)
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(10)
-    try:
-        with pytest.raises(numkit.IntegrationError, match="t=0.*non-finite"):
-            numkit.integrate_ode(lambda t, y: np.full_like(y, np.nan), [1.0], 0.0, 1.0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
+                                    (-np.inf, 1.0), (np.inf, np.inf)])
+def test_ode_non_finite_end_times_raise_at_once(within_10_s, t0, t1):
+    # toward a NaN or infinite end the solver would step forever
+    with pytest.raises(ValueError, match="finite t0 and t1"):
+        numkit.integrate_ode(lambda t, y: -y, [1.0], t0, t1)
+
+
+def test_ode_announces_every_stage_time_and_keeps_the_plain_solution(monkeypatch):
+    # a decay rate peaked at t = 1, so that some tries are rejected and retried
+    def rhs(t, y):
+        return -y / (1e-2 + (t - 1.0) ** 2)
+
+    y0 = np.array([1.0])
+    sols, real = [], numkit.solve_ivp
+
+    def solve_ivp(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    calls, announced, missed = 0, [set()], []
+
+    def recorded(t, y):
+        nonlocal calls
+        calls += 1
+        if t not in announced[-1]:
+            missed.append(calls)
+        return rhs(t, y)
+
+    def stages(times):
+        assert times.shape == (11,)
+        announced.append(set(times.tolist()))
+
+    monkeypatch.setattr(numkit, "solve_ivp", solve_ivp)
+    got = numkit.integrate_ode(recorded, y0, 0.0, 2.0, 1e-10, 1e-12, stages=stages)
+    want = numkit.integrate_ode(rhs, y0, 0.0, 2.0, 1e-10, 1e-12)
+    staged, plain = sols
+    assert np.array_equal(got, want) and np.array_equal(staged.t, plain.t)
+    assert staged.nfev == plain.nfev == calls - 1
+    # only the check of the first slope, the first slope and the initial-step probe
+    # were not announced; each try calls the rhs 12 times at its 11 stage times (the
+    # new slope at the last), and some tries were retries
+    assert missed == [1, 2, 3]
+    tries = len(announced) - 1
+    assert 12 * tries == calls - 3 and tries > staged.t.size - 1 + 10
 
 
 # --------------------------------------------------------------- step_doubling
@@ -427,6 +464,20 @@ def test_fit_rejects_degenerate_input():
         numkit.fit_power_law([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         numkit.fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+
+
+@pytest.mark.parametrize("t, d, match", [
+    ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "finite"),
+    ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0], "finite"),
+    ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "finite"),
+    ([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0], "finite"),
+    ([5.0, 5.0, 5.0], [1.0, 2.0, 3.0], "2 distinct t")])
+def test_fit_rejects_non_finite_or_single_abscissa_data(t, d, match):
+    # before any log or least-squares solve: no LAPACK message, no RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            numkit.fit_power_law(t, d)
 
 
 # ------------------------------------------------- complete elliptic integral E(m)

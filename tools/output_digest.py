@@ -11,7 +11,9 @@ One line ``sha256 name`` is printed for
   * the stdout of each demo (``demos/*.py``), run from TREE;
   * the values of the spectral-transport check at the benchmark's transport
     parameters: the closeness norms, the fitted exponent and the
-    ``cptp_diagnostics`` of each transport U.
+    ``cptp_diagnostics`` of each transport U; then the bytes of the transports U
+    (``full_intertwiner``) and of the exact propagators E (``exact_propagator``)
+    themselves, at the same t_f.
 
 Two trees that compute the same numbers print the same lines, so a ``diff``
 of two runs names the outputs that a change moved. Each config is also run
@@ -92,12 +94,15 @@ def digests(tree):
     itw = aia.intertwiner
     p = aia.lindblad_open.OpenParams(*TRANSPORT_PARAMS)
     fit, norms = itw.closeness_bound_check(p, TRANSPORT_TFS)
-    diags = [itw.cptp_diagnostics(itw.full_intertwiner(replace(p, t_f=tf), 1.0))
-             for tf in TRANSPORT_TFS]
+    us = [itw.full_intertwiner(replace(p, t_f=tf), 1.0) for tf in TRANSPORT_TFS]
+    diags = [itw.cptp_diagnostics(u) for u in us]
     for name, values in (("norms", norms), ("exponent", [fit.exponent]),
                          ("cptp_diagnostics", [v for d in diags for v in d])):
         text = "\n".join(repr(float(v)) for v in values) + "\n"
         yield _digest(text.encode()), f"transport {name}"
+    es = [itw.exact_propagator(replace(p, t_f=tf), 1.0) for tf in TRANSPORT_TFS]
+    for name, superops in (("U", us), ("E", es)):
+        yield _digest(b"".join(s.tobytes() for s in superops)), f"transport {name}"
 
 
 def main(argv=None):
