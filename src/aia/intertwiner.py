@@ -15,17 +15,11 @@ Two transports act on coherence 4-vectors:
   which intertwines the instantaneous projectors, P_n(s) U(s) = U(s) P_n(0), up
   to discretization error (dP_n/ds: central differences of one broadcast call).
 
-U and the exact propagator E are DOP853 solves of 4x4 matrix ODEs. Before each
-try of a step, the solver names the try's 11 stage times, and the generators at
-all of them are built in one broadcast call; the rhs looks its generator up by
-exact time and builds it alone on a miss. Every broadcast generator has the bits
-of the scalar one, so U and E, and the solver's steps, are those of a rhs that
-rebuilds its generator at every call.
+U and the exact propagator E are DOP853 solves of 4x4 matrix ODEs (:func:`_propagate`).
 
 U(s) is trace preserving but only approximately completely positive; its
 distance to the exact propagator (and hence its complete-positivity defect)
-shrinks like 1/t_f. The Choi-matrix diagnostics quantify both. The Choi
-convention puts the output factor first: C = sum_ij S(|i><j|) (x) |i><j|.
+shrinks like 1/t_f. The Choi-matrix diagnostics (:func:`cptp_diagnostics`) quantify both.
 """
 
 from dataclasses import replace
@@ -73,9 +67,9 @@ def _generators(p, s, holonomy):
 
 def _propagate(p, s, rel_tol, abs_tol, holonomy):
     """X(s) of dX/ds = G(s) X, X(0) = 1, G from :func:`_generators`, by DOP853. The
-    generators of each try of a step are built in one call at its stage times; the rhs
-    looks its generator up by exact time, and builds it alone on a miss (at s = 0, and
-    at the initial-step probe)."""
+    generators of each try of a step are built in one call at its 11 stage times; the rhs
+    looks its generator up by exact time, and builds it alone on a miss (at s = 0, and at
+    the initial-step probe). Either way it has the same bits, and so has X."""
     built = {}
 
     def stages(times):

@@ -19,9 +19,7 @@ Everything is expressed in the normalized Pauli basis Gamma_i =
 generator a real 4x4 matrix with an identically zero first row. Its
 spectrum and biorthonormal left/right eigenvectors are known in closed
 form and drive the adiabatic and adiabatic-impulse constructions. The exact
-evolution takes batched eighth-order Magnus steps of that matrix, each
-exponential scaled and squared, with no ODE solver; its first step count comes
-from a bound on the whole Magnus remainder (see :func:`evolve_master`).
+evolution is :func:`evolve_master`, by Magnus steps with no ODE solver.
 """
 
 import math
@@ -111,9 +109,8 @@ def liouvillian_matrix(x, z, beta, g):
     gp, gm = spectral_gamma(np.stack([delta, -delta]), beta, g)  # the bits of two calls
     s, d = gm + gp, gm - gp
     d2 = delta * delta
-    # entries last and contiguous, as the Magnus steps' batched products want them
-    # (~20% slower on a strided view), written in place rather than transposed from
-    # a (16, ...) stack, which took two thirds of the time
+    # entries last and contiguous, as the Magnus steps' batched products want them, and
+    # written in place (CHANGES.md, "Measurements behind src constants")
     m = np.zeros(b.shape + (16,))
     m[..., 4], m[..., 5] = 2.0 * x * d / delta, -2.0 * (x * x + d2 / 4.0) * s / d2
     two_z = 2.0 * z
@@ -209,8 +206,7 @@ def _step_exponent(a, b, c, d):
     twenty conditions of orders h^3, h^5 and h^7 in the free Lie algebra of a, b, c,
     d graded 1, 2, 3, 4 (the exact series there from the Dyson series and its log,
     in rationals); they are given to 17 digits of a 40-digit Newton solution. C_2 is
-    that of the sixth-order scheme; a numerical search over five-commutator forms
-    of this kind found none.
+    that of the sixth-order scheme.
     """
     c_1 = _commutator(a, b)
     c_2 = _commutator(a, c + c_1 / 6.0)
@@ -238,12 +234,10 @@ def _expm1(omega, squarings):
     ``squarings`` halvings: the degree-14 Taylor series of X = omega / 2^s, whose
     truncation is below 0.5^15 / 15! = 2.3e-17 (degree 12 would leave 2e-14), then s
     squarings D -> 2 D + D^2, one product each. The series takes six products, X^2,
-    X^3, X^4 and three in powers of X^4, and one matrix product of :data:`_TAYLOR`
-    with the stacked powers for all four blocks, 20% faster than the same series
-    written out term by term (1.38 against 1.72 ms per 2048 steps); blocks in X^3 or
-    X^5, or degree 12 at norm 1/4 and one more squaring, take as many products. It
-    has no constant term, so the result is the deviation from the identity at full
-    precision, with a first row that is zero where omega's is."""
+    X^3, X^4 and three in powers of X^4, and one product of :data:`_TAYLOR` with the
+    stacked powers for all four blocks (why this form: CHANGES.md, "Measurements behind
+    src constants"). With no constant term, the result is the deviation from the
+    identity at full precision, with a first row that is zero where omega's is."""
     n = len(omega)
     powers = np.empty((3, n, 4, 4))
     x = np.multiply(omega, 0.5 ** squarings, out=powers[0])
@@ -266,14 +260,12 @@ def _magnus_coherence(p, n, c):
     A step is exp(Omega), with Omega from :func:`_step_exponent` on the moments
     (2k + 1) h int P_k(2s) L ds, k = 0..3, of the generator over the step (s in
     [-1/2, 1/2]), from L at its four Gauss points; the quadrature is exact
-    through order h^8. The exponential is scaled and squared (:func:`_expm1`):
-    Omega is halved s times, s the least with h (Delta_max + 2 |l_2|_max) / 2^s
-    <= 1/2: that bounds ||h L||, and so ||Omega|| up to its commutator terms, and
-    no step count is too coarse for it. It is kept as its deviation E - 1 from
-    the identity: products (1 + D_1)(1 + D_0) = 1 + D_1 + D_0 + D_1 D_0 then lose
-    no digits to the ones on the diagonal, and the rounding of the whole product
-    does not grow with n. The steps are multiplied as a tree, in chunks of at
-    most 2048, and each chunk's product is applied to c.
+    through order h^8. The exponential is :func:`_expm1`'s after s halvings, s the
+    least with h (Delta_max + 2 |l_2|_max) / 2^s <= 1/2, which bounds ||h L|| (and so
+    ||Omega|| up to its commutator terms) at any step count. Products of deviations,
+    (1 + D_1)(1 + D_0) = 1 + D_1 + D_0 + D_1 D_0, lose no digits to the ones on the
+    diagonal, so the rounding of the whole product does not grow with n. The steps
+    are multiplied as a tree, in chunks of at most 2048, each chunk's product applied to c.
     """
     h = p.t_f / n
     delta = 2.0 * np.hypot(p.x, max(-p.z_i, p.z_f))
@@ -298,53 +290,40 @@ def evolve_master(p, tol=1e-10 + 1e-12):
     """Exact final coherence vector of dc/dt = L(t) c from the Gibbs state at z_i.
 
     Batched eighth-order Magnus steps of the real 4x4 generator
-    (:func:`_magnus_coherence`), with the step count set by
-    :func:`aia.numkit.step_doubling`: the returned state is within ``tol``
-    of one with half the steps in every component, and its own error
-    is about 1/255 of that. The first pair takes the smaller of two n's.
+    (:func:`_magnus_coherence`), their count set by :func:`aia.numkit.step_doubling`
+    from the smaller of two first-pair n's.
 
-    The adiabatic estimate: for a generator linear over a step, the exact
-    exponent is h L + h^2 (1/y - coth(y/2) / 2) L' with y = h ad_L, and the
-    scheme keeps its y, y^3 and y^5 terms, so to leading order in h and 1/t_f
-    the steps follow the generator L + h^8 ad_L^7 L' / 1209600. Its steady
-    state is off by (h^8 / 1209600) L^7 dc_ss/dt; the state follows that
-    offset to z_f, and the offset at z_i stays behind as a transient. The
-    n-step state is then off by at most K h^8 / t_f, with K = dz (|L^7
-    dc_ss/dz| at z_i + the same at z_f) / 1209600, and n = t_f^(7/8) (2 K /
-    tol)^(1/8) takes that to tol / 2, the aim of a second pair. It is at
-    least 4 dz / x, which keeps the turn per step of the dissipator's
-    eigenbasis, h zdot / x at the crossing, at most 1/4: on coarser steps
-    the error has not settled to its n^-8 fall.
+    The adiabatic estimate: for a generator linear over a step, the exact exponent is
+    h L + h^2 (1/y - coth(y/2) / 2) L' with y = h ad_L, and the scheme keeps its y, y^3
+    and y^5 terms, so to leading order in h and 1/t_f the steps follow the generator
+    L + h^8 ad_L^7 L' / 1209600. Its steady state is off by (h^8 / 1209600) L^7 dc_ss/dt;
+    the state follows that offset to z_f, and the offset at z_i stays behind as a
+    transient. The n-step state is then off by at most K h^8 / t_f, with
+    K = dz (|L^7 dc_ss/dz| at z_i + the same at z_f) / 1209600, and n = t_f^(7/8)
+    (2 K / tol)^(1/8) takes that to tol / 2, the aim of a second pair. It is at least
+    4 dz / x, which keeps the turn per step of the dissipator's eigenbasis, h zdot / x at
+    the crossing, at most 1/4: on coarser steps the error has not settled to its n^-8 fall.
 
-    The bound on the whole remainder, as in
-    :func:`aia.lz_closed._first_pair_n`: for a generator linear in t, the
-    moments of a step are a = h L and b = h^2 L' / 2 and c = d = 0, and the
-    terms of order h^9 that the scheme misses, summed in absolute value over
-    their words in a and b, are at most h^9 R, R = M b' (M^6 / 4725 +
-    1.17e-3 M^4 b' + 3.02e-3 M^2 b'^2 + 1.62e-3 b'^3), with M = Delta_max + 2
-    |l_2|_max >= ||L|| and b' = zdot (2 + 12 pi g^2 + 2 |l_2|_max / x) / 2 >=
-    ||L'|| / 2. Each later order is taken to be at most q = h^2 (M^2 + 2 b') /
-    pi^2 times the one before (the part linear in L' is the series of 1/y -
-    coth(y/2) / 2, whose coefficients fall by 1 / (2 pi)^2 per order, and
-    ||y|| <= 2 h M), and the exact evolution does not stretch differences of
-    states, so n steps are off by at most t_f h^8 R / (1 - q),
-    tol / 2 at n_sum. That is the whole remainder at g = 0, where the
-    generator is linear in t: at t_f = 1, T = 1, x = 0.25, z from -1 to 0.5
-    the first pair is (24, 48) at 1e-12 + 1e-14. With the bath on, the rates
-    turn with the eigenbasis, their curvature is not in R, and n stays at
-    least 4 dz / x.
+    The bound on the whole remainder, as in :func:`aia.lz_closed._first_pair_n`: for a
+    generator linear in t, the moments of a step are a = h L and b = h^2 L' / 2 and
+    c = d = 0, and the terms of order h^9 that the scheme misses, summed in absolute
+    value over their words in a and b, are at most h^9 R,
+    R = M b' (M^6 / 4725 + 1.17e-3 M^4 b' + 3.02e-3 M^2 b'^2 + 1.62e-3 b'^3), with
+    M = Delta_max + 2 |l_2|_max >= ||L|| and b' = zdot (2 + 12 pi g^2 + 2 |l_2|_max / x)
+    / 2 >= ||L'|| / 2. Each later order is taken to be at most q = h^2 (M^2 + 2 b') / pi^2
+    times the one before (the part linear in L' is the series of 1/y - coth(y/2) / 2,
+    whose coefficients fall by 1 / (2 pi)^2 per order, and ||y|| <= 2 h M), and the
+    exact evolution does not stretch differences of states, so n steps are off by at
+    most t_f h^8 R / (1 - q), tol / 2 at n_sum. That is the whole remainder at g = 0,
+    where the generator is linear in t. With the bath on, the rates turn with the
+    eigenbasis, their curvature is not in R, and n stays at least 4 dz / x; a sudden
+    sweep under a strong bath can then take a second pair (the pairs measured:
+    CHANGES.md, "Measurements behind src constants").
 
-    On every shipped row and on 450 random sweeps (x 0.03-1, t_f 0.1-316, g up
-    to 0.3) the first pair meets the tolerance, so a run takes one pair and its
-    cost does not jump with t_f; a sudden sweep under a strong bath can still
-    take a second, since the rates' curvature is not bounded. At x = 0.1, z from
-    -1 to 1, T = 0.05, g = 0.01 and the default tol the pairs are (80, 160),
-    (278, 556), (786, 1572) and (2229, 4458) steps at t_f = 8.5, 92.37, 303.92
-    and 1e3. The cost grows like n; a pair whose 3n steps, counted as 56
-    two-level steps each, exceed :data:`aia.numkit.STEP_BUDGET` raises before
-    it runs. The first component stays exactly 1/sqrt2: the generator's first row
-    is zero, and so is that of every step's deviation from the identity. A
-    ``tol`` that is not finite and positive raises ValueError first.
+    A pair's 3n steps count as 56 two-level steps each against
+    :data:`aia.numkit.STEP_BUDGET`. The first component stays exactly 1/sqrt2: the
+    generator's first row is zero, and so is that of every step's deviation from the
+    identity. A ``tol`` that is not finite and positive raises ValueError first.
     """
     check_tolerance(tol)
     ends = np.array([p.z_i, p.z_f])
@@ -369,8 +348,7 @@ def evolve_master(p, tol=1e-10 + 1e-12):
         n = max(n, turn)
     c0 = steady_state(p.x, p.z_i, p.beta)
     # a 4x4 step, its four generators and exponential included, costs about 56
-    # two-level steps: 0.894 us against 0.0160 us, medians of 20 alternating runs of 2e5
-    # steps each on a 2-core EPYC host (per-run ratios 54-57 between quartiles)
+    # two-level steps (CHANGES.md, "Measurements behind src constants")
     return step_doubling(lambda m: _magnus_coherence(p, m, c0), n, tol, p.t_f, batch=56)
 
 
@@ -461,10 +439,9 @@ def aia_state_open(p, st):
     with the accumulated damping. No positivity clamp is applied, and the
     vector need not be a state on asymmetric sweeps (z_f != -z_i): where the
     Gibbs polarization at tau_+ differs from that at t_f and the damping has
-    not removed it, its Bloch length sqrt2 |c_vec| can exceed 1 (1.92 at x =
-    0.0119, z_i = -0.0557, z_f = 2.72, t_f = 5.35, T = 0.94, g = 0). On
-    symmetric sweeps it stays within 1 + 7e-16 over 2000 random parameter
-    sets. Reconstruct rho and inspect its spectrum to diagnose.
+    not removed it, its Bloch length sqrt2 |c_vec| can exceed 1 (the cases
+    measured: CHANGES.md, "Measurements behind src constants"). Reconstruct
+    rho and inspect its spectrum to diagnose.
     """
     return _aia_coherences(p, *_checked_window(p, st.tau_minus, st.tau_plus))
 

@@ -43,18 +43,14 @@ REGIME_WHOLE = "whole-interval-impulse"
 REGIME_INTERIOR = "interior"
 REGIME_COLLAPSED = "collapsed"
 
-# the rounding floor of an exact state per unit of its phase int b dt. A pair shares
-# the rounding delta of h = t_f / n, |delta| <= eps / 2, which turns each phase by
-# |delta| int b dt and counts against the tolerance; on top of it, converged states
-# were up to 0.39 eps int b dt off the exact ones, and the L = 150 chain at t_f = 8000
-# stops at pair differences of 0.18-0.27 eps int b dt (1.3-1.9e-12). Between eps / 8
-# and eps / 2 two pairs of up to 39240 + 78480 steps ran before the floor was named
+# the rounding floor of an exact state per unit of its phase int b dt: a pair shares the
+# rounding delta of h = t_f / n, |delta| <= eps / 2, which turns each phase by |delta|
+# int b dt (the floor measured: CHANGES.md, "Measurements behind src constants")
 _FLOOR_PER_PHASE = np.finfo(float).eps / 2.0
 
 # the least n of a first pair. A pass of up to ~100 steps costs its ~25 numpy calls per
-# chunk and a few per tree level, whatever n: at lz (0.1, +-1), t_f = 0.2, one evolution
-# takes 123 us with a (2, 4) pair and 125 us with (16, 32), where the n_sum pairs of the
-# sudden rows, (2, 4) to (4, 8), left states up to 8e-14 off the exact ones
+# chunk and a few per tree level, whatever n (timings and accuracy: CHANGES.md,
+# "Measurements behind src constants")
 _MIN_STEPS = 16
 
 
@@ -131,9 +127,8 @@ def lz_eigensystem(x, z):
     return -b, b, np.stack([-lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
 
 
-# elements per chunk of steps: at the L = 150 chain, t_f = 300, one evolution took
-# 11.8 ms in chunks of 8192, 10.4 ms at 16384, 9.6 ms at 32768, 9.2 ms at 65536 and
-# 11.5 ms at 131072 (medians of 60 interleaved runs); at t_f = 5, 0.8-0.9 ms at each
+# elements per chunk of steps, the fastest of the powers of two timed (CHANGES.md,
+# "Measurements behind src constants")
 _CHUNK = 65536
 
 # sin(r) / r = sum_k (-u)^k / (2k + 1)! in u = r^2, highest power first: for u <= 1 the
@@ -264,8 +259,7 @@ def _first_pair_n(p, phase, tol):
     step is off by at most h^9 R / (1 - h^2 (b_max^2 + zdot) / pi^2), and n
     steps by t_f h^8 times that. With the step angle h max b at most 1 (the
     floor t_f max b), h^2 (b_max^2 + zdot) <= 3, and n_sum stays small in the
-    sudden limit. There n is at least :data:`_MIN_STEPS`: a pass of so few steps
-    costs its fixed numpy calls, not its steps.
+    sudden limit. There n is at least :data:`_MIN_STEPS`.
     """
     b_i, b_f = np.hypot(p.x, p.z_i), np.hypot(p.x, p.z_f)
     b_max = np.maximum(b_i, b_f)
@@ -286,25 +280,17 @@ def _first_pair_n(p, phase, tol):
 def evolve_schrodinger(p, tol=1e-10 + 1e-12):
     """Exact final state of the sweep, starting from the ground state at t = 0.
 
-    Batched eighth-order Magnus steps in the fixed sigma_z frame (Blanes et al.,
-    Phys. Rep. 470, 151, 2009), each a closed-form SU(2) rotation, with the step
-    count set by :func:`aia.numkit.step_doubling` (the returned state is within
-    ``tol`` of one with half the steps, and about 1/255 of that off).
-    A ``tol`` that is not finite and positive raises ValueError first.
-    The first pair's n comes from a closed-form estimate of the Magnus
-    remainder (:func:`_first_pair_n`), so wherever the sweep is adiabatic at
-    its ends the first pair meets the tolerance and a run takes one pair. The
-    cost grows like t_f^(7/8) tol^(-1/8), and like t_f max b at the largest
-    t_f, up to the budget of :data:`aia.numkit.STEP_BUDGET` steps x crossings
-    per pair; beyond it :class:`aia.numkit.IntegrationError` is raised.
-    The n- and 2n-step states share the rounding delta of h = t_f / n: the
-    steps then sweep over n h = t_f (1 + delta), which turns each phase by
-    |delta| int b dt, and step doubling cannot see it. The pair counts it, with
-    delta exact (``fractions.Fraction``): a pair is accepted only if its
-    difference plus |delta| int b dt (1 + h^2 zdot / 3) is within the tolerance,
-    the last factor for the zdot terms of the steps, which see delta twice. A
-    tolerance below eps int b dt / 2, where that term alone can fill it, raises
-    before any step; one near eps int b dt may miss both pairs and raise too.
+    Batched eighth-order Magnus steps in the fixed sigma_z frame (:func:`_magnus_state`;
+    Blanes et al., Phys. Rep. 470, 151, 2009). The first pair's n is :func:`_first_pair_n`'s;
+    :func:`aia.numkit.step_doubling` accepts a pair and sets the state's error and the step
+    budget (steps x crossings). A ``tol`` that is not finite and positive raises ValueError.
+
+    The n- and 2n-step states share the rounding delta of h = t_f / n, which turns each
+    phase by |delta| int b dt where step doubling cannot see it: a pair is accepted only
+    if its difference plus |delta| int b dt (1 + h^2 zdot / 3), delta exact
+    (``fractions.Fraction``; the zdot terms of the steps see delta twice), is within the
+    tolerance. A tolerance below eps int b dt / 2, where that term alone can fill it,
+    raises before any step; one near eps int b dt may miss both pairs and raise too.
     A batch of crossings shares the steps: shape z_i.shape + (2,).
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]

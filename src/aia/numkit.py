@@ -3,9 +3,8 @@ finding, scalar minimization, power-law fitting and the antiderivative of a gap.
 
 Everything here is dimension-agnostic but tuned for the tiny systems used in
 the rest of the package (state vectors of length 2, superoperators of size 4).
-All functions are pure; none keeps internal state. The module needs only
-numpy: scipy's ODE solver, which only the intertwiner's transport uses, is
-imported on the first call of :func:`solve_ivp`.
+The module needs only numpy: scipy's ODE solver, which only the intertwiner's
+transport uses, is imported on the first call of :func:`solve_ivp`.
 """
 
 from dataclasses import dataclass
@@ -15,11 +14,10 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 
-# The most steps x batch that one pair of :func:`step_doubling` (n + 2n steps) may
-# take: about 2.2 s of two-level steps (0.016-0.017 us each, one crossing or the L = 150
-# chain's 75, on a 2-core EPYC host), 238x the largest pair of a shipped row (the chain at
-# t_f = 300: 3 x 2512 x 75 = 5.7e5) and over 6x the largest that a test runs (the open
-# model at t_f = 1e5: 3 x 124740 x 56 = 2.1e7).
+# The most steps x batch that one pair of :func:`step_doubling` (n + 2n steps) may take:
+# 238x the largest pair of a shipped row (the chain at t_f = 300: 3 x 2512 x 75 = 5.7e5)
+# and over 6x the largest that a test runs (the open model at t_f = 1e5: 3 x 124740 x 56 =
+# 2.1e7). Its cost in time: CHANGES.md, "Measurements behind src constants".
 STEP_BUDGET = 2 ** 27
 
 
@@ -45,12 +43,11 @@ def solve_ivp(*args, stages=None, **kwargs):
     the package loads no scipy module.
 
     With ``stages``, the method is DOP853, and before each try of a step
-    ``stages(times)`` is called with the 11 times at which that try calls the rhs:
-    t + C[1:] h, with h as scipy's ``_step_impl`` computes it (a retry's h from the
-    rejected try's error norm). The last node is C = 1, so the new slope at t + h is
-    taken at the last of them. Only the start and the initial-step probe call the rhs
-    at times not announced. The solver's state and step control are scipy's, so the
-    result and ``nfev`` are those of plain DOP853.
+    ``stages(times)`` is called with the 11 times t + C[1:] h at which that try calls
+    the rhs, h as scipy's ``_step_impl`` computes it (a retry's from the rejected try's
+    error norm); the last, C = 1, is t + h. Only the start and the initial-step probe
+    call the rhs at times not announced. Step control is scipy's, so the result and
+    ``nfev`` are those of plain DOP853.
     """
     from scipy.integrate import DOP853, solve_ivp
 
@@ -99,10 +96,8 @@ def integrate_ode(rhs, y0, t0, t1, rel_tol=1e-10, abs_tol=1e-12, stages=None):
     ``y0``. Raises :class:`IntegrationError` with the failing time if the step
     size underflows or the rhs is not finite at the start (on a non-finite
     first slope the solver would never pick a usable step), and ``ValueError`` on a
-    non-finite t0 or t1 (toward which it would step forever). ``stages``, if given, is
-    told each try's stage times first (see :func:`solve_ivp`), so that the caller can
-    build what the rhs needs at all of them in one call; the rhs must not depend on
-    whether it did.
+    non-finite t0 or t1 (toward which it would step forever). ``stages`` goes to
+    :func:`solve_ivp`; the rhs must not depend on whether it was called.
     """
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"require finite t0 and t1, got [{t0}, {t1}]")
@@ -129,20 +124,19 @@ def step_doubling(propagate, n, tol, t_end, *, batch=1, floor=_EPS, shared=None)
 
     ``propagate(m)`` returns the state after m equal steps, each of which costs
     ``batch`` two-level steps (one per crossing of a batch); the first pair
-    takes ceil(n) and twice that many steps, n a float. Every Magnus
-    propagator of the package is of order 8. The 2n-step state is
-    returned once its largest difference from the n-step one, plus
-    ``shared(n)`` if given (a bound on an error that the two states have in
-    common and their difference cannot see), is within ``tol``; its
-    own error, falling like n^-8, is then about 1 / 255 of the
-    difference. Otherwise the difference predicts, by its eighth root, the n of a
-    second pair; if that misses too, the roundoff floor is reached and
-    :class:`IntegrationError` names it, with the end time ``t_end``.
+    takes ceil(n) and twice that many steps, n a float. The 2n-step state is
+    returned once its largest difference from the n-step one, plus ``shared(n)``
+    if given (a bound on an error that the two states have in common and their
+    difference cannot see), is within ``tol``; its own error, falling like n^-8,
+    is then about 1 / 255 of the difference. Otherwise the difference predicts,
+    by its eighth root, the n of a second pair; if that misses too, the roundoff
+    floor is reached and :class:`IntegrationError` names it, with the end time ``t_end``.
     Neither a tolerance below ``floor``, the rounding floor of the states (at
     least the machine epsilon, which no state of unit size resolves), nor a pair
     whose 3n steps x ``batch`` exceed :data:`STEP_BUDGET` (or whose n is
     infinite or NaN) is run: both raise before any step of theirs is taken, the
-    budget first. ``tol`` is the caller's, checked by :func:`check_tolerance`.
+    budget first. A pair with a non-finite state raises, and no second pair runs.
+    ``tol`` is the caller's, checked by :func:`check_tolerance`.
     """
     floor = max(floor, _EPS)
     for _ in range(2):
@@ -156,6 +150,8 @@ def step_doubling(propagate, n, tol, t_end, *, batch=1, floor=_EPS, shared=None)
                                    f"{tol:.3g} is below the roundoff floor {floor:.3g}")
         n = int(n)
         coarse, fine = propagate(n), propagate(2 * n)
+        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+            raise IntegrationError(f"integration failed at t={t_end:.6g}: a non-finite state")
         seen = float(np.max(np.abs(coarse - fine)))
         diff = seen + (shared(n) if shared else 0.0)
         if diff <= tol:
@@ -258,8 +254,8 @@ def hypot_antiderivative(u, a):
     difference of two of these values. The asinh form stays finite at any
     coupling; the equivalent log(u + sqrt(u^2 + a^2)) rounds to log 0 for
     u < 0 once |a| is below ~1e-8 |u|. The root is sqrt(u * u + a * a), not
-    np.hypot, a scalar libm call that costs about four times as much per
-    element of a large array. Every parameter class bounds its scales to
+    np.hypot (the costs: CHANGES.md, "Measurements behind src constants").
+    Every parameter class bounds its scales to
     [1e-30, 1e30]; for |u| and |a| up to a few 1e30 no square overflows, and
     with |a| >= 1e-30 an underflowing u * u leaves the root at |a|. There the
     result is within 2 eps relative of its exact value for either sign of u

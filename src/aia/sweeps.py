@@ -25,6 +25,7 @@ produce byte-identical files regardless of thread count.
 
 import concurrent.futures
 import contextlib
+import csv
 import errno
 import os
 import stat
@@ -175,12 +176,14 @@ def parse_config(text):
     m = pipeline(cfg)
     if not m.temperatures:
         raise ConfigError(f"line {lines['temperatures']}: temperature list is empty")
-    for temperature in m.temperatures:
-        try:
-            m.params(cfg.tf_min, temperature)
-        except ValueError as exc:
-            where = sorted(lines[k] for k in _MODEL_KEYS[model] if k in lines)
-            raise ConfigError(f"lines {', '.join(map(str, where))}: {exc}") from None
+    # the grid's ends, which np.geomspace returns exactly: every bound on t_f is an interval
+    where = ", ".join(map(str, sorted(lines[k] for k in _MODEL_KEYS[model] if k in lines)))
+    for tf, at in ((cfg.tf_min, f"lines {where}"), (cfg.tf_max, f"line {lines['tf_max']}")):
+        for temperature in m.temperatures:
+            try:
+                m.params(tf, temperature)
+            except ValueError as exc:
+                raise ConfigError(f"{at}: {exc}") from None
     return cfg
 
 
@@ -189,12 +192,8 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.17g}"
+def _fmt(value):  # a float to 17 significant digits; csv writes None as an empty cell
+    return value if value is None or isinstance(value, str) else f"{value:.17g}"
 
 
 def _row(cfg, tf, temperature):
@@ -241,21 +240,20 @@ def _check_out(path):
 
 
 def _write_csv(path, columns, rows):
-    """Write a header of ``columns`` and one line per row of cells (:func:`_fmt`), LF ends.
+    """Write a header of ``columns`` and one line per row of cells (:func:`_fmt`) with
+    :mod:`csv`, LF ends; a cell holding a comma or a quote is quoted.
 
     An existing regular file at ``path`` is unlinked first, so that the CSV goes to a
-    new file. On ext4 (auto_da_alloc), a file truncated and written again has its new
-    data forced out at close, and the next truncation waits for that: a sweep re-run to
-    one path paid 50-80 ms per CSV, where writing a new file takes 0.01 ms. A symlink
-    stays, and the CSV is written through it; where the unlink fails (a directory
-    without write permission), the file is truncated as before."""
+    new file: rewriting a truncated one can wait on a flush (CHANGES.md, "Measurements
+    behind src constants"). A symlink stays, and the CSV is written through it; where
+    the unlink fails (a directory without write permission), the file is truncated."""
     if os.path.isfile(path) and not os.path.islink(path):
         with contextlib.suppress(OSError):
             os.unlink(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def run_sweep(cfg, out=None, threads=1):
@@ -285,15 +283,12 @@ def run_sweep(cfg, out=None, threads=1):
 
 def read_csv(path):
     """Read a sweep CSV back into {column: list}, empty fields as None."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = {c: [] for c in header}
-        for line in fh:
-            for c, cell in zip(header, line.rstrip("\n").split(",")):
-                if c == "err":
-                    data[c].append(cell)
-                else:
-                    data[c].append(float(cell) if cell else None)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        data = {c: [] for c in reader.fieldnames}
+        for row in reader:
+            for c in data:
+                data[c].append(row[c] if c == "err" else float(row[c]) if row[c] else None)
     return data
 
 

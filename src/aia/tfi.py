@@ -150,8 +150,7 @@ def tfi_gap(h, L):
 
 def evolve_register(p, tol=1e-10 + 1e-12):
     """Exact evolution of every mode from the h_i ground register, as one
-    batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`, each
-    within ``tol`` of its state with half the steps."""
+    batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`."""
     return lz.evolve_schrodinger(p, tol) @ _PAIR.T
 
 

@@ -258,6 +258,26 @@ def test_step_doubling_refuses_a_predicted_pair_above_the_step_budget():
     assert passes == [n, 2 * n]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("which", ["coarse", "fine"])
+def test_step_doubling_names_a_non_finite_state(bad, which):
+    # a propagator that returns a NaN or infinite state is named as such, with no
+    # warning from the pair's difference and no second pair; it used to read as
+    # "a pair of nan and nan steps ... exceeds the budget"
+    passes = []
+
+    def propagate(n):
+        passes.append(n)
+        return np.array([1.0, bad if (n == 20) == (which == "fine") else 0.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(numkit.IntegrationError, match=r"^integration failed at t=3: "
+                                                          r"a non-finite state$"):
+            numkit.step_doubling(propagate, 10, 1e-10 + 1e-12, 3.0)
+    assert passes == [10, 20]
+
+
 # -------------------------------------------------------- hypot_antiderivative
 
 @pytest.mark.parametrize("a", [1e-12, 1e-8, 0.1, 1.0, 3.0])

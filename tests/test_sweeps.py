@@ -1,5 +1,6 @@
 """Sweep configs, CSV contract, fits, impulse-interval scans, CLI surface."""
 
+import csv
 import dataclasses
 import itertools
 import os
@@ -135,6 +136,31 @@ def test_parse_grid_sanity():
     with pytest.raises(sweeps.ConfigError, match="line 5: need 0 < tf_min"):
         sweeps.parse_config("model = lz\nx=.1\nz_i=-1\nz_f=1\n"
                             "tf_min=0\ntf_max=1\ntf_points=3\n")
+
+
+_TF_MAX_OUT_OF_RANGE = {
+    # each model's parameters pass at tf_min and fail at tf_max
+    "lz": LZ_CFG.replace("tf_min = 10", "tf_min = 1e29").replace("tf_max = 60", "tf_max = 1e31"),
+    "tfi": TFI_CFG.replace("tf_min = 5", "tf_min = 1e29").replace("tf_max = 20", "tf_max = 1e31"),
+    "open": (OPEN_CFG.replace("tf_min = 10", "tf_min = 1e29")
+             .replace("tf_max = 40", "tf_max = 1e31")),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_TF_MAX_OUT_OF_RANGE))
+def test_parse_rejects_tf_max_out_of_range(tmp_path, capsys, model):
+    # every bound on t_f is an interval and the grid holds both ends exactly, so the
+    # parameters are checked at tf_min and tf_max; a failure at tf_max names its line
+    text = _TF_MAX_OUT_OF_RANGE[model]
+    tf_max_line = text.splitlines().index("tf_max = 1e31") + 1
+    with pytest.raises(sweeps.ConfigError, match=rf"^line {tf_max_line}: require .*t_f in "
+                                                 r"\[1e-30, 1e30\], got "):
+        sweeps.parse_config(text)
+    cfg_path, out = tmp_path / f"{model}.cfg", tmp_path / "never.csv"
+    cfg_path.write_text(text)
+    assert cli_main([model, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: line {tf_max_line}: require ")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------------ sweeps
@@ -518,6 +544,26 @@ def test_row_failures_recorded_and_sweep_continues(tmp_path, monkeypatch):
         assert data["d_adi"][0] is None
         assert all(e == "" for e in data["err"][1:])
         assert all(v is not None for v in data["d_adi"][1:])
+
+
+def test_an_err_cell_with_commas_survives_the_round_trip(tmp_path, monkeypatch):
+    # the message is one quoted cell: every line has the header's field count, and
+    # read_csv gives the whole message back
+    real = lz.adiabatic_state
+
+    def failing(p):
+        if abs(p.t_f - 10.0) < 1e-9:
+            raise ValueError('a, "b", c')
+        return real(p)
+
+    monkeypatch.setattr(lz, "adiabatic_state", failing)
+    path, _, n_failed = sweeps.run_sweep(sweeps.parse_config(LZ_CFG),
+                                         out=str(tmp_path / "commas.csv"))
+    assert n_failed == 1
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert len(lines) == 5 and {len(line) for line in lines} == {len(lines[0])}
+    assert sweeps.read_csv(path)["err"] == ['ValueError: a, "b", c', "", "", ""]
 
 
 def test_cli_exit_2_when_every_row_fails(tmp_path, monkeypatch):
