@@ -24,12 +24,13 @@ evolution is :func:`evolve_master`, by Magnus steps with no ODE solver.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .numkit import check_tolerance, minimize_scalar, step_doubling
-from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, _centered_window, _checked_window,
-                        dynamical_phase_gs, switching_times as lz_switching_times)
+from .lz_closed import (LzParams, SIGMA_X, SIGMA_Y, SIGMA_Z, _antiderivative, _centered_window,
+                        _checked_window, _phase, switching_times as lz_switching_times)
 
 PAULI_BASIS = [np.eye(2) / np.sqrt(2.0), SIGMA_X / np.sqrt(2.0),
                SIGMA_Y / np.sqrt(2.0), SIGMA_Z / np.sqrt(2.0)]
@@ -56,6 +57,10 @@ class OpenParams(LzParams):
     @property
     def beta(self):
         return 1.0 / self.T
+
+    @cached_property
+    def _right_f(self):  # the right eigenvectors at z_f, kept as LzParams keeps its ends
+        return _eigenvectors(self.x, self.z_f, self.beta)[0]
 
 
 @dataclass
@@ -358,7 +363,7 @@ def adiabatic_state_open(p):
     The kernel is one-dimensional, its eigenvalue is zero (no dynamical
     factor) and the geometric connection vanishes for these eigenvectors.
     """
-    return steady_state(p.x, p.z_f, p.beta)
+    return p._right_f[..., :, 0].real.copy()  # not a view of what p keeps
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -422,10 +427,11 @@ def _aia_coherences(p, tm, tp):
     b_m, b_p = np.hypot(p.x, z_m), np.hypot(p.x, z_p)
     th_m, th_p = np.tanh(p.beta * b_m), np.tanh(p.beta * b_p)
     dot, cross = (p.x * p.x + z_p * z_m) / (b_p * b_m), p.x * (z_p - z_m) / (b_p * b_m)
-    rate_int, delta_int = _tail_rate_integrals(p, tp), -2.0 * dynamical_phase_gs(p, tp, p.t_f)
+    rate_int = _tail_rate_integrals(p, tp)
+    delta_int = -2.0 * _phase(p, _antiderivative(p, tp), p._prim_f)
     a2 = np.exp(-rate_int) * (th_p - th_m * dot) / np.sqrt(2.0)
     a3 = np.exp(-0.5 * rate_int - 1j * delta_int) * 0.5 * th_m * cross
-    right = _eigenvectors(p.x, p.z_f, p.beta)[0]
+    right = p._right_f
     return (right[..., :, 0].real + a2[..., None] * right[..., :, 1].real
             + 2.0 * (a3[..., None] * right[..., :, 2]).real)
 

@@ -30,6 +30,7 @@ as the Ising chain's momentum modes are.
 import math
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +55,31 @@ _FLOOR_PER_PHASE = np.finfo(float).eps / 2.0
 _MIN_STEPS = 16
 
 
+class _EndPoints:
+    """A sweep's values at its ends, computed on first use and kept as long as the
+    parameter object: psi_1(t_f) and psi_2(t_f), the gap antiderivative at t = 0 and at
+    t = t_f (at z(t_f), which need not be z_f to the bit) and delta_1(0, t_f). Every
+    state of a row and every evaluation of its optimizer reads them."""
+
+    @cached_property
+    def _psi_f(self):
+        return lz_eigensystem(self.x, self.z_f)[2:]
+
+    @cached_property
+    def _prim_0(self):
+        return _antiderivative(self, 0.0)
+
+    @cached_property
+    def _prim_f(self):
+        return _antiderivative(self, self.t_f)
+
+    @cached_property
+    def _phase_f(self):
+        return _phase(self, self._prim_0, self._prim_f)
+
+
 @dataclass(frozen=True)
-class LzParams:
+class LzParams(_EndPoints):
     """Sweep parameters: coupling x, detuning endpoints z_i < 0 < z_f, duration t_f."""
 
     x: float
@@ -294,7 +318,7 @@ def evolve_schrodinger(p, tol=1e-10 + 1e-12):
     A batch of crossings shares the steps: shape z_i.shape + (2,).
     """
     psi0 = lz_eigensystem(p.x, p.z_i)[2]
-    phase = -dynamical_phase_gs(p, 0.0, p.t_f)  # int b dt, per crossing
+    phase = -p._phase_f  # int b dt, per crossing
     n = _first_pair_n(p, phase, check_tolerance(tol))
 
     def rounding(m):  # the error that the rounding of h = t_f / m gives both states of a pair
@@ -312,14 +336,22 @@ def dynamical_phase_gs(p, t_a, t_b):
 
     E_1 = -b < 0 throughout, so the result is negative for t_b > t_a.
     """
-    prim_a, prim_b = (hypot_antiderivative(p.z(t), p.x) for t in (t_a, t_b))
+    return _phase(p, _antiderivative(p, t_a), _antiderivative(p, t_b))
+
+
+def _antiderivative(p, t):
+    """The gap's antiderivative in z at z(t), of which delta_1 is a difference."""
+    return hypot_antiderivative(p.z(t), p.x)
+
+
+def _phase(p, prim_a, prim_b):
+    """delta_1 between the times where :func:`_antiderivative` is prim_a and prim_b."""
     return -(p.t_f / p.dz) * (prim_b - prim_a)
 
 
 def adiabatic_state(p):
     """Adiabatic approximation exp(-i delta_1(0, t_f)) psi_1(t_f)."""
-    _, _, psi1_f, _ = lz_eigensystem(p.x, p.z_f)
-    return np.exp(-1j * dynamical_phase_gs(p, 0.0, p.t_f))[..., None] * psi1_f
+    return np.exp(-1j * p._phase_f)[..., None] * p._psi_f[0]
 
 
 def coupling_matrix_element(p, t):
@@ -353,10 +385,9 @@ def adiabatic_first_order(p):
     The correction adds a secular phase along psi_1 and end-point mixing into
     psi_2 weighted by the m21 coefficients at t = 0 and t = t_f.
     """
-    _, _, psi1_f, psi2_f = lz_eigensystem(p.x, p.z_f)
-    d1 = dynamical_phase_gs(p, 0.0, p.t_f)
-    ph1 = np.exp(-1j * d1)
-    ph2 = np.exp(+1j * d1)  # delta_2 = -delta_1
+    psi1_f, psi2_f = p._psi_f
+    ph1 = np.exp(-1j * p._phase_f)
+    ph2 = np.exp(+1j * p._phase_f)  # delta_2 = -delta_1
     corr = (1j * ph1 * j21(p, p.t_f) * psi1_f
             - 1j * ph1 * m21(p, p.t_f) * psi2_f
             + 1j * ph2 * m21(p, 0.0) * psi2_f)
@@ -375,8 +406,9 @@ def aia_state(p, st):
     has shape z_i.shape + (2,).
     """
     tm, tp = _checked_window(p, st.tau_minus, st.tau_plus)
-    cos, sin, tail_phase, psi1_f, psi2_f = _frozen_overlaps(p, tm, tp)
-    tail, pre = np.exp(-1j * tail_phase), np.exp(-1j * dynamical_phase_gs(p, 0.0, tm))
+    cos, sin, tail_phase = _frozen_overlaps(p, tm, tp)
+    tail, pre = np.exp(-1j * tail_phase), np.exp(-1j * _phase(p, p._prim_0, _antiderivative(p, tm)))
+    psi1_f, psi2_f = p._psi_f
     return (tail * pre * cos)[..., None] * psi1_f + (tail.conj() * pre * sin)[..., None] * psi2_f
 
 
@@ -394,14 +426,13 @@ def _centered_window(p, dtaus):
 
 
 def _frozen_overlaps(p, tm, tp):
-    """(<psi_1(tau_+)|psi_1(tau_-)>, <psi_2(tau_+)|psi_1(tau_-)>, delta_1(tau_+, t_f),
-    psi_1(t_f), psi_2(t_f)) of windows (tm, tp), the first three of shape tm.shape +
-    z_i.shape. In the fixed gauge the overlaps are cos(dtheta/2) and sin(dtheta/2), dtheta =
-    atan2(x (z_- - z_+), x^2 + z_+ z_-) the turn of the eigenbasis, free of cancellation."""
+    """(<psi_1(tau_+)|psi_1(tau_-)>, <psi_2(tau_+)|psi_1(tau_-)>, delta_1(tau_+, t_f)) of
+    windows (tm, tp), each of shape tm.shape + z_i.shape. In the fixed gauge the overlaps
+    are cos(dtheta/2) and sin(dtheta/2), dtheta = atan2(x (z_- - z_+), x^2 + z_+ z_-) the
+    turn of the eigenbasis, free of cancellation."""
     z_m, z_p = p.z(tm), p.z(tp)
     half_turn = 0.5 * np.arctan2(p.x * (z_m - z_p), p.x * p.x + z_p * z_m)
-    return (np.cos(half_turn), np.sin(half_turn), dynamical_phase_gs(p, tp, p.t_f),
-            *lz_eigensystem(p.x, p.z_f)[2:])
+    return np.cos(half_turn), np.sin(half_turn), _phase(p, _antiderivative(p, tp), p._prim_f)
 
 
 def _window(center, tf, lower, upper, half):
@@ -473,8 +504,8 @@ def aia_distance_grid(p, dtaus, psi_exact):
     modulus one, so the distance is |e_1 cos(dtheta/2) + exp(2i delta_1(tau_+, t_f)) e_2
     sin(dtheta/2)|, clamped to 1, with e_j = _wedge(psi_j(t_f), psi_exact): per point one
     antiderivative and one complex exponential, and no state array."""
-    cos, sin, tail_phase, psi1_f, psi2_f = _frozen_overlaps(p, *_centered_window(p, dtaus))
-    e_1, e_2 = _wedge(psi1_f, psi_exact), _wedge(psi2_f, psi_exact)
+    cos, sin, tail_phase = _frozen_overlaps(p, *_centered_window(p, dtaus))
+    e_1, e_2 = (_wedge(psi_f, psi_exact) for psi_f in p._psi_f)
     return np.minimum(np.abs(e_1 * cos + np.exp(2j * tail_phase) * (e_2 * sin)), 1.0)
 
 

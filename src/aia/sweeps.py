@@ -176,9 +176,11 @@ def parse_config(text):
     m = pipeline(cfg)
     if not m.temperatures:
         raise ConfigError(f"line {lines['temperatures']}: temperature list is empty")
-    # the grid's ends, which np.geomspace returns exactly: every bound on t_f is an interval
+    # the model's keys at t_f = 1, inside every model's bounds on t_f; then the grid's ends,
+    # which np.geomspace returns exactly: every bound on t_f is an interval
     where = ", ".join(map(str, sorted(lines[k] for k in _MODEL_KEYS[model] if k in lines)))
-    for tf, at in ((cfg.tf_min, f"lines {where}"), (cfg.tf_max, f"line {lines['tf_max']}")):
+    for tf, at in ((1.0, f"lines {where}"), (cfg.tf_min, f"line {lines['tf_min']}"),
+                   (cfg.tf_max, f"line {lines['tf_max']}")):
         for temperature in m.temperatures:
             try:
                 m.params(tf, temperature)

@@ -39,7 +39,7 @@ _PAIR = np.array([[0.0, 1.0], [-1.0j, 0.0]])
 
 
 @dataclass(frozen=True)
-class TfiParams:
+class TfiParams(lz._EndPoints):
     """Chain length L (even), field endpoints h_i < 1 < h_f, sweep duration t_f."""
 
     L: int

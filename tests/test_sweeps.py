@@ -163,6 +163,24 @@ def test_parse_rejects_tf_max_out_of_range(tmp_path, capsys, model):
     assert not out.exists()
 
 
+_TF_MIN_OUT_OF_RANGE = {
+    "lz": "model = lz\nx = 0.1\nz_i = -1\nz_f = 1\ntf_min = 1e-31\ntf_max = 1\ntf_points = 3\n",
+    "tfi": TFI_CFG.replace("tf_min = 5", "tf_min = 1e-31"),
+    "open": OPEN_CFG.replace("tf_min = 10", "tf_min = 1e-31"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_TF_MIN_OUT_OF_RANGE))
+def test_parse_rejects_tf_min_out_of_range_on_its_own_line(model):
+    # the model's keys pass, so the error names the tf_min line, not theirs
+    text = _TF_MIN_OUT_OF_RANGE[model]
+    tf_min_line = text.splitlines().index("tf_min = 1e-31") + 1
+    assert model != "lz" or tf_min_line == 5
+    with pytest.raises(sweeps.ConfigError, match=rf"^line {tf_min_line}: require .*t_f in "
+                                                 r"\[1e-30, 1e30\], got "):
+        sweeps.parse_config(text)
+
+
 # ------------------------------------------------------------------------ sweeps
 
 @pytest.fixture(scope="module")
@@ -428,6 +446,76 @@ def test_default_tolerance_is_the_sum_of_the_default_pair(model, p):
     cfg = sweeps.SweepConfig(model, {}, 1.0, 2.0)
     assert np.array_equal(evolve(p), evolve(p, 1e-10 + 1e-12))
     assert np.array_equal(evolve(p), evolve(p, cfg.rel_tol + cfg.abs_tol))
+
+
+_ROWS = [("lz", LZ_CFG, "optimize_dtau"), ("tfi", TFI_CFG, "optimize_dtau_tfi"),
+         ("open", OPEN_CFG, "optimize_dtau_open")]
+
+
+@pytest.mark.parametrize("model, text, optimizer", _ROWS, ids=[r[0] for r in _ROWS])
+def test_a_row_computes_its_end_point_values_once(monkeypatch, model, text, optimizer):
+    # a row's parameter object keeps psi_j(t_f) and (open) the right eigenvectors at z_f:
+    # the eigensystem runs once at z_i (the exact state's start) and once at z_f, and
+    # every evaluation of the optimizer reads what the row has kept
+    cfg = sweeps.parse_config(text)
+    m = sweeps.pipeline(cfg)
+    p = m.params(cfg.tf_min, m.temperatures[0])
+    lz_calls, open_calls = [], []
+
+    def counted(calls, real):
+        def wrapper(x, z, *args):
+            calls.append(np.asarray(z))
+            return real(x, z, *args)
+        return wrapper
+
+    monkeypatch.setattr(lz, "lz_eigensystem", counted(lz_calls, lz.lz_eigensystem))
+    monkeypatch.setattr(lo, "_eigenvectors", counted(open_calls, lo._eigenvectors))
+    module = lz if model == "lz" else tfi if model == "tfi" else lo
+    real_optimizer, added = getattr(module, optimizer), []
+
+    def optimize(*args):
+        before = len(lz_calls), len(open_calls)
+        result = real_optimizer(*args)
+        added.append((len(lz_calls), len(open_calls)) != before)
+        return result
+
+    monkeypatch.setattr(module, optimizer, optimize)
+    assert sweeps._compute_task((cfg, cfg.tf_min, m.temperatures[0]))["err"] == ""
+    assert added == [False]
+    if model == "open":
+        assert sum(np.array_equal(z, p.z_f) for z in open_calls) == 1
+        assert lz_calls == []
+    else:
+        assert len(lz_calls) == 2
+        assert np.array_equal(lz_calls[0], p.z_i) and np.array_equal(lz_calls[1], p.z_f)
+        assert open_calls == []
+
+
+@pytest.mark.parametrize("p", [lz.LzParams(0.1, -1.0, 1.0, 50.0), tfi.TfiParams(20, 0.5, 1.5, 10.0),
+                               lo.OpenParams(0.1, -1.0, 1.0, 20.0, 0.5, 0.01)],
+                         ids=["lz", "tfi", "open"])
+def test_kept_end_point_values_belong_to_one_parameter_object(p):
+    # a replaced object computes its own values: its states are those of a fresh object
+    model = {lz.LzParams: "lz", tfi.TfiParams: "tfi", lo.OpenParams: "open"}[type(p)]
+    m = sweeps.pipeline(sweeps.SweepConfig(model, {}, 1.0, 2.0))
+    st = lz.SwitchingTimes(0.3 * p.t_f, 0.6 * p.t_f, lz.REGIME_INTERIOR)
+
+    def states(q):
+        exact = m.exact(q)
+        out = [exact, m.adiabatic(q), m.aia(q, st), m.distance_grid(q, [-0.5 * q.t_f, 0.2], exact)]
+        return out + ([m.first_order(q)] if m.first_order else [])
+
+    kept = ["_psi_f", "_prim_0", "_prim_f", "_phase_f"] + (["_right_f"] if model == "open" else [])
+    for name in kept:
+        getattr(p, name)
+    before = states(p)
+    doubled = dataclasses.replace(p, t_f=2.0 * p.t_f)
+    fresh = type(p)(**{f.name: getattr(doubled, f.name) for f in dataclasses.fields(p)})
+    assert not set(kept) & set(vars(doubled))
+    got = states(doubled)
+    for state, want in zip(got, states(fresh)):
+        assert np.array_equal(state, want)
+    assert not np.array_equal(got[2], before[2])  # the AIA state moves with t_f
 
 
 # -------------------------------------------------------------------------- CLI

@@ -16,7 +16,9 @@ One line ``sha256 name`` is printed for
     themselves, at the same t_f.
 
 Two trees that compute the same numbers print the same lines, so a ``diff``
-of two runs names the outputs that a change moved. Each config is also run
+of two runs names the outputs that a change moved. Compare digests only
+between runs on the same host and the same numpy build: numpy may round an
+array's vectorized body and its tail differently. Each config is also run
 at ``threads=2``; if that CSV is not the serial one byte for byte, the run
 stops with a non-zero exit that names the config. On a 2-core host a run
 takes about 8 s.
