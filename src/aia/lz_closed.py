@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import check_tolerance, hypot_antiderivative, minimize_scalar, step_doubling
+from .numkit import _CHUNK, check_tolerance, hypot_antiderivative, minimize_scalar, step_doubling
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -150,10 +150,6 @@ def lz_eigensystem(x, z):
     lo, hi = np.where(z < 0, big, small), np.where(z < 0, small, big)
     return -b, b, np.stack([-lo, hi], axis=-1), np.stack([hi, lo], axis=-1)
 
-
-# elements per chunk of steps, the fastest of the powers of two timed (CHANGES.md,
-# "Measurements behind src constants")
-_CHUNK = 65536
 
 # sin(r) / r = sum_k (-u)^k / (2k + 1)! in u = r^2, highest power first: for u <= 1 the
 # first term left out is below 1 / 19! = 8.2e-18
@@ -406,8 +402,10 @@ def aia_state(p, st):
     has shape z_i.shape + (2,).
     """
     tm, tp = _checked_window(p, st.tau_minus, st.tau_plus)
-    cos, sin, tail_phase = _frozen_overlaps(p, tm, tp)
-    tail, pre = np.exp(-1j * tail_phase), np.exp(-1j * _phase(p, p._prim_0, _antiderivative(p, tm)))
+    z_p = p.z(tp)
+    cos, sin = _frozen_overlaps(p, p.z(tm), z_p, p.x * p.x)
+    tail = np.exp(-1j * _phase(p, hypot_antiderivative(z_p, p.x), p._prim_f))
+    pre = np.exp(-1j * _phase(p, p._prim_0, _antiderivative(p, tm)))
     psi1_f, psi2_f = p._psi_f
     return (tail * pre * cos)[..., None] * psi1_f + (tail.conj() * pre * sin)[..., None] * psi2_f
 
@@ -420,19 +418,22 @@ def _checked_window(p, tm, tp):
 
 
 def _centered_window(p, dtaus):
-    """tau_-/+ = t_f/2 -/+ dtau/2 of an array of impulse intervals, each in [-t_f, t_f]."""
-    half = np.asarray(dtaus, dtype=float) / 2.0
-    return _checked_window(p, p.t_f / 2.0 - half, p.t_f / 2.0 + half)
+    """tau_-/+ = t_f/2 -/+ dtau/2 of an array of impulse intervals, each in [-t_f, t_f].
+    Both lie in [0, t_f] exactly when |dtau/2| <= t_f/2 (rounding is monotone, and a
+    difference of distinct doubles is never 0), so two reductions check the window."""
+    half, half_tf = np.asarray(dtaus, dtype=float) / 2.0, p.t_f / 2.0
+    if not (-half_tf <= half.min(initial=0.0) and half.max(initial=0.0) <= half_tf):
+        raise ValueError("switching times must lie in [0, t_f]")
+    return half_tf - half, half_tf + half
 
 
-def _frozen_overlaps(p, tm, tp):
-    """(<psi_1(tau_+)|psi_1(tau_-)>, <psi_2(tau_+)|psi_1(tau_-)>, delta_1(tau_+, t_f)) of
-    windows (tm, tp), each of shape tm.shape + z_i.shape. In the fixed gauge the overlaps
-    are cos(dtheta/2) and sin(dtheta/2), dtheta = atan2(x (z_- - z_+), x^2 + z_+ z_-) the
-    turn of the eigenbasis, free of cancellation."""
-    z_m, z_p = p.z(tm), p.z(tp)
-    half_turn = 0.5 * np.arctan2(p.x * (z_m - z_p), p.x * p.x + z_p * z_m)
-    return np.cos(half_turn), np.sin(half_turn), _phase(p, _antiderivative(p, tp), p._prim_f)
+def _frozen_overlaps(p, z_m, z_p, x2):
+    """(<psi_1(tau_+)|psi_1(tau_-)>, <psi_2(tau_+)|psi_1(tau_-)>) of windows with z_m =
+    z(tau_-), z_p = z(tau_+), x2 = x^2. In the fixed gauge they are cos(dtheta/2) and
+    sin(dtheta/2), dtheta = atan2(x (z_- - z_+), x^2 + z_+ z_-) the turn of the
+    eigenbasis, free of cancellation; |dtheta| <= pi, so cos(dtheta/2) >= 0."""
+    half_turn = 0.5 * np.arctan2(p.x * (z_m - z_p), x2 + z_p * z_m)
+    return np.cos(half_turn), np.sin(half_turn)
 
 
 def _window(center, tf, lower, upper, half):
@@ -499,14 +500,46 @@ def state_distance(psi, phi):
 
 def aia_distance_grid(p, dtaus, psi_exact):
     """Distance of the AIA state to psi_exact for an array of impulse intervals, in
-    centered windows (:func:`_centered_window`); used by the optimizer and the scan. The
-    wedge of :func:`state_distance` is linear in the AIA state, whose pre-window phase has
-    modulus one, so the distance is |e_1 cos(dtheta/2) + exp(2i delta_1(tau_+, t_f)) e_2
+    centered windows (:func:`_centered_window`); the scan's objective. The wedge of
+    :func:`state_distance` is linear in the AIA state, whose pre-window phase has modulus
+    one, so the distance is |e_1 cos(dtheta/2) + exp(2i delta_1(tau_+, t_f)) e_2
     sin(dtheta/2)|, clamped to 1, with e_j = _wedge(psi_j(t_f), psi_exact): per point one
     antiderivative and one complex exponential, and no state array."""
-    cos, sin, tail_phase = _frozen_overlaps(p, *_centered_window(p, dtaus))
+    return _distance_kit(p, psi_exact)[0](dtaus)
+
+
+# the rounding margin of the envelope per crossing, for normalized states (|e_j| <= 1):
+# the envelope rounds within about 3 eps, the distance within about 10 eps of its exact
+# value (the complex exponential's modulus, four products, a sum and a modulus)
+_ENVELOPE_MARGIN = 32 * np.finfo(float).eps
+
+
+def _distance_kit(p, psi_exact):
+    """(distance, envelope): functions of an array of impulse intervals in centered
+    windows, with the row's constants (e_1, e_2 and their moduli, x^2, -t_f / dz)
+    computed once. ``distance`` is :func:`aia_distance_grid`'s; ``envelope`` is the
+    phase-free l = ||e_1| cos(dtheta/2) - |e_2| |sin(dtheta/2)|| per crossing. By the
+    triangle inequality, with cos(dtheta/2) >= 0 (|dtheta| <= pi), l <= d for any tail
+    phase; the rounded values keep l <= d + :data:`_ENVELOPE_MARGIN`. The envelope needs
+    no antiderivative and no complex exponential."""
     e_1, e_2 = (_wedge(psi_f, psi_exact) for psi_f in p._psi_f)
-    return np.minimum(np.abs(e_1 * cos + np.exp(2j * tail_phase) * (e_2 * sin)), 1.0)
+    abs_1, abs_2, x2, scale = np.abs(e_1), np.abs(e_2), p.x * p.x, -(p.t_f / p.dz)
+
+    def overlaps(dtaus):
+        tm, tp = _centered_window(p, dtaus)
+        z_p = p.z(tp)
+        return (*_frozen_overlaps(p, p.z(tm), z_p, x2), z_p)
+
+    def distance(dtaus):
+        cos, sin, z_p = overlaps(dtaus)
+        tail = scale * (p._prim_f - hypot_antiderivative(z_p, p.x))
+        return np.minimum(np.abs(e_1 * cos + np.exp(2j * tail) * (e_2 * sin)), 1.0)
+
+    def envelope(dtaus):
+        cos, sin, _ = overlaps(dtaus)
+        return np.abs(abs_1 * cos - abs_2 * np.abs(sin))
+
+    return distance, envelope
 
 
 def optimize_dtau(p, psi_exact):
@@ -515,8 +548,11 @@ def optimize_dtau(p, psi_exact):
     The scan grid always contains dtau = 0 (which reproduces the adiabatic
     state), so the returned distance never exceeds the adiabatic one. The grid
     step min(2, 0.5 / b_max), b_max = hypot(x, max(-z_i, z_f)), resolves the
-    distance's oscillation in dtau at up to b_max; zooms refine to 1e-8.
+    distance's oscillation in dtau at up to b_max; zooms refine to 1e-8. The
+    envelope of :func:`_distance_kit`, less its margin, prunes the scan
+    (:func:`aia.numkit.minimize_scalar`) without moving its minimum.
     """
     n = int(np.ceil(2.0 * p.t_f / min(2.0, 0.5 / np.hypot(p.x, max(-p.z_i, p.z_f))))) + 1
-    return minimize_scalar(lambda d: aia_distance_grid(p, d, psi_exact), -p.t_f, p.t_f, 1e-8, n)
-
+    distance, envelope = _distance_kit(p, psi_exact)
+    return minimize_scalar(distance, -p.t_f, p.t_f, 1e-8, n,
+                           bound=lambda d: envelope(d) - _ENVELOPE_MARGIN)

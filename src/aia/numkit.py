@@ -20,6 +20,11 @@ _EPS = np.finfo(float).eps
 # 2.1e7). Its cost in time: CHANGES.md, "Measurements behind src constants".
 STEP_BUDGET = 2 ** 27
 
+# elements per chunk of vectorized work: lz_closed's chunks of Magnus steps (the fastest
+# of the powers of two timed: CHANGES.md, "Measurements behind src constants") and the
+# blocks of scan points of minimize_scalar
+_CHUNK = 65536
+
 
 class IntegrationError(RuntimeError):
     """Stepping failed: step-size underflow, non-finite rhs, or the roundoff floor."""
@@ -193,7 +198,14 @@ def find_root_bracketed(g, a, b):
     return mid
 
 
-def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):
+def _finite(values, name):
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} returned non-finite values on the search grid")
+    return values
+
+
+def minimize_scalar(f, a, b, tol=1e-10, n_grid=201, bound=None):
     """Minimum of ``f`` on [a, b] by a grid scan, then zooms; ``f`` evaluates a numpy array.
 
     The scan has an odd count of at least ``n_grid`` and 201 points, so on a symmetric
@@ -201,26 +213,74 @@ def minimize_scalar(f, a, b, tol=1e-10, n_grid=201):
     is one call of f on 33 points across the two cells around the best point,
     until that bracket is narrower than ``tol`` or stops shrinking (``tol``
     below the spacing of doubles). The best value seen is kept, so the result
-    never exceeds the scan minimum.
+    never exceeds the scan minimum. Every grid is np.linspace's to the bit, built as
+    ``arange * step + lo`` with its last point set to the upper end.
+
+    ``bound``, an array function with bound(x) <= f(x) at every scan point (rounding
+    included), prunes a scan of more than 201 points: the bound is evaluated over the
+    whole scan, f at the 33 points of least bound, and f again only where the bound
+    is at most the least of those 33 values, f_ref. The scan minimum is at most f_ref,
+    so every point that can hold it is kept, and the result is that of the full scan
+    to the bit. The scan's grid, bounds and kept points go to f and ``bound`` in blocks
+    of at most :data:`_CHUNK` points. Values of f are checked where f is evaluated.
     """
     if not a < b:
         raise ValueError(f"require a < b, got [{a}, {b}]")
     check_tolerance(tol)
+    a, b = float(a), float(b)
+    n = max(int(n_grid) | 1, 201)
+    step = (b - a) / (n - 1)
 
-    def argmin(xs):
-        fs = np.asarray(f(xs), dtype=float)
-        if not np.all(np.isfinite(fs)):
-            raise ValueError("objective returned non-finite values on the search grid")
+    def point(i):  # np.linspace(a, b, n)[i]
+        return b if i == n - 1 else i * step + a
+
+    def blocks():  # (start, np.linspace(a, b, n)[start:stop]) of each block
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            xs = np.arange(start, stop) * step + a
+            if stop == n:
+                xs[-1] = b
+            yield start, xs
+
+    i_best, f_best = 0, np.inf
+
+    def scan(start, xs, keep=None):  # the first least value of f over xs[keep]
+        nonlocal i_best, f_best
+        fs = _finite(f(xs if keep is None else xs[keep]), "objective")
         i = int(np.argmin(fs))
-        return xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], float(xs[i]), float(fs[i])
+        if fs[i] < f_best:
+            i_best, f_best = start + (i if keep is None else int(keep[i])), float(fs[i])
 
-    lo, hi, x_best, f_best = argmin(np.linspace(a, b, max(int(n_grid) | 1, 201)))
+    if bound is None or n == 201:
+        for start, xs in blocks():
+            scan(start, xs)
+    else:
+        ref_x, ref_b, kept = np.empty(0), np.empty(0), []
+        for start, xs in blocks():
+            lb = _finite(bound(xs), "bound")
+            if n <= _CHUNK:  # one block keeps its bounds for the second pass
+                kept.append((start, xs, lb))
+            ref_x, ref_b = np.append(ref_x, xs), np.append(ref_b, lb)
+            if ref_b.size > 33:
+                least = np.argpartition(ref_b, 32)[:33]
+                ref_x, ref_b = ref_x[least], ref_b[least]
+        f_ref = _finite(f(ref_x), "objective").min()
+        for start, xs, lb in kept or ((s, xs, _finite(bound(xs), "bound")) for s, xs in blocks()):
+            keep = np.flatnonzero(lb <= f_ref)
+            if keep.size:
+                scan(start, xs, keep)
+
+    lo, hi, x_best = point(max(i_best - 1, 0)), point(min(i_best + 1, n - 1)), point(i_best)
     width = np.inf
     while tol < hi - lo < width:
         width = hi - lo
-        lo, hi, x, fx = argmin(np.linspace(lo, hi, 33))
-        if fx < f_best:
-            x_best, f_best = x, fx
+        xs = np.arange(33.0) * ((hi - lo) / 32) + lo
+        xs[-1] = hi
+        fs = _finite(f(xs), "objective")
+        i = int(np.argmin(fs))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+        if fs[i] < f_best:
+            x_best, f_best = float(xs[i]), float(fs[i])
     return x_best, f_best
 
 

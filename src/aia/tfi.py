@@ -229,15 +229,31 @@ def switching_times_tfi(p, scenario):
     return SwitchingTimes(tau_m, tau_p, regime)
 
 
+def _lz_basis(exact_reg):
+    """The normalized register's modes in the basis of lz_closed (_PAIR^dagger undoes _PAIR)."""
+    return _normalized(exact_reg) @ _PAIR.conj()
+
+
 def aia_distance_grid(p, dtaus, exact_reg):
     """Register distance of the centered-window AIA to the exact register over an array of
     impulse intervals in [-t_f, t_f], from the mode distances of lz.aia_distance_grid."""
-    # _PAIR^dagger maps the pair basis back to the basis of lz_closed
-    exact = _normalized(exact_reg) @ _PAIR.conj()
-    return _product_distance(lz.aia_distance_grid(p, dtaus, exact))
+    return _product_distance(lz.aia_distance_grid(p, dtaus, _lz_basis(exact_reg)))
 
 
 def optimize_dtau_tfi(p, exact_reg):
     """Impulse interval minimizing the register distance over [-t_f, t_f], from a scan
-    of 801 points that holds dtau = 0, so the result never exceeds the adiabatic distance."""
-    return minimize_scalar(lambda d: aia_distance_grid(p, d, exact_reg), -p.t_f, p.t_f, 1e-6, 801)
+    of 801 points that holds dtau = 0, so the result never exceeds the adiabatic distance.
+
+    The scan is pruned (:func:`aia.numkit.minimize_scalar`) by the register distance of
+    the modes' envelopes l_k <= d_k (:func:`aia.lz_closed._distance_kit`), capped at 1:
+    sqrt(1 - prod_k (1 - d_k^2)) rises in each d_k, by at most 1 per unit of d_k. Its
+    margin, L/2 (M + 3 eps), M the per-mode margin, covers the modes' margins and both
+    products' rounding, about (L/2 + 5) eps / 2."""
+    _, envelope = lz._distance_kit(p, _lz_basis(exact_reg))
+    margin = p.L / 2 * (lz._ENVELOPE_MARGIN + 3 * np.finfo(float).eps)
+
+    def bound(dtaus):
+        return _product_distance(np.minimum(envelope(dtaus), 1.0)) - margin
+
+    return minimize_scalar(lambda d: aia_distance_grid(p, d, exact_reg), -p.t_f, p.t_f, 1e-6,
+                           801, bound=bound)

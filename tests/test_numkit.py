@@ -454,6 +454,51 @@ def test_minimize_stops_when_the_bracket_stops_shrinking():
     assert fx == f(np.array([x]))[0]
 
 
+def test_minimize_grids_are_linspace_to_the_bit_and_scans_come_in_blocks():
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return np.sin(7.0 * x) + 0.01 * x
+
+    n = 150_001
+    numkit.minimize_scalar(f, -3.0, 5.0, tol=1e-12, n_grid=n)
+    block = numkit._CHUNK
+    assert [xs.size for xs in calls[:3]] == [block, block, n - 2 * block]
+    assert np.array_equal(np.concatenate(calls[:3]), np.linspace(-3.0, 5.0, n))
+    assert len(calls) > 3
+    for xs in calls[3:]:
+        assert xs.size == 33 and np.array_equal(xs, np.linspace(xs[0], xs[-1], 33))
+
+
+@pytest.mark.parametrize("n", [1001, 150_001])
+def test_minimize_with_a_bound_evaluates_fewer_points_and_returns_the_same_bits(n):
+    def f(x):
+        return (x - 1.0) ** 2 + 0.1 * np.sin(20.0 * x) ** 2
+
+    sizes = {"f": [], "bound": [], "unpruned": []}
+
+    def counted(key, fn):
+        def call(x):
+            sizes[key].append(x.size)
+            return fn(x)
+        return call
+
+    pruned = numkit.minimize_scalar(counted("f", f), -3.0, 5.0, 1e-12, n,
+                                    bound=counted("bound", lambda x: (x - 1.0) ** 2))
+    assert pruned == numkit.minimize_scalar(counted("unpruned", f), -3.0, 5.0, 1e-12, n)
+    # the bound's two passes over the scan (one with a single block)
+    assert sum(sizes["bound"]) == n * (1 if n <= numkit._CHUNK else 2)
+    assert max(sizes["f"] + sizes["bound"] + sizes["unpruned"]) <= numkit._CHUNK
+    # both zoom alike, so the difference is the scan's: n points against 33 and the kept
+    assert sum(sizes["unpruned"]) - sum(sizes["f"]) > n - n // 10, sizes
+
+
+def test_minimize_rejects_a_non_finite_bound():
+    with pytest.raises(ValueError, match="bound returned non-finite"):
+        numkit.minimize_scalar(np.cos, 0.0, 1.0, n_grid=401, bound=lambda x: np.full(x.shape, np.nan))
+
+
 # ---------------------------------------------------------------- fit_power_law
 
 def test_fit_exact_power_law():

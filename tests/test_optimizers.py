@@ -44,39 +44,71 @@ def _phase_rounding(p):
 
 
 def _optimize_recording(module, optimize, p, exact):
-    """``optimize(p, exact)`` and the (grid, values) of each call it makes of
-    ``module.aia_distance_grid``, in order."""
-    calls, objective = [], module.aia_distance_grid
+    """``optimize(p, exact)``, the objective and bound it hands ``numkit.minimize_scalar``
+    (None without one), and the grid of each call of either, in order, in ``calls``."""
+    calls, passed = {"f": [], "bound": []}, {}
 
-    def recording(p, dtaus, exact):
-        values = objective(p, dtaus, exact)
-        calls.append((np.array(dtaus), np.array(values)))
-        return values
+    def recorded(fn, key):
+        def call(xs):
+            calls[key].append(np.array(xs))
+            return fn(xs)
+        return call
 
-    with mock.patch.object(module, "aia_distance_grid", recording):
-        return optimize(p, exact), calls
+    def recording(f, a, b, tol, n_grid, bound=None):
+        passed.update(f=f, bound=bound, args=(a, b, tol, n_grid))
+        return numkit.minimize_scalar(recorded(f, "f"), a, b, tol, n_grid,
+                                      bound=bound and recorded(bound, "bound"))
+
+    with mock.patch.object(module, "minimize_scalar", recording):
+        return optimize(p, exact), passed, calls
+
+
+def _scan_grid(p, calls):
+    """The scan: the bound's first pass where there is a bound (its calls up to the one
+    that ends at t_f), else the objective's first call."""
+    grids = calls["bound"] or calls["f"][:1]
+    last = next(i for i, xs in enumerate(grids) if xs[-1] == p.t_f)
+    return np.concatenate(grids[:last + 1])
 
 
 def _check_against_oracle(module, optimize, p, exact, tol, delta_f):
-    """The optimizer's minimum is at most its scan minimum, and within 2 delta_f plus
-    its rise over one tol step of the minimum of golden section on the same scan;
-    returns the minimum and the scan grid."""
-    (x, d), calls = _optimize_recording(module, optimize, p, exact)
-    xs, fs = calls[0]
+    """The optimizer's minimum is at most the objective's minimum over its whole scan
+    grid, and within 2 delta_f plus its rise over one tol step of the minimum of golden
+    section on the same scan; returns the minimum and the scan grid."""
+    (x, d), _, calls = _optimize_recording(module, optimize, p, exact)
+    xs = _scan_grid(p, calls)
     assert xs.size % 2 == 1 and xs.size >= 201
     assert xs[0] == -p.t_f and xs[-1] == p.t_f
     # the scan's middle point is dtau = 0 up to linspace's rounding
     assert abs(xs[xs.size // 2]) <= EPS * p.t_f
-    assert d <= fs.min()
-    assert all(g.size == 33 for g, _ in calls[1:])
 
     def f(dtaus):
         return module.aia_distance_grid(p, dtaus, exact)
 
+    assert d <= f(xs).min()
     _, d_oracle = oracles.golden_section_minimize(f, p.t_f, xs.size, tol)
     rise = f(np.clip([x - tol, x + tol], -p.t_f, p.t_f)).max() - d
     assert d - d_oracle <= 2.0 * delta_f + rise, (d, d_oracle, delta_f, rise)
     return d, xs
+
+
+def _check_the_bound(module, optimize, p, exact, n_small):
+    """Over the whole scan grid the optimizer's bound (the envelope less its margin) is at
+    most the distance; the scan with and without the bound gives the same bits; and a
+    grid of ``n_small`` <= 201 points never calls the bound."""
+    result, passed, calls = _optimize_recording(module, optimize, p, exact)
+    f, bound, args = passed["f"], passed["bound"], passed["args"]
+    xs = _scan_grid(p, calls)
+    excess = bound(xs) - module.aia_distance_grid(p, xs, exact)
+    assert excess.max() <= 0.0, excess.max()
+    assert numkit.minimize_scalar(f, *args) == result
+
+    def never(xs):
+        raise AssertionError("a scan of at most 201 points called the bound")
+
+    a, b, tol, _ = args
+    assert numkit.minimize_scalar(f, a, b, tol, n_small, bound=never) == \
+        numkit.minimize_scalar(f, a, b, tol, n_small)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -90,6 +122,34 @@ def test_lz_optimizer_against_golden_section(x, minus_z_i, z_f, tf):
     # the distance oscillates in dtau at up to the largest gap b; the scan takes
     # about twelve steps a period, so no best bracket holds two minima
     assert (scan[1] - scan[0]) * np.hypot(p.x, max(-p.z_i, p.z_f)) <= 0.5 * (1 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_decades(-2, 1), _decades(-2, 2), _decades(-2, 2), _decades(-2, 2), hst.integers(1, 201))
+def test_lz_envelope_bounds_the_distance_and_keeps_the_minimum(x, minus_z_i, z_f, tf, n_small):
+    p = lz.LzParams(x, -minus_z_i, z_f, tf)
+    _check_the_bound(lz, lz.optimize_dtau, p, lz.evolve_schrodinger(p), n_small)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(hst.integers(1, 79), hst.floats(0.0, 0.99), _decades(-3, 1), _decades(-2, 3),
+       hst.integers(1, 201))
+def test_chain_envelope_bounds_the_distance_and_keeps_the_minimum(half_l, h_i, over, tf,
+                                                                  n_small):
+    p = tfi.TfiParams(2 * half_l, h_i, 1.0 + over, tf)
+    _check_the_bound(tfi, tfi.optimize_dtau_tfi, p, tfi.evolve_register(p), n_small)
+
+
+def test_a_scan_beyond_one_block_calls_the_objective_and_bound_a_block_at_a_time():
+    # b_max = sqrt(2) takes the step to 0.354, so t_f = 2e4 scans 113 138 points
+    p = lz.LzParams(1.0, -1.0, 1.0, 2e4)
+    psi = lz.evolve_schrodinger(p)
+    (x, d), _, calls = _optimize_recording(lz, lz.optimize_dtau, p, psi)
+    scan = _scan_grid(p, calls)
+    assert scan.size > numkit._CHUNK
+    assert np.array_equal(scan, np.linspace(-p.t_f, p.t_f, scan.size))
+    assert max(xs.size for xs in calls["f"] + calls["bound"]) <= numkit._CHUNK
+    assert d <= lz.aia_distance_grid(p, scan, psi).min()
 
 
 def test_lz_optimizer_meets_a_dense_scan_where_the_detuning_sets_the_gap():

@@ -6,7 +6,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "aia"
 
 # the total of `wc -l src/aia/*.py`; a change that adds lines raises this bound in its
 # own diff and says in CHANGES.md what the lines are for (ROADMAP item 20)
-LINE_BUDGET = 2088
+LINE_BUDGET = 2200
 
 
 def test_src_aia_stays_within_its_line_budget():

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Compare two source trees on one benchmark workload by alternating pairs of runs.
+"""Compare two source trees on benchmark workloads by alternating pairs of runs.
 
     python3 tools/ab_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N --seconds S
                               [--seeds 0,3,7]
 
+W is a workload, a comma-separated list of them, or ``all``, every workload of
+CHANGE_TREE's ``BENCHMARK.json`` in its order; the workloads run one after another,
+each with its own pairs and its own verdicts, since a bound holds per workload.
 Each pair runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once
 in each tree, from that tree's root; the tree that runs first alternates from pair to
 pair, and pair i takes the i-th seed of ``--seeds``, cycling. The last line of a run
-is its JSON result. For every end-to-end metric of CHANGE_TREE's ``BENCHMARK.json``
-one line gives each side's median and quartiles over the pairs, the pairs the change
-won (ties count for neither side), the change of the median against the parent's, and
-two verdicts:
+is its JSON result. After a line ``== W ==``, for every end-to-end metric of
+CHANGE_TREE's ``BENCHMARK.json`` one line gives each side's median and quartiles over
+the pairs, the pairs the change won (ties count for neither side), the change of the
+median against the parent's, and two verdicts:
 
   * ``gain``: the change won at least nine tenths of the pairs and its median is
     better than the parent's by more than the parent's interquartile range;
@@ -68,7 +71,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload, a comma-separated list, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--seeds", default="0", help="comma-separated seeds, cycled over the pairs")
@@ -76,22 +79,29 @@ def main(argv=None):
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 1:
         raise SystemExit(f"--pairs must be at least 1, got {args.pairs}")
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        raise SystemExit(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has "
+                         f"{', '.join(known)}")
 
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = seeds[i % len(seeds)]
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        for side in order:
-            runs[side].append(run(getattr(args, side), args.workload, seed, args.seconds))
-        print(f"pair {i + 1} seed {seed} ({order[0]} first): wall_s parent "
-              f"{runs['parent'][-1]['wall_s']:.4g}, change {runs['change'][-1]['wall_s']:.4g}",
-              flush=True)
-    for metric in end_to_end:
-        name = metric["name"]
-        print(verdict(metric, [r[name] for r in runs["parent"]],
-                      [r[name] for r in runs["change"]]))
-
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = seeds[i % len(seeds)]
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            for side in order:
+                runs[side].append(run(getattr(args, side), workload, seed, args.seconds))
+            print(f"{workload} pair {i + 1} seed {seed} ({order[0]} first): wall_s parent "
+                  f"{runs['parent'][-1]['wall_s']:.4g}, change {runs['change'][-1]['wall_s']:.4g}",
+                  flush=True)
+        print(f"== {workload} ==")
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            print(verdict(metric, [r[name] for r in runs["parent"]],
+                          [r[name] for r in runs["change"]]), flush=True)
 
 if __name__ == "__main__":
     main()
