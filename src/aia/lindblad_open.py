@@ -94,10 +94,12 @@ def spectral_gamma(omega, beta, g):
 
 def _damping_rate(delta, beta, g):
     """|l_2| = gamma(Delta) + gamma(-Delta) = 2 pi g^2 Delta coth(beta Delta / 2), the
-    decay rate of the populations at gap Delta; broadcasts. One :func:`spectral_gamma`
-    call on +-Delta stacked, elementwise the same bits as two."""
-    emission, absorption = spectral_gamma(np.stack([delta, -delta]), beta, g)
-    return emission + absorption
+    decay rate of the populations at gap Delta > 0; broadcasts. In the coth form
+    gamma(Delta) (2 - e), gamma(Delta) = 2 pi g^2 Delta / e with e = -expm1(-beta Delta):
+    one exponential, within 2 ulp of the two rates' sum. OpenParams' scales keep e in
+    [2e-60, 1] (Delta >= 2e-30, beta >= 1e-30) and Delta / e <= T + Delta below 1e31."""
+    e = -np.expm1(-beta * delta)
+    return 2.0 * np.pi * g * g * delta / e * (2.0 - e)
 
 
 def liouvillian_matrix(x, z, beta, g):
@@ -367,6 +369,7 @@ def adiabatic_state_open(p):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_OFFSETS = 0.5 * (1.0 + _GL_NODES)  # the nodes as fractions of a panel from its start
 
 
 def _rate_integrals(p, t_a, t_b):
@@ -376,7 +379,8 @@ def _rate_integrals(p, t_a, t_b):
     theta = asinh(z / x), Delta = 2x cosh(theta) and dt = (t_f / dz) x cosh(theta)
     dtheta. Delta coth(beta Delta / 2) is regular at Delta = 0 and has its
     poles, Delta = 2 pi i k / beta, on Im theta = +-pi / 2, so the integrand is
-    analytic in the strip |Im theta| < pi / 2 for every x, beta, g and t_f.
+    analytic in the strip |Im theta| < pi / 2 for every x, beta, g and t_f; on the
+    real axis Delta >= 2x > 0, where the coth form of the rate is finite.
     Each interval takes ceil(|theta_b - theta_a|) equal panels (at least one)
     of 12-node Gauss-Legendre, which then converges like rho^-24 with rho =
     pi + sqrt(pi^2 + 1) ~ 6.4 (Trefethen, Approximation Theory and
@@ -388,22 +392,25 @@ def _rate_integrals(p, t_a, t_b):
     gap Delta = -2 E_1 integrates in closed form, as -2
     :func:`aia.lz_closed.dynamical_phase_gs`.)
     """
-    u, v = (p.z(t)[..., None, None] / p.x for t in (t_a, t_b))
-    span = p.dz * (np.asarray(t_b) - t_a)[..., None, None] / (p.t_f * p.x)  # v - u
+    slope = p.dz / (p.t_f * p.x)
+    t_a, t_b = (np.asarray(t, dtype=float)[..., None] for t in (t_a, t_b))
+    u, v = p.z_i / p.x + slope * t_a, p.z_i / p.x + slope * t_b  # z / x at the ends
     cross = v * np.sqrt(1.0 + u * u), u * np.sqrt(1.0 + v * v)
-    same = u * v > 0.0  # asinh(v) - asinh(u) = asinh(cross_0 - cross_1), which cancels here
-    total = np.arcsinh(np.where(same, span * (v + u) / np.where(same, cross[0] + cross[1], 1.0),
-                                cross[0] - cross[1]))
-    th_a = np.arcsinh(u)
+    # asinh(v) - asinh(u) = asinh(cross_0 - cross_1), which cancels where u v > 0
+    arg = cross[0] - cross[1]
+    np.divide(slope * (t_b - t_a) * (v + u), cross[0] + cross[1], out=arg, where=u * v > 0.0)
+    total = np.arcsinh(arg)
     n = np.maximum(np.ceil(np.abs(total)), 1.0)  # panels per interval
-    # panels past an interval's own count repeat its last one with weight zero
-    panel = np.arange(np.max(n, initial=1.0))[:, None]
-    width = total / n
-    theta = th_a + width * (np.minimum(panel, n - 1.0) + 0.5 * (1.0 + _GL_NODES))
-    delta = 2.0 * p.x * np.cosh(theta)
-    weight = np.where(panel < n, 0.5 * width * _GL_WEIGHTS, 0.0)
-    rate = _damping_rate(delta, p.beta, p.g)
-    return (weight * (0.5 * delta) * rate).sum((-2, -1))[()] * (p.t_f / p.dz)
+    width, start, panels = total / n, np.arcsinh(u), n.max(initial=1.0)
+    if panels > 1.0:  # panels past an interval's own count repeat its last one
+        panel = np.arange(panels)
+        start = start + width * np.minimum(panel, n - 1.0)
+    theta = start[..., None] + (width * _GL_OFFSETS)[..., None, :]
+    delta = (2.0 * p.x) * np.cosh(theta)
+    sums = (delta * _damping_rate(delta, p.beta, p.g)) @ _GL_WEIGHTS  # per panel
+    if panels > 1.0:
+        sums = np.where(panel < n, sums, 0.0)  # the repeats weigh nothing
+    return (width[..., 0] * sums.sum(-1))[()] * (0.25 * p.t_f / p.dz)
 
 
 def _tail_rate_integrals(p, tp):

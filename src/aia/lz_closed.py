@@ -123,15 +123,18 @@ class SwitchingTimes:
 
     Scenario outputs always satisfy 0 <= tau_minus <= tau_plus <= t_f. A window
     with tau_plus < tau_minus is a caller's input, which :func:`aia_state` accepts.
+    tau_minus and tau_plus may be arrays, the window axis first. ``width`` is the
+    width without the rounding of the ends, where a prescription knows it.
     """
 
     tau_minus: float
     tau_plus: float
     regime: str
+    width: float = None
 
     @property
     def dtau(self):
-        return self.tau_plus - self.tau_minus
+        return self.tau_plus - self.tau_minus if self.width is None else self.width
 
 
 def lz_eigensystem(x, z):
@@ -438,14 +441,16 @@ def _frozen_overlaps(p, z_m, z_p, x2):
 
 def _window(center, tf, lower, upper, half):
     """A prescription's window: (0, t_f) if t_f < lower, the crossing time ``center`` if
-    t_f >= upper (np.inf: never), else center -/+ half() clamped to [0, t_f]."""
+    t_f >= upper (np.inf: never), else center -/+ half() clamped to [0, t_f], whose
+    width is 2 half() where neither end is clamped."""
     if tf < lower:
         return SwitchingTimes(0.0, tf, REGIME_WHOLE)
     if tf >= upper:
         return SwitchingTimes(center, center, REGIME_COLLAPSED)
     half = half()
-    return SwitchingTimes(min(max(center - half, 0.0), tf), min(max(center + half, 0.0), tf),
-                          REGIME_INTERIOR)
+    tm, tp = center - half, center + half
+    width = 2.0 * half if 0.0 <= tm and tp <= tf else None
+    return SwitchingTimes(min(max(tm, 0.0), tf), min(max(tp, 0.0), tf), REGIME_INTERIOR, width)
 
 
 def switching_times(p, scenario):

@@ -205,11 +205,14 @@ def _row(cfg, tf, temperature):
     row = {"d_adi": m.distance(exact, m.adiabatic(p))}
     if m.first_order is not None:
         row["d_adi1"] = m.distance(exact, m.first_order(p))
-    for s in "1234":
-        if s in cfg.scenarios:
-            st = m.switching(p, int(s))
-            row[f"d_aia{s}"] = m.distance(exact, m.aia(p, st))
-            row[f"dtau{s}"] = st.dtau
+    scenarios = [s for s in "1234" if s in cfg.scenarios]
+    if scenarios:  # every window's AIA state and distance in one call, the window axis first
+        sts = [m.switching(p, int(s)) for s in scenarios]
+        windows = lz.SwitchingTimes(np.array([st.tau_minus for st in sts]),
+                                    np.array([st.tau_plus for st in sts]),
+                                    tuple(st.regime for st in sts))
+        for s, st, d in zip(scenarios, sts, m.distance(exact, m.aia(p, windows))):
+            row[f"d_aia{s}"], row[f"dtau{s}"] = float(d), st.dtau
     if "opt" in cfg.scenarios:
         row["dtau_opt"], row["d_aia_opt"] = m.optimize(p, exact)
     return row

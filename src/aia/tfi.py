@@ -178,10 +178,12 @@ def _product_distance(d):
 
 
 def register_distance(reg_a, reg_b):
-    """sqrt(1 - prod_k |<a_k|b_k>|^2) of the normalized modes, in [0, 1]."""
-    if np.shape(reg_a) != np.shape(reg_b):
+    """sqrt(1 - prod_k |<a_k|b_k>|^2) of the normalized modes, in [0, 1]; broadcasts over
+    leading axes, as a stack of registers (mode and component axes last)."""
+    if np.shape(reg_a)[-2:] != np.shape(reg_b)[-2:]:
         raise ValueError(f"registers of different shape {np.shape(reg_a)} and {np.shape(reg_b)}")
-    return float(_product_distance(lz.state_distance(_normalized(reg_a), _normalized(reg_b))))
+    d = _product_distance(lz.state_distance(_normalized(reg_a), _normalized(reg_b)))
+    return d if d.ndim else float(d)
 
 
 def _kz_condition_scenario2(p, h):

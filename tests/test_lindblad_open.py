@@ -65,6 +65,32 @@ def test_gamma_zero_temperature_limits():
     assert lo.spectral_gamma(-w, beta, g) < 1e-300
 
 
+@pytest.mark.parametrize("beta", [1e-30, 1e-3, 1.0, 20.0, 1e30])
+def test_damping_rate_coth_form_is_within_two_ulp_of_the_two_rates(beta):
+    # 2 pi g^2 Delta (2 - e) / e, e = -expm1(-beta Delta), for beta Delta from 1e-60 to
+    # 1e3 where Delta lies in the OpenParams domain, [2e-30, 2 sqrt2 1e30]
+    delta = np.geomspace(1e-60, 1e3, 4001) / beta
+    delta = delta[(2e-30 <= delta) & (delta <= 2.9e30)]
+    for g in (1e-3, 0.3, 1.0):
+        got = lo._damping_rate(delta, beta, g)
+        want = lo.spectral_gamma(delta, beta, g) + lo.spectral_gamma(-delta, beta, g)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), (beta, g)
+
+
+def test_damping_rate_is_finite_at_the_ends_of_the_parameter_domain():
+    # x and |z| in [1e-30, 1e30], T in [1e-30, 1e30], g in [0, 1]: e = -expm1(-beta Delta)
+    # is at least 2e-60, and Delta / e at most T + Delta
+    with np.errstate(all="raise"):
+        for x, z in ((1e-30, 0.0), (1e-30, 1e30), (1e30, 0.0), (1e30, 1e30)):
+            delta = 2.0 * np.hypot(x, z)
+            for temperature in (1e-30, 1e30):
+                for g in (0.0, 1e-3, 1.0):
+                    rate = lo._damping_rate(np.array([delta]), 1.0 / temperature, g)
+                    assert np.isfinite(rate).all() and (rate > 0.0).all() == (g > 0.0)
+        p = lo.OpenParams(1e-30, -1e30, 1e30, 1e30, 1e30, 1.0)
+        assert np.isfinite(lo._rate_integrals(p, 0.0, p.t_f))
+
+
 # -------------------------------------------------------------- jump operators
 
 def test_lindblad_ops_match_projector_sum_oracle():

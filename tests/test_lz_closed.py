@@ -792,7 +792,7 @@ def test_scenario_collapse_thresholds():
                             (3, 0.5 / np.hypot(x, 1.0)), (4, 0.25 * x * dz / (x * x + 1.0)),
                             ("chain", 0.5 * (1.5 - 0.5) / (1.5 - 1.0) ** 2)):
         below, at = np.nextafter(lower, 0.0), window(scenario, lower)
-        assert astuple(window(scenario, below)) == (0.0, below, lz.REGIME_WHOLE), scenario
+        assert astuple(window(scenario, below)) == (0.0, below, lz.REGIME_WHOLE, None), scenario
         assert at.regime == lz.REGIME_INTERIOR, scenario
         assert 0.0 <= at.tau_minus < at.tau_plus <= lower, scenario
 
@@ -858,6 +858,24 @@ def test_scenario1_half_width_against_mpmath(monkeypatch):
             # the window is the crossing t_f / 2 -/+ that, to the rounding of t_f / 2
             assert st.regime == lz.REGIME_INTERIOR
             assert abs(st.dtau - 2 * float(want)) <= 2 * np.spacing(tf / 2), tf
+
+
+@pytest.mark.parametrize("tf", [1e4, 3.3e5, 1.7e7])
+def test_scenario1_dtau_is_the_exact_width_of_an_unclamped_window(tf):
+    # dtau is 2 half, not tau_+ - tau_-: the difference of the absolute times carried
+    # ulp(t_f / 2) of them, 6.4e-14, 5.3e-13 and 1.7e-11 relative at these t_f
+    mpmath = pytest.importorskip("mpmath")
+    p = lz.LzParams(0.1, -1.0, 1.0, tf)
+    st = lz.switching_times(p, 1)
+    assert st.regime == lz.REGIME_INTERIOR and st.width is not None
+    with mpmath.workdps(40):
+        x, dz, t = mpmath.mpf(p.x), mpmath.mpf(p.dz), mpmath.mpf(tf)
+        want = 2 * mpmath.sqrt((mpmath.sqrt(x**4 + (dz / t) ** 2) - x**2) / 2) * t / dz
+        assert abs(st.dtau - want) <= 4 * np.finfo(float).eps * want, tf
+    # a clamped window keeps the difference of its ends
+    clamped = lz.switching_times(lz.LzParams(0.1, -0.1, 1.0, 0.6), 1)
+    assert clamped.tau_minus == 0.0 and clamped.width is None
+    assert clamped.dtau == clamped.tau_plus
 
 
 # x, |z_i|, z_f over decades, and the phase t_f b_max up to 3e3 (b_max the largest

@@ -491,6 +491,49 @@ def test_a_row_computes_its_end_point_values_once(monkeypatch, model, text, opti
         assert open_calls == []
 
 
+_SWITCHING = {"lz": (lz, "switching_times", "aia_state"),
+              "tfi": (tfi, "switching_times_tfi", "aia_register"),
+              "open": (lo, "switching_times_open", "aia_state_open")}
+
+
+@pytest.mark.parametrize("model, text", [("lz", LZ_CFG), ("tfi", TFI_CFG),
+                                         ("open", OPEN_CFG.replace("1,opt", "1,2,3,4"))],
+                         ids=["lz", "tfi", "open"])
+def test_a_row_evaluates_its_windows_in_one_call_as_one_call_each_would(monkeypatch, model,
+                                                                        text):
+    # the row's scenarios take an interior, a collapsed, a whole-interval and a
+    # reversed window (the chain's two scenarios in two rows), and every AIA state of
+    # the row comes from one call: its distances are those of one call per window, to
+    # rounding; the open model's tail integrals are sums of cells, within n eps
+    # int_0^t_f |l_2| dt for n windows (aia_distance_grid)
+    cfg = sweeps.parse_config(text.replace(",opt", ""))
+    m = sweeps.pipeline(cfg)
+    tf, temperature = cfg.tf_min, m.temperatures[0]
+    p = m.params(tf, temperature)
+    windows = [lz.SwitchingTimes(0.3 * tf, 0.55 * tf, lz.REGIME_INTERIOR),
+               lz.SwitchingTimes(0.5 * tf, 0.5 * tf, lz.REGIME_COLLAPSED),
+               lz.SwitchingTimes(0.0, tf, lz.REGIME_WHOLE),
+               lz.SwitchingTimes(0.7 * tf, 0.2 * tf, "reversed", width=-0.5 * tf)]
+    module, switching, aia = _SWITCHING[model]
+    real_aia, calls = getattr(module, aia), []
+    monkeypatch.setattr(module, aia, lambda p, st: calls.append(st) or real_aia(p, st))
+    exact = m.exact(p, cfg.rel_tol + cfg.abs_tol)
+    eps = np.finfo(float).eps
+    bound = 4 * eps if model != "open" else 4 * eps * lo._rate_integrals(p, 0.0, tf)
+    scenarios = [s for s in "1234" if s in cfg.scenarios]
+    for shift in range(0, 4, len(scenarios)):
+        picked = {int(s): windows[(i + shift) % 4] for i, s in enumerate(scenarios)}
+        monkeypatch.setattr(module, switching, lambda p, s: picked[s])
+        calls.clear()
+        row = sweeps._row(cfg, tf, temperature)
+        assert len(calls) == 1 and np.shape(calls[0].tau_minus) == (len(scenarios),)
+        for s in scenarios:
+            st = picked[int(s)]
+            want = m.distance(exact, real_aia(p, st))
+            assert abs(row[f"d_aia{s}"] - want) <= bound, (s, st)
+            assert row[f"dtau{s}"] == st.dtau
+
+
 @pytest.mark.parametrize("p", [lz.LzParams(0.1, -1.0, 1.0, 50.0), tfi.TfiParams(20, 0.5, 1.5, 10.0),
                                lo.OpenParams(0.1, -1.0, 1.0, 20.0, 0.5, 0.01)],
                          ids=["lz", "tfi", "open"])

@@ -297,6 +297,24 @@ def test_register_distance_rejects_mismatched_lengths():
     b = ground_register(tfi.TfiParams(6, 0.5, 1.5, 1.0))
     with pytest.raises(ValueError):
         tfi.register_distance(a, b)
+    # a stack of registers against one of another mode count names both shapes
+    with pytest.raises(ValueError, match=r"\(3, 2, 2\) and \(3, 2\)"):
+        tfi.register_distance(np.stack([a] * 3), b)
+
+
+def test_register_distance_of_a_stack_is_bitwise_its_scalar_calls():
+    # a sweep row's AIA registers, one per window, against the exact register:
+    # the stack's distances are those of one call per register, bit for bit
+    p = tfi.TfiParams(150, 0.5, 1.5, 30.0)
+    exact = tfi.evolve_register(p)
+    tm, tp = np.array([0.3, 0.5, 0.0, 0.7]) * p.t_f, np.array([0.55, 0.5, 1.0, 0.2]) * p.t_f
+    stack = tfi.aia_register(p, SwitchingTimes(tm, tp, "stack"))
+    assert stack.shape == (4, p.L // 2, 2)
+    got = tfi.register_distance(exact, stack)
+    assert got.shape == (4,)
+    assert got.tolist() == [tfi.register_distance(exact, reg) for reg in stack]
+    assert tfi.register_distance(stack, exact).tolist() == [
+        tfi.register_distance(reg, exact) for reg in stack]
 
 
 def test_register_distance_against_mpmath_oracle():
