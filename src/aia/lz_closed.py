@@ -441,16 +441,23 @@ def _frozen_overlaps(p, z_m, z_p, x2):
 
 def _window(center, tf, lower, upper, half):
     """A prescription's window: (0, t_f) if t_f < lower, the crossing time ``center`` if
-    t_f >= upper (np.inf: never), else center -/+ half() clamped to [0, t_f], whose
-    width is 2 half() where neither end is clamped."""
+    t_f >= upper (np.inf: never) or half() is 0, else center -/+ half() clamped to
+    [0, t_f], whose width is 2 half() where neither end is clamped."""
     if tf < lower:
         return SwitchingTimes(0.0, tf, REGIME_WHOLE)
-    if tf >= upper:
+    half = 0.0 if tf >= upper else half()
+    if half == 0.0:
         return SwitchingTimes(center, center, REGIME_COLLAPSED)
-    half = half()
     tm, tp = center - half, center + half
     width = 2.0 * half if 0.0 <= tm and tp <= tf else None
     return SwitchingTimes(min(max(tm, 0.0), tf), min(max(tp, 0.0), tf), REGIME_INTERIOR, width)
+
+
+def _short_of(a, c, x, n, tf):
+    """a - c x^n t_f in integers, rounded once (as ``fractions.Fraction`` rounds), or 0 where not
+    positive: the factor of a half-width that vanishes at the threshold t_f = a / (c x^n)."""
+    (pa, qa), (px, qx), (pt, qt) = (float(v).as_integer_ratio() for v in (a, x, tf))
+    return max((pa * qx**n * qt - c * px**n * pt * qa) / (qa * qx**n * qt), 0.0)
 
 
 def switching_times(p, scenario):
@@ -471,16 +478,19 @@ def switching_times(p, scenario):
         # = (x t_f / (sqrt2 dz)) sqrt(hypot(1, r) - 1), r = dz / (x^2 t_f), without the cancellation
         return _window(center, tf, 0.5 * dz / (zf * np.hypot(x, zf)), np.inf,
                        lambda: 1.0 / (x * np.sqrt(2.0 + 2.0 * np.hypot(1.0, dz / (x * x * tf)))))
+    # 2-4: (x t_f / (sqrt2 dz)) sqrt(-2 + dz / (x^2 t_f)), (x t_f / dz) sqrt(-1 + (2 x t_f)^-2), and
+    # (x t_f / (sqrt2 dz)) sqrt(q - 2), q^3 = dz^2 / (2 x^4 t_f^2) = 8 + (q - 2) ((q + 1)^2 + 3)
     if scenario == 2:
         return _window(center, tf, 0.5 * dz / (x * x + zi * zi), 0.5 * dz / (x * x),
-                       lambda: (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(-2.0 + dz / (x * x * tf)))
+                       lambda: np.sqrt(tf * _short_of(dz, 2, x, 2, tf) / 2.0) / dz)
     if scenario == 3:
         return _window(center, tf, 0.5 / np.hypot(x, zf), 0.5 / x,
-                       lambda: (x / dz) * tf * np.sqrt(-1.0 + (1.0 / (2.0 * x * tf)) ** 2))
+                       lambda: np.sqrt(_short_of(1.0, 2, x, 1, tf) * (0.25 + 0.5 * x * tf)) / dz)
     if scenario == 4:
         return _window(center, tf, 0.25 * x * dz / (x * x + zi * zi), 0.25 * dz / (x * x),
-                       lambda: (x / (np.sqrt(2.0) * dz)) * tf * np.sqrt(
-                           -2.0 + (dz / (np.sqrt(2.0) * x * x * tf)) ** (2.0 / 3.0)))
+                       lambda: np.sqrt(_short_of(dz, 4, x, 2, tf) * (dz + 4.0 * x * x * tf) / (
+                           (np.cbrt((dz / (x * x * tf)) ** 2 / 2.0) + 1.0) ** 2 + 3.0))
+                       / (2.0 * x * dz))
     raise ValueError(f"scenario must be 1..4, got {scenario}")
 
 

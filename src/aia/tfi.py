@@ -12,14 +12,13 @@ governed by
 
 whose spectrum is -/+ eps_k with eps_k = 2 sqrt((h - cos k)^2 + sin^2 k).
 
-Each mode is the two-level crossing x sigma_x + z sigma_z of
-:mod:`aia.lz_closed` with x = 2 sin k, z = 2 (h - cos k), in the basis that
-the constant unitary _PAIR maps to the pair basis. TfiParams exposes the
-modes as a batch of such crossings. A register, the many-body product state,
-is an (L/2, 2) complex array with one pair-basis mode per row: the exact,
-adiabatic and AIA registers are the two-level batch states followed by
-_PAIR, and the register distance sqrt(1 - prod_k (1 - d_k^2)) combines the
-two-level distances d_k of the normalized modes.
+Each mode is the two-level crossing x sigma_x + z sigma_z of :mod:`aia.lz_closed`
+with x = 2 sin k, z = 2 (h - cos k), and TfiParams exposes the modes as a batch of
+such crossings. A register, the many-body product state, is an (L/2, 2) complex
+array of the modes' batch states in that crossing basis, one mode per row (its
+pair-basis vectors are reg @ [[0, 1], [-1j, 0]].T). The register distance
+sqrt(1 - prod_k (1 - d_k^2)) combines the two-level distances d_k of the
+normalized modes, so it does not depend on the basis.
 
 The sweep h(t) = h_i + (h_f - h_i) t / t_f crosses the critical point h = 1
 (infinite-chain gap 2|h - 1|).
@@ -33,9 +32,6 @@ import numpy as np
 from . import lz_closed as lz
 from .numkit import find_root_bracketed, minimize_scalar
 from .lz_closed import REGIME_INTERIOR, REGIME_WHOLE, SwitchingTimes
-
-# the two-level basis of aia.lz_closed -> the pair basis
-_PAIR = np.array([[0.0, 1.0], [-1.0j, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -149,20 +145,18 @@ def tfi_gap(h, L):
 
 
 def evolve_register(p, tol=1e-10 + 1e-12):
-    """Exact evolution of every mode from the h_i ground register, as one
-    batch of crossings in :func:`aia.lz_closed.evolve_schrodinger`."""
-    return lz.evolve_schrodinger(p, tol) @ _PAIR.T
+    """Exact register from the h_i ground register, :func:`aia.lz_closed.evolve_schrodinger`."""
+    return lz.evolve_schrodinger(p, tol)
 
 
 def adiabatic_register(p):
     """Per-mode adiabatic state: ground vector at h_f with its dynamical phase."""
-    return lz.adiabatic_state(p) @ _PAIR.T
+    return lz.adiabatic_state(p)
 
 
 def aia_register(p, st):
-    """Adiabatic-impulse register, per mode :func:`aia.lz_closed.aia_state`:
-    frozen on [tau_-, tau_+], adiabatic outside; tau_+ < tau_- crosses twice."""
-    return lz.aia_state(p, st) @ _PAIR.T
+    """Adiabatic-impulse register (frozen on [tau_-, tau_+]), :func:`aia.lz_closed.aia_state`."""
+    return lz.aia_state(p, st)
 
 
 def _normalized(reg):
@@ -231,15 +225,10 @@ def switching_times_tfi(p, scenario):
     return SwitchingTimes(tau_m, tau_p, regime)
 
 
-def _lz_basis(exact_reg):
-    """The normalized register's modes in the basis of lz_closed (_PAIR^dagger undoes _PAIR)."""
-    return _normalized(exact_reg) @ _PAIR.conj()
-
-
 def aia_distance_grid(p, dtaus, exact_reg):
     """Register distance of the centered-window AIA to the exact register over an array of
     impulse intervals in [-t_f, t_f], from the mode distances of lz.aia_distance_grid."""
-    return _product_distance(lz.aia_distance_grid(p, dtaus, _lz_basis(exact_reg)))
+    return _product_distance(lz.aia_distance_grid(p, dtaus, _normalized(exact_reg)))
 
 
 def optimize_dtau_tfi(p, exact_reg):
@@ -251,7 +240,7 @@ def optimize_dtau_tfi(p, exact_reg):
     sqrt(1 - prod_k (1 - d_k^2)) rises in each d_k, by at most 1 per unit of d_k. Its
     margin, L/2 (M + 3 eps), M the per-mode margin, covers the modes' margins and both
     products' rounding, about (L/2 + 5) eps / 2."""
-    _, envelope = lz._distance_kit(p, _lz_basis(exact_reg))
+    _, envelope = lz._distance_kit(p, _normalized(exact_reg))
     margin = p.L / 2 * (lz._ENVELOPE_MARGIN + 3 * np.finfo(float).eps)
 
     def bound(dtaus):

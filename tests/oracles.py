@@ -132,9 +132,14 @@ def density_to_coherence(rho):
     return np.array([np.trace(g @ rho).real for g in lo.PAULI_BASIS])
 
 
+# the crossing basis of aia.lz_closed, in which aia.tfi keeps its registers -> the
+# chain's pair basis {|0_k 0_-k>, |1_k 1_-k>}: a pair-basis register is reg @ PAIR.T
+PAIR = np.array([[0.0, 1.0], [-1.0j, 0.0]])
+
+
 def mode_hamiltonian(h, k):
     """The chain's pair-basis 2x2 mode Hamiltonian -2[(h - cos k) sigma_z + sin k sigma_y],
-    defined apart from the crossing that :mod:`aia.tfi` maps it to."""
+    defined apart from the crossing that :mod:`aia.tfi` maps it to (PAIR)."""
     a = h - np.cos(k)
     s = np.sin(k)
     return np.array([[-2.0 * a, 2.0j * s], [-2.0j * s, 2.0 * a]])
@@ -144,7 +149,7 @@ def mode_ground(h, k):
     """Ground vector (cos(theta/2), i sin(theta/2)), theta = atan2(sin k, h - cos k):
     the crossing's real-gauge ground vector in the pair basis; broadcasts to (..., 2)."""
     _, _, psi1, _ = lz.lz_eigensystem(2.0 * np.sin(k), 2.0 * (np.asarray(h) - np.cos(k)))
-    return psi1 @ tfi._PAIR.T
+    return psi1 @ PAIR.T
 
 
 def mode_excited(h, k):

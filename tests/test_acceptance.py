@@ -35,7 +35,7 @@ from aia import intertwiner as itw
 from aia import lindblad_open as lo
 from aia import lz_closed as lz
 from aia import numkit, tfi
-from oracles import lindblad_ops, mode_ground, mode_hamiltonian
+from oracles import PAIR, lindblad_ops, mode_ground, mode_hamiltonian
 
 # the two-level sweep of criteria 1-6 and the chain of criterion 7, as swept
 # by the session fixtures in conftest.py
@@ -426,7 +426,7 @@ def test_criterion_11_oracle_equivalences():
 
     # (c) L = 2 register pipeline vs direct two-level integration
     p = tfi.TfiParams(2, 0.5, 1.5, 7.0)
-    reg = tfi.evolve_register(p, 1e-13 + 1e-15)
+    reg = tfi.evolve_register(p, 1e-13 + 1e-15) @ PAIR.T
     k = np.pi / 2
 
     def rhs(t, y):

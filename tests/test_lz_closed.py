@@ -4,6 +4,7 @@ import itertools
 import os
 import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -876,6 +877,48 @@ def test_scenario1_dtau_is_the_exact_width_of_an_unclamped_window(tf):
     clamped = lz.switching_times(lz.LzParams(0.1, -0.1, 1.0, 0.6), 1)
     assert clamped.tau_minus == 0.0 and clamped.width is None
     assert clamped.dtau == clamped.tau_plus
+
+
+def _upper_threshold(scenario, x, dz):
+    return {2: 0.5 * dz / (x * x), 3: 0.5 / x, 4: 0.25 * dz / (x * x)}[scenario]
+
+
+@pytest.mark.parametrize("scenario", [2, 3, 4])
+def test_scenarios_2_to_4_half_widths_are_exact_up_to_their_thresholds(scenario):
+    # the factor that vanishes at the upper threshold is formed exactly; the forms that
+    # cancel, sqrt(-2 + dz / (x^2 t_f)) and the like, were up to 7.5e13 eps off here, and
+    # scenario 4's read an interior window of width 0 one and two ulp below its threshold
+    mpmath = pytest.importorskip("mpmath")
+    p0 = lz.LzParams(0.1, -1.0, 1.0, 1.0)
+    upper = _upper_threshold(scenario, p0.x, p0.dz)
+    with mpmath.workdps(40):
+        x, dz, sqrt2 = mpmath.mpf(p0.x), mpmath.mpf(p0.dz), mpmath.sqrt(2)
+        for k in range(1, 15):
+            tf = upper * (1.0 - 10.0 ** -k)
+            st = lz.switching_times(lz.LzParams(0.1, -1.0, 1.0, tf), scenario)
+            assert st.regime == lz.REGIME_INTERIOR and st.width is not None, (k, st)
+            t = mpmath.mpf(tf)
+            root = {2: -2 + dz / (x * x * t), 3: -1 + (1 / (2 * x * t)) ** 2,
+                    4: -2 + (dz / (sqrt2 * x * x * t)) ** (mpmath.mpf(2) / 3)}[scenario]
+            want = (2 if scenario == 3 else sqrt2) * x * t / dz * mpmath.sqrt(root)
+            assert abs(st.dtau - want) <= 2 * np.finfo(float).eps * want, (k, st.dtau, want)
+    tf = upper
+    for _ in range(3):
+        tf = float(np.nextafter(tf, 0.0))
+        st = lz.switching_times(lz.LzParams(0.1, -1.0, 1.0, tf), scenario)
+        assert st.regime == lz.REGIME_INTERIOR and st.dtau > 0.0, (tf, st)
+
+
+@pytest.mark.parametrize("scenario", [2, 4])
+def test_a_window_collapses_below_a_threshold_that_rounds_up(scenario):
+    # here 0.5 dz / x^2 rounds above dz / (2 x^2) (and 0.25 dz / x^2 above dz / (4 x^2)),
+    # so one ulp below it t_f is past the exact threshold: the vanishing factor is 0 and the window collapses, where the
+    # cancelling form read an interior window of width 0
+    p = lz.LzParams(0.143, -1.0, 7.378, 1.0)
+    tf = float(np.nextafter(_upper_threshold(scenario, p.x, p.dz), 0.0))
+    assert Fraction(p.dz) <= scenario * Fraction(p.x) ** 2 * Fraction(tf)  # dz / (c x^2) <= t_f
+    st = lz.switching_times(lz.LzParams(0.143, -1.0, 7.378, tf), scenario)
+    assert st.regime == lz.REGIME_COLLAPSED and st.tau_minus == st.tau_plus, st
 
 
 # x, |z_i|, z_f over decades, and the phase t_f b_max up to 3e3 (b_max the largest

@@ -13,8 +13,8 @@ from scipy.special import ellipe
 from aia import lz_closed as lz
 from aia import numkit, sweeps, tfi
 from aia.lz_closed import SwitchingTimes
-from oracles import (adiabatic_frame_state, aia_state_oracle, ground_register, mode_excited,
-                     mode_ground, mode_hamiltonian, parabolic_cylinder_state)
+from oracles import (PAIR, adiabatic_frame_state, aia_state_oracle, ground_register,
+                     mode_excited, mode_ground, mode_hamiltonian, parabolic_cylinder_state)
 
 _CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -157,7 +157,7 @@ def test_gap_lower_bound_property():
 
 def test_evolve_sudden_limit():
     p = tfi.TfiParams(150, 0.5, 1.5, 1e-8)
-    reg = tfi.evolve_register(p)
+    reg = tfi.evolve_register(p) @ PAIR.T
     assert tfi.register_distance(reg, ground_register(p)) < 1e-6
 
 
@@ -209,7 +209,7 @@ def test_aia_collapse_equals_adiabatic():
 def test_aia_whole_interval_is_frozen():
     p = tfi.TfiParams(150, 0.5, 1.5, 10.0)
     st = SwitchingTimes(0.0, p.t_f, "whole-interval-impulse")
-    d = tfi.register_distance(tfi.aia_register(p, st), ground_register(p))
+    d = tfi.register_distance(tfi.aia_register(p, st) @ PAIR.T, ground_register(p))
     assert d < 1e-12
 
 
@@ -232,11 +232,11 @@ def test_aia_register_against_sum_oracle_at_random_parameters(L, h_i, h_f, tf, u
     p = tfi.TfiParams(L, h_i, h_f, tf)
     tm, tp = u * tf, v * tf
     got = tfi.aia_register(p, SwitchingTimes(tm, tp, "x"))
-    assert np.abs(got - aia_state_oracle(p, tm, tp) @ tfi._PAIR.T).max() <= 1e-12
+    assert np.abs(got - aia_state_oracle(p, tm, tp)).max() <= 1e-12
     exact = tfi.evolve_register(p)
     dtaus = np.array([tp - tm, tm - tp])
     for dtau, dist in zip(dtaus, tfi.aia_distance_grid(p, dtaus, exact)):
-        want = aia_state_oracle(p, tf / 2.0 - dtau / 2.0, tf / 2.0 + dtau / 2.0) @ tfi._PAIR.T
+        want = aia_state_oracle(p, tf / 2.0 - dtau / 2.0, tf / 2.0 + dtau / 2.0)
         assert abs(dist - tfi.register_distance(want, exact)) <= 1e-12
 
 
@@ -550,7 +550,7 @@ def test_smallest_momentum_dominates_infidelity_at_large_tf():
 
 def test_l2_register_pipeline_equals_direct_two_level():
     p = tfi.TfiParams(2, 0.5, 1.5, 7.0)
-    reg = tfi.evolve_register(p, 1e-13 + 1e-15)
+    reg = tfi.evolve_register(p, 1e-13 + 1e-15) @ PAIR.T
     k = np.pi / 2
 
     def rhs(t, y):
@@ -562,7 +562,7 @@ def test_l2_register_pipeline_equals_direct_two_level():
     direct = sol.y[:, -1]
     assert np.abs(reg[0] - direct).max() < 1e-12
     # distance through the register machinery equals the direct two-level one
-    adi = tfi.adiabatic_register(p)
+    adi = tfi.adiabatic_register(p) @ PAIR.T
     d_reg = tfi.register_distance(reg, adi)
     d_direct = np.sqrt(max(0.0, 1.0 - abs(np.vdot(adi[0], reg[0])) ** 2))
     assert abs(d_reg - d_direct) < 1e-12
@@ -570,14 +570,14 @@ def test_l2_register_pipeline_equals_direct_two_level():
 
 def test_chain_modes_are_two_level_crossings():
     # a mode is the crossing x sigma_x + z sigma_z, x = 2 sin k, z = 2 (h - cos k),
-    # in the pair basis
+    # whose basis PAIR maps to the pair basis; the registers are its lz states
     p = tfi.TfiParams(20, 0.5, 1.5, 12.0)
     ks = tfi.momenta(p.L)
     for h in (0.2, 1.0, 2.7):
         _, _, psi1, _ = lz.lz_eigensystem(2 * np.sin(ks), 2 * (h - np.cos(ks)))
         half = 0.5 * np.arctan2(np.sin(ks), h - np.cos(ks))
         ground = np.stack([np.cos(half), 1j * np.sin(half)], axis=-1)
-        assert np.abs(psi1 @ tfi._PAIR.T - ground).max() < 1e-15
+        assert np.abs(psi1 @ PAIR.T - ground).max() < 1e-15
 
     windows = [SwitchingTimes(4.0, 7.5, "interior"), SwitchingTimes(8.0, 3.0, "reversed")]
     exact = tfi.evolve_register(p, 1e-12 + 1e-14)
@@ -588,14 +588,24 @@ def test_chain_modes_are_two_level_crossings():
     for i in crossing:
         k = ks[i]
         q = lz.LzParams(2 * np.sin(k), 2 * (p.h_i - np.cos(k)), 2 * (p.h_f - np.cos(k)), p.t_f)
-        assert np.abs(adi[i] - tfi._PAIR @ lz.adiabatic_state(q)).max() < 1e-14
+        assert np.abs(adi[i] - lz.adiabatic_state(q)).max() < 1e-14
         for st, reg in zip(windows, aia):
-            assert np.abs(reg[i] - tfi._PAIR @ lz.aia_state(q, st)).max() < 1e-14
+            assert np.abs(reg[i] - lz.aia_state(q, st)).max() < 1e-14
         # the oracle is the adiabatic-frame DOP853 run, not the Magnus
         # propagator under test; both stay within their common tolerance
         # (the two differ by <= 6.2e-14 here)
-        single = tfi._PAIR @ adiabatic_frame_state(q, 1e-12, 1e-14)
+        single = adiabatic_frame_state(q, 1e-12, 1e-14)
         assert np.abs(exact[i] - single).max() <= 1e-12 + 1e-14
+
+
+def test_registers_are_the_lz_batch_states_bit_for_bit():
+    # a register is the lz_closed batch state of the modes, in the crossing basis
+    p = tfi.TfiParams(20, 0.5, 1.5, 12.0)
+    windows = SwitchingTimes(np.array([4.0, 8.0]), np.array([7.5, 3.0]), "x")
+    for tol in (1e-10 + 1e-12, 1e-12 + 1e-14):
+        assert np.array_equal(tfi.evolve_register(p, tol), lz.evolve_schrodinger(p, tol))
+    assert np.array_equal(tfi.adiabatic_register(p), lz.adiabatic_state(p))
+    assert np.array_equal(tfi.aia_register(p, windows), lz.aia_state(p, windows))
 
 
 def test_chain_modes_against_parabolic_cylinder_oracle():
